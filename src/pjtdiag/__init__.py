@@ -3,11 +3,12 @@ two-mode Fock space.
 
 Two degenerate orbitals, each holding one hole, couple linearly to the two
 components of one doubly degenerate local vibration while a static
-correlation term splits the electronic multiplets. The package assembles the
-sparse vibronic matrix, computes its low-lying eigenpairs by a dense or a
-block Lanczos route, and reduces them to physical observables: electronic
-characters, the distortion expectation R, and the splitting delta between
-the lowest vibronic level and the doublet above it. Built-in presets cover
+correlation term splits the electronic multiplets. The package diagonalizes
+the vibronic matrix in sectors of conserved angular momentum J (the full
+sparse product-space matrix, with a dense and a block Lanczos route, stays
+as a reference) and reduces the low-lying levels to physical observables:
+electronic characters, the distortion expectation R, and the splitting
+delta between the lowest vibronic level and the doublet above it. Built-in presets cover
 the four neutral group-IV vacancy centers in diamond.
 """
 

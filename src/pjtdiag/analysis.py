@@ -14,14 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockBasis, build_basis, position_operator
-from .hamiltonian import (
-    ELECTRONIC_BASIS,
-    PjtParams,
-    assemble,
-    classical_apes,
-)
-from .solver import DEGENERACY_TOL_MEV, SolveRequest, solve
+from .fock import FockBasis, position_operator
+from .hamiltonian import ELECTRONIC_BASIS, PjtParams, classical_apes
+from .sectors import lowest_levels
+from .solver import DEGENERACY_TOL_MEV
 
 __all__ = [
     "ApesScanPoint",
@@ -36,6 +32,7 @@ __all__ = [
     "delta_splitting",
     "distortion_expectation",
     "electronic_character",
+    "level_groups",
     "spectrum_report",
 ]
 
@@ -54,6 +51,16 @@ class TruncationWarning(UserWarning):
 class StateOrderingError(RuntimeError):
     """Computed levels do not show a nondegenerate A2u-type ground state
     below an Eu-type doublet."""
+
+
+def _warn_if_truncated(top_weight: float, stacklevel: int) -> None:
+    if top_weight > _TOP_SHELL_LIMIT:
+        warnings.warn(
+            f"{top_weight:.1%} of the state sits in the top two Fock shells; "
+            "R is truncation-contaminated, increase the cutoff",
+            TruncationWarning,
+            stacklevel=stacklevel,
+        )
 
 
 def _reshape_blocks(state_vector, basis: FockBasis) -> np.ndarray:
@@ -105,14 +112,7 @@ def distortion_expectation(state_vector, basis: FockBasis) -> float:
     """
     blocks = _reshape_blocks(state_vector, basis)
     shells = np.array([n + m for (n, m) in basis.states])
-    top_weight = (blocks[:, shells >= basis.cutoff - 1] ** 2).sum()
-    if top_weight > _TOP_SHELL_LIMIT:
-        warnings.warn(
-            f"{top_weight:.1%} of the state sits in the top two Fock shells; "
-            "R is truncation-contaminated, increase the cutoff",
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_if_truncated((blocks[:, shells >= basis.cutoff - 1] ** 2).sum(), stacklevel=3)
     x_op = position_operator(basis, "X")
     y_op = position_operator(basis, "Y")
     second_moment = 0.0
@@ -202,6 +202,23 @@ def classify_levels(
     """
     energies = np.asarray(energies, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
+    characters = [electronic_character(vectors[:, i], basis) for i in range(energies.size)]
+    r_squared = None
+    if compute_r:
+        r_squared = [
+            distortion_expectation(vectors[:, i], basis) ** 2
+            for i in range(energies.size)
+        ]
+    return _pool_levels(energies, characters, r_squared, degeneracy_tol)
+
+
+def _pool_levels(
+    energies: np.ndarray,
+    characters,
+    r_squared,
+    degeneracy_tol: float = DEGENERACY_TOL_MEV,
+) -> list[LevelGroup]:
+    """LevelGroups from per-level characters and R^2 (None: R is NaN)."""
     groups: list[list[int]] = []
     for i in range(energies.size):
         if groups and energies[i] - energies[groups[-1][-1]] < degeneracy_tol:
@@ -210,22 +227,17 @@ def classify_levels(
             groups.append([i])
     out: list[LevelGroup] = []
     for members in groups:
-        characters = np.mean(
-            [electronic_character(vectors[:, i], basis) for i in members], axis=0
-        )
-        if compute_r:
-            r_squared = np.mean(
-                [distortion_expectation(vectors[:, i], basis) ** 2 for i in members]
-            )
-            r_value = math.sqrt(r_squared)
+        character = np.mean([characters[i] for i in members], axis=0)
+        if r_squared is not None:
+            r_value = math.sqrt(np.mean([r_squared[i] for i in members]))
         else:
             r_value = math.nan
         out.append(
             LevelGroup(
                 indices=list(members),
                 energy=float(np.mean(energies[members])),
-                character=characters,
-                label=_group_label(characters, len(members)),
+                character=character,
+                label=_group_label(character, len(members)),
                 distortion_r=r_value,
             )
         )
@@ -263,17 +275,48 @@ def delta_from_groups(groups: list[LevelGroup]) -> float:
     )
 
 
+def level_groups(
+    params: PjtParams,
+    cutoff: int,
+    num_states: int,
+    *,
+    tolerance: float = 1e-8,
+    compute_r: bool = True,
+) -> tuple[np.ndarray, list[LevelGroup]]:
+    """Lowest levels from the J sectors, grouped into degenerate multiplets.
+
+    Args:
+        params: Model parameters.
+        cutoff: Fock cutoff.
+        num_states: Levels to compute.
+        tolerance: Residual bound, meV.
+        compute_r: Also evaluate R per group; warns with TruncationWarning
+            for each level with more than 1% weight in the top two shells.
+
+    Returns:
+        (energies, groups): the ascending level energies and their
+        LevelGroups, as classify_levels would give them.
+    """
+    levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
+    r_squared = None
+    if compute_r:
+        for top_weight in levels.top_shell_weight:
+            _warn_if_truncated(top_weight, stacklevel=3)
+        r_squared = levels.r_squared
+    groups = _pool_levels(levels.energies, levels.character, r_squared)
+    return levels.energies, groups
+
+
 def delta_splitting(
     params: PjtParams,
     cutoff: int,
     *,
     num_states: int = 8,
-    method: str = "auto",
     tolerance: float = 1e-8,
 ) -> float:
     """Gap between the lowest vibronic level and the Eu-type doublet above it.
 
-    Solves for num_states levels at the given cutoff, classifies them, and
+    Computes num_states levels at the given cutoff, classifies them, and
     measures the doublet's distance from the nondegenerate A2u-type ground
     state.
 
@@ -281,7 +324,6 @@ def delta_splitting(
         params: Model parameters.
         cutoff: Fock cutoff (the default elsewhere is 15).
         num_states: Levels to compute, >= 3.
-        method: Solver route, passed through.
         tolerance: Residual bound, meV.
 
     Returns:
@@ -292,11 +334,8 @@ def delta_splitting(
     """
     if num_states < 3:
         raise ValueError(f"num_states must be >= 3 to resolve the doublet, got {num_states}")
-    basis = build_basis(cutoff)
-    h = assemble(params, basis)
-    result = solve(h, SolveRequest(num_states=num_states, method=method, tolerance=tolerance))
-    groups = classify_levels(
-        result.energies, result.vectors, basis, compute_r=False
+    _, groups = level_groups(
+        params, cutoff, num_states, tolerance=tolerance, compute_r=False
     )
     return delta_from_groups(groups)
 
@@ -379,22 +418,20 @@ def spectrum_report(
     cutoff: int,
     num_states: int = 8,
     *,
-    method: str = "auto",
     tolerance: float = 1e-8,
 ) -> SpectrumReport:
     """Solve, classify, and package the low-lying spectrum.
 
     States within one degenerate group share pooled characters, label, and
-    R. If the last requested state cuts a multiplet in half, the pooled
-    values of that final group cover only its captured members and depend on
-    the solver's basis choice inside the multiplet; request enough states to
-    cover full multiplets when that matters.
+    R. If the last requested state cuts an accidental multiplet of several
+    J sectors, the pooled values of that final group cover only its
+    captured members; request enough states to cover full multiplets when
+    that matters.
 
     Args:
         params: Model parameters.
         cutoff: Fock cutoff.
         num_states: Levels to report, >= 3.
-        method: Solver route.
         tolerance: Residual bound, meV.
 
     Returns:
@@ -407,19 +444,14 @@ def spectrum_report(
     """
     if num_states < 3:
         raise ValueError(f"num_states must be >= 3, got {num_states}")
-    basis = build_basis(cutoff)
-    h = assemble(params, basis)
-    result = solve(
-        h, SolveRequest(num_states=num_states, method=method, tolerance=tolerance)
-    )
-    groups = classify_levels(result.energies, result.vectors, basis)
+    energies, groups = level_groups(params, cutoff, num_states, tolerance=tolerance)
     delta = delta_from_groups(groups)
     states: list[VibronicState] = []
     for group in groups:
         for i in group.indices:
             states.append(
                 VibronicState(
-                    energy=float(result.energies[i]),
+                    energy=float(energies[i]),
                     character=group.character,
                     distortion_r=group.distortion_r,
                     dominant_label=group.label,

@@ -20,15 +20,15 @@ from . import __version__
 from .analysis import (
     StateOrderingError,
     apes_scan,
-    classify_levels,
     delta_from_groups,
+    level_groups,
     spectrum_report,
 )
-from .fock import build_basis
 from .hamiltonian import PjtParams
 from .paramfile import ParamFileError, parse_params
 from .presets import get_preset
-from .solver import ConvergenceError, SolveRequest, converge_cutoff
+from .sectors import check_cutoff
+from .solver import ConvergenceError
 
 __all__ = ["RunConfig", "build_parser", "cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 
@@ -138,6 +138,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"--states must be >= 3, got {args.states}")
         if not args.tolerance > 0:
             raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
+        check_cutoff(args.cutoff, args.states)
         config.cutoff = args.cutoff
         config.num_states = args.states
         config.tolerance = args.tolerance
@@ -150,6 +151,20 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(
                 f"--xmax must be greater than --xmin, got [{args.xmin}, {args.xmax}]"
             )
+        # No entry of the 4x4 sheet matrix on the scan line, nor any partial
+        # sum of one, exceeds this; beyond the float range eigh fails.
+        extent = max(abs(args.xmin), abs(args.xmax))
+        bound = (
+            0.5 * params.hbar_omega * extent * extent
+            + extent * (params.f_g + params.f_u)
+            + params.lambda_corr
+            + params.xi_corr
+        )
+        if not math.isfinite(bound):
+            raise ValueError(
+                f"scan range [{args.xmin}, {args.xmax}] puts the sheet energies "
+                "beyond the float range"
+            )
         config.xmin = args.xmin
         config.xmax = args.xmax
         config.points = args.points
@@ -159,6 +174,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if not args.tolerance > 0:
             raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
         config.cutoffs = _parse_cutoff_list(args.cutoffs)
+        check_cutoff(config.cutoffs[-1])
         config.num_states = args.states
         config.tolerance = args.tolerance
     return config
@@ -236,14 +252,6 @@ def cmd_converge(config: RunConfig) -> int:
     cutoff whose level pattern leaves delta undefined gets delta_mev=nan.
     Either condition makes the exit status nonzero.
     """
-    req = SolveRequest(num_states=config.num_states, tolerance=config.tolerance)
-    study = converge_cutoff(
-        config.params,
-        req,
-        config.cutoffs,
-        keep_vectors=True,
-        on_error="continue",
-    )
     failures = 0
     with _open_output(config.output) as out:
         _write_provenance(
@@ -254,21 +262,27 @@ def cmd_converge(config: RunConfig) -> int:
         )
         energy_columns = ",".join(f"e{i}_mev" for i in range(config.num_states))
         out.write(f"cutoff,{energy_columns},delta_mev\n")
-        for row in study.rows:
-            if row.error is not None:
-                print(f"cutoff {row.cutoff}: {row.error}", file=sys.stderr)
+        for cutoff in config.cutoffs:
+            try:
+                energies, groups = level_groups(
+                    config.params,
+                    cutoff,
+                    config.num_states,
+                    tolerance=config.tolerance,
+                    compute_r=False,
+                )
+            except (ValueError, ConvergenceError) as exc:
+                print(f"cutoff {cutoff}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            basis = build_basis(row.cutoff)
-            groups = classify_levels(row.energies, row.vectors, basis, compute_r=False)
             try:
                 delta = delta_from_groups(groups)
             except StateOrderingError as exc:
-                print(f"cutoff {row.cutoff}: {exc}", file=sys.stderr)
+                print(f"cutoff {cutoff}: {exc}", file=sys.stderr)
                 failures += 1
                 delta = math.nan
-            energy_text = ",".join(f"{e:.6f}" for e in row.energies)
-            out.write(f"{row.cutoff},{energy_text},{delta:.6f}\n")
+            energy_text = ",".join(f"{e:.6f}" for e in energies)
+            out.write(f"{cutoff},{energy_text},{delta:.6f}\n")
     return 0 if failures == 0 else 1
 
 

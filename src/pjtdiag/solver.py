@@ -19,6 +19,7 @@ from .hamiltonian import PjtParams, VibronicHamiltonian, assemble
 __all__ = [
     "DENSE_CROSSOVER",
     "DEGENERACY_TOL_MEV",
+    "MAX_DENSE_BYTES",
     "ConvergenceError",
     "ConvergenceStudy",
     "CutoffResult",
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 DENSE_CROSSOVER = 2000
+
+# Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
+# a large cutoff from exhausting memory; the peak is a few times this.
+MAX_DENSE_BYTES = 2**28
 
 # Energies closer than this are treated as one degenerate multiplet.
 DEGENERACY_TOL_MEV = 1e-6
@@ -134,6 +139,13 @@ def solve(h: VibronicHamiltonian, req: SolveRequest) -> EigenResult:
 
 
 def _solve_dense(matrix, req: SolveRequest) -> EigenResult:
+    dimension = matrix.shape[0]
+    needed = dimension * dimension * 8
+    if needed > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"dense path at dimension {dimension} needs {needed / 2**20:.0f} MiB, "
+            f"beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
+        )
     k = req.num_states
     energies, vectors = scipy.linalg.eigh(
         matrix.toarray(), subset_by_index=(0, k - 1)

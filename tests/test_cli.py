@@ -292,3 +292,33 @@ def test_module_entry_point():
     )
     assert completed.returncode == 0
     assert "delta_mev=" in completed.stdout
+
+
+def test_spectrum_more_states_than_dimension_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "spectrum", "--preset", "SiV", "--cutoff", "1", "--states", "20"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "exceeds matrix dimension 12" in err
+
+
+def test_apes_range_beyond_float_range_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "apes", "--preset", "SiV", "--points", "3", "--xmin", "0", "--xmax", "1e308"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_cutoff_beyond_memory_limit_rejected(capsys):
+    for argv in (
+        ("spectrum", "--preset", "SiV", "--cutoff", "1000"),
+        ("converge", "--preset", "SiV", "--cutoffs", "5,1000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "MiB" in err

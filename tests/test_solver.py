@@ -171,3 +171,27 @@ def test_converge_cutoff_error_capture():
     assert study.rows[1].error is None
     assert study.rows[1].energies.shape == (8,)
     assert not study.converged
+
+
+def test_dense_route_refuses_oversized_matrix_before_allocating():
+    import tracemalloc
+
+    from scipy import sparse
+
+    from pjtdiag import VibronicHamiltonian
+
+    # Dimension of cutoff 100; a dense copy would take 3.4 GB.
+    dimension = 20604
+    empty = VibronicHamiltonian(
+        params=SIV,
+        basis=build_basis(0),
+        matrix=sparse.csr_matrix((dimension, dimension)),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MiB"):
+            solve(empty, SolveRequest(num_states=1, method="dense"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
