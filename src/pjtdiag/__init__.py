@@ -5,8 +5,8 @@ Two degenerate orbitals, each holding one hole, couple linearly to the two
 components of one doubly degenerate local vibration while a static
 correlation term splits the electronic multiplets. The package diagonalizes
 the vibronic matrix in sectors of conserved angular momentum J (the full
-sparse product-space matrix, with a dense and a block Lanczos route, stays
-as a reference) and reduces the low-lying levels to physical observables:
+sparse product-space matrix and its dense solve stay as a small-cutoff
+reference) and reduces the low-lying levels to physical observables:
 electronic characters, the distortion expectation R, and the splitting
 delta between the lowest vibronic level and the doublet above it. Built-in presets cover
 the four neutral group-IV vacancy centers in diamond.
@@ -15,6 +15,7 @@ the four neutral group-IV vacancy centers in diamond.
 __version__ = "0.1.0"
 
 from .analysis import (
+    DEGENERACY_TOL_MEV,
     ApesScanPoint,
     LevelGroup,
     SpectrumReport,
@@ -48,8 +49,6 @@ from .hamiltonian import (
 from .paramfile import ParamFileError, parse_params
 from .presets import PRESETS, DefectPreset, get_preset
 from .solver import (
-    DEGENERACY_TOL_MEV,
-    DENSE_CROSSOVER,
     ConvergenceError,
     ConvergenceStudy,
     CutoffResult,
@@ -67,7 +66,6 @@ __all__ = [
     "ConvergenceStudy",
     "CutoffResult",
     "DEGENERACY_TOL_MEV",
-    "DENSE_CROSSOVER",
     "DETERMINANTS",
     "DefectPreset",
     "ELECTRONIC_BASIS",

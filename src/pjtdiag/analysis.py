@@ -17,9 +17,9 @@ import numpy as np
 from .fock import FockBasis, position_operator
 from .hamiltonian import ELECTRONIC_BASIS, PjtParams, classical_apes
 from .sectors import lowest_levels
-from .solver import DEGENERACY_TOL_MEV
 
 __all__ = [
+    "DEGENERACY_TOL_MEV",
     "ApesScanPoint",
     "LevelGroup",
     "SpectrumReport",
@@ -35,6 +35,9 @@ __all__ = [
     "level_groups",
     "spectrum_report",
 ]
+
+# Energies closer than this are treated as one degenerate multiplet.
+DEGENERACY_TOL_MEV = 1e-6
 
 _NORMALIZATION_TOL = 1e-8
 

@@ -266,12 +266,27 @@ def classical_apes(params: PjtParams, x: float, y: float) -> ApesPoint:
 
     Returns:
         ApesPoint with ascending energies.
+
+    Raises:
+        ValueError: non-finite coordinates, or sheet energies beyond the
+            float range.
     """
     x = float(x)
     y = float(y)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"coordinates must be finite, got ({x}, {y})")
-    h4 = (0.5 * params.hbar_omega * (x * x + y * y)) * np.eye(4)
+    lift = 0.5 * params.hbar_omega * (x * x + y * y)
+    # Bounds every absolute row sum of the sheet matrix, so no entry, partial
+    # sum or eigenvalue exceeds it; while it is finite, eigh cannot overflow.
+    bound = (
+        lift
+        + (abs(x) + abs(y)) * (params.f_g + params.f_u)
+        + params.lambda_corr
+        + params.xi_corr
+    )
+    if not math.isfinite(bound):
+        raise ValueError(f"sheet energies at ({x}, {y}) are beyond the float range")
+    h4 = lift * np.eye(4)
     h4 += x * pjt_coupling_block(params, "X")
     h4 += y * pjt_coupling_block(params, "Y")
     h4 += w_matrix(params)

@@ -35,9 +35,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import PjtParams
-from .solver import MAX_DENSE_BYTES, ConvergenceError
 
-__all__ = ["SectorLevels", "check_cutoff", "lowest_levels", "sector_matrices"]
+__all__ = [
+    "MAX_DENSE_BYTES",
+    "ConvergenceError",
+    "SectorLevels",
+    "check_cutoff",
+    "lowest_levels",
+    "sector_matrices",
+]
+
+# Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
+# a large cutoff from exhausting memory; the peak is a few times this.
+MAX_DENSE_BYTES = 2**28
 
 # Electronic components of every sector: A2u, i * A1u, E+, E-.
 _SPIN = np.array([0, 0, 1, -1])
@@ -45,6 +55,24 @@ _SPIN = np.array([0, 0, 1, -1])
 # B- couples a component with S to one with S - 1 and raises l by one:
 # (target, source) pairs; _fill gives 1/2 <target|B-|source> of each.
 _COUPLED = ((0, 2), (1, 2), (3, 0), (3, 1))
+
+
+class ConvergenceError(RuntimeError):
+    """A solve could not push every residual below the requested tolerance.
+
+    Carries the best energies and residuals reached so that callers can
+    diagnose without rerunning.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        energies: np.ndarray | None = None,
+        residuals: np.ndarray | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.energies = energies
+        self.residuals = residuals
 
 
 def check_cutoff(cutoff: int, num_states: int | None = None) -> None:

@@ -1,5 +1,7 @@
 """Electronic blocks, full assembly, classical sheets, and channel energies."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -8,6 +10,7 @@ from pjtdiag import (
     ELECTRONIC_BASIS,
     PRESETS,
     PjtParams,
+    apes_scan,
     assemble,
     build_basis,
     classical_apes,
@@ -180,6 +183,14 @@ def test_classical_apes_origin():
 def test_classical_apes_rejects_nonfinite():
     with pytest.raises(ValueError):
         classical_apes(SIV, float("inf"), 0.0)
+    # Finite coordinates whose sheet energies overflow are refused before eigh.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\(1e\+200, 0.0\) are beyond the float range"):
+            classical_apes(SIV, 1e200, 0.0)
+        with pytest.raises(ValueError, match="float range"):
+            apes_scan(SIV, [0.0, -1e200])
+        assert np.isfinite(classical_apes(SIV, 2e153, 0.0).energies).all()
 
 
 def test_classical_apes_vectors_solve_the_sheet_problem():

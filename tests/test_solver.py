@@ -1,4 +1,6 @@
-"""Dense and iterative eigensolvers plus the cutoff convergence ladder."""
+"""Dense product-space solve plus the cutoff convergence ladder."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from pjtdiag import (
     converge_cutoff,
     solve,
 )
+from pjtdiag.sectors import lowest_levels
 
 SIV = PRESETS["SiV"].params
 
@@ -29,10 +32,6 @@ def test_request_validation():
         solve(h, SolveRequest(num_states=13))
     with pytest.raises(ValueError, match="tolerance"):
         solve(h, SolveRequest(num_states=2, tolerance=0.0))
-    with pytest.raises(ValueError, match="method"):
-        solve(h, SolveRequest(num_states=2, method="magic"))
-    with pytest.raises(ValueError, match="max_iterations"):
-        solve(h, SolveRequest(num_states=2, max_iterations=0))
 
 
 def test_decoupled_ground_energy():
@@ -59,30 +58,19 @@ def test_doublet_above_ground_for_every_preset():
 
 
 def test_dense_matches_iterative():
-    h = siv_hamiltonian()
-    dense = solve(h, SolveRequest(num_states=10, method="dense"))
-    krylov = solve(h, SolveRequest(num_states=10, method="iterative"))
-    assert dense.method == "dense"
-    assert krylov.method == "iterative"
-    assert dense.iterations_used == 0
-    assert krylov.iterations_used > 0
-    assert np.abs(dense.energies - krylov.energies).max() < 1e-8
-
-
-def test_auto_uses_dense_below_crossover():
-    result = solve(siv_hamiltonian(), SolveRequest(num_states=2))
-    assert result.method == "dense"
+    # The product space and the J sectors are independent routes.
+    dense = solve(siv_hamiltonian(), SolveRequest(num_states=10))
+    sectors = lowest_levels(SIV, 15, 10)
+    assert np.abs(dense.energies - sectors.energies).max() < 1e-8
 
 
 def test_result_invariants_both_methods():
-    h = siv_hamiltonian()
-    for method in ("dense", "iterative"):
-        result = solve(h, SolveRequest(num_states=6, method=method))
-        assert np.all(np.diff(result.energies) >= 0.0)
-        gram = result.vectors.T @ result.vectors
-        assert np.abs(gram - np.eye(6)).max() < 1e-10
-        assert result.residuals.shape == (6,)
-        assert np.all(result.residuals <= 1e-8)
+    result = solve(siv_hamiltonian(), SolveRequest(num_states=6))
+    assert np.all(np.diff(result.energies) >= 0.0)
+    gram = result.vectors.T @ result.vectors
+    assert np.abs(gram - np.eye(6)).max() < 1e-10
+    assert result.residuals.shape == (6,)
+    assert np.all(result.residuals <= 1e-8)
 
 
 def test_iterative_matches_full_diagonalization():
@@ -96,30 +84,18 @@ def test_iterative_matches_full_diagonalization():
     )
     h = assemble(params, build_basis(5))
     full = np.linalg.eigvalsh(h.matrix.toarray())
-    result = solve(h, SolveRequest(num_states=5, method="iterative"))
+    result = solve(h, SolveRequest(num_states=5))
     assert np.abs(result.energies - full[:5]).max() < 1e-8
-
-
-def test_iterative_deterministic():
-    h = siv_hamiltonian(8)
-    first = solve(h, SolveRequest(num_states=5, method="iterative"))
-    second = solve(h, SolveRequest(num_states=5, method="iterative"))
-    assert np.array_equal(first.energies, second.energies)
-    overlap = abs(first.vectors[:, 0] @ second.vectors[:, 0])
-    assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nonconvergence_reports_diagnostics():
     with pytest.raises(ConvergenceError) as excinfo:
-        solve(
-            siv_hamiltonian(),
-            SolveRequest(num_states=4, method="iterative", max_iterations=1),
-        )
+        solve(siv_hamiltonian(), SolveRequest(num_states=4, tolerance=1e-300))
     error = excinfo.value
     assert error.energies is not None
     assert error.energies.shape == (4,)
     assert error.residuals is not None
-    assert error.residuals.max() > 1e-8
+    assert error.residuals.max() > 1e-300
 
 
 def test_converge_cutoff_ground_energy_monotone():
@@ -138,14 +114,17 @@ def test_converge_cutoff_reports_convergence():
     assert not loose.converged
 
 
-def test_converge_cutoff_keeps_vectors_on_request():
-    study = converge_cutoff(
-        SIV, SolveRequest(num_states=3), (3, 5), keep_vectors=True
-    )
-    assert study.rows[0].vectors is not None
-    assert study.rows[0].vectors.shape == (4 * 10, 3)
-    bare = converge_cutoff(SIV, SolveRequest(num_states=3), (3, 5))
-    assert bare.rows[0].vectors is None
+def test_converge_cutoff_runs_beyond_the_dense_limit():
+    # A dense copy of the cutoff-53 matrix alone would exceed MAX_DENSE_BYTES.
+    tracemalloc.start()
+    try:
+        study = converge_cutoff(SIV, SolveRequest(num_states=8), (53, 60))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row.error for row in study.rows] == [None, None]
+    assert study.rows[1].energies[0] <= study.rows[0].energies[0]
+    assert peak < 64 * 2**20
 
 
 def test_converge_cutoff_validation():
@@ -174,8 +153,6 @@ def test_converge_cutoff_error_capture():
 
 
 def test_dense_route_refuses_oversized_matrix_before_allocating():
-    import tracemalloc
-
     from scipy import sparse
 
     from pjtdiag import VibronicHamiltonian
@@ -190,7 +167,7 @@ def test_dense_route_refuses_oversized_matrix_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MiB"):
-            solve(empty, SolveRequest(num_states=1, method="dense"))
+            solve(empty, SolveRequest(num_states=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
