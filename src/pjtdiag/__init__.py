@@ -10,18 +10,17 @@ reference) and reduces the low-lying levels to physical observables:
 electronic characters, the distortion expectation R, and the splitting
 delta between the lowest vibronic level and the doublet above it. Built-in presets cover
 the four neutral group-IV vacancy centers in diamond.
+
+The package namespace holds the functions and inputs; result types and
+constants (ApesPoint, SpectrumReport, FockBasis, SYMMETRY_TRANSFORM, ...)
+are imported from their submodules.
 """
 
 __version__ = "0.1.0"
 
 from .analysis import (
-    DEGENERACY_TOL_MEV,
-    ApesScanPoint,
-    LevelGroup,
-    SpectrumReport,
     StateOrderingError,
     TruncationWarning,
-    VibronicState,
     apes_scan,
     classify_levels,
     delta_from_groups,
@@ -30,13 +29,8 @@ from .analysis import (
     electronic_character,
     spectrum_report,
 )
-from .fock import FockBasis, build_basis, number_operator, position_operator
+from .fock import build_basis, number_operator, position_operator
 from .hamiltonian import (
-    DETERMINANTS,
-    ELECTRONIC_BASIS,
-    SYMMETRY_LABELS,
-    ApesPoint,
-    ElectronicBasis,
     PjtParams,
     VibronicHamiltonian,
     assemble,
@@ -47,42 +41,19 @@ from .hamiltonian import (
     w_matrix,
 )
 from .paramfile import ParamFileError, parse_params
-from .presets import PRESETS, DefectPreset, get_preset
-from .solver import (
-    ConvergenceError,
-    ConvergenceStudy,
-    CutoffResult,
-    EigenResult,
-    SolveRequest,
-    converge_cutoff,
-    solve,
-)
+from .presets import PRESETS
+from .solver import ConvergenceError, SolveRequest, converge_cutoff, solve
 
 __all__ = [
     "__version__",
-    "ApesPoint",
-    "ApesScanPoint",
     "ConvergenceError",
-    "ConvergenceStudy",
-    "CutoffResult",
-    "DEGENERACY_TOL_MEV",
-    "DETERMINANTS",
-    "DefectPreset",
-    "ELECTRONIC_BASIS",
-    "EigenResult",
-    "ElectronicBasis",
-    "FockBasis",
-    "LevelGroup",
     "PRESETS",
     "ParamFileError",
     "PjtParams",
-    "SpectrumReport",
     "SolveRequest",
     "StateOrderingError",
-    "SYMMETRY_LABELS",
     "TruncationWarning",
     "VibronicHamiltonian",
-    "VibronicState",
     "apes_scan",
     "assemble",
     "build_basis",
@@ -95,7 +66,6 @@ __all__ = [
     "distortion_expectation",
     "ejt_from_couplings",
     "electronic_character",
-    "get_preset",
     "number_operator",
     "parse_params",
     "pjt_coupling_block",

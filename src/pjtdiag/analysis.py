@@ -3,24 +3,24 @@
 Electronic character decomposition over the symmetry labels, the distortion
 expectation R, classification of levels into degenerate groups, the splitting
 delta between the lowest A2u-type state and the Eu-type doublet, and classical
-sheet scans with per-sheet characters.
+sheet scans along a line of X (each point is a hamiltonian.ApesPoint, which
+carries its per-sheet characters).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import FockBasis, position_operator
-from .hamiltonian import ELECTRONIC_BASIS, PjtParams, classical_apes
+from .hamiltonian import SYMMETRY_TRANSFORM, ApesPoint, PjtParams, classical_apes
 from .sectors import lowest_levels
 
 __all__ = [
     "DEGENERACY_TOL_MEV",
-    "ApesScanPoint",
     "LevelGroup",
     "SpectrumReport",
     "StateOrderingError",
@@ -94,7 +94,7 @@ def electronic_character(state_vector, basis: FockBasis) -> np.ndarray:
         Array (w_a2u, w_a1u, w_eux, w_euy); sums to 1 for a normalized input.
     """
     blocks = _reshape_blocks(state_vector, basis)
-    symmetry_amplitudes = ELECTRONIC_BASIS.transform @ blocks
+    symmetry_amplitudes = SYMMETRY_TRANSFORM @ blocks
     return (symmetry_amplitudes**2).sum(axis=1)
 
 
@@ -343,22 +343,7 @@ def delta_splitting(
     return delta_from_groups(groups)
 
 
-@dataclass(eq=False)
-class ApesScanPoint:
-    """Classical sheets at one scan point with per-sheet characters.
-
-    ``characters`` has one row per sheet, columns (w_a2u, w_a1u, w_eu) with
-    the two Eu components pooled. At exact sheet degeneracies the split
-    between the degenerate rows follows the numerical eigenbasis.
-    """
-
-    x: float
-    y: float
-    energies: np.ndarray
-    characters: np.ndarray
-
-
-def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> list[ApesScanPoint]:
+def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> list[ApesPoint]:
     """Classical adiabatic sheets along a line of X values at fixed Y.
 
     Args:
@@ -367,25 +352,9 @@ def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> list[ApesScanPoint
         y: Fixed Y coordinate.
 
     Returns:
-        One ApesScanPoint per input X, in input order.
+        One ApesPoint per input X, in input order.
     """
-    transform = ELECTRONIC_BASIS.transform
-    points: list[ApesScanPoint] = []
-    for x in x_values:
-        point = classical_apes(params, float(x), float(y))
-        weights = (transform @ point.vectors) ** 2
-        characters = np.column_stack(
-            [weights[0], weights[1], weights[2] + weights[3]]
-        )
-        points.append(
-            ApesScanPoint(
-                x=point.x,
-                y=point.y,
-                energies=point.energies,
-                characters=characters,
-            )
-        )
-    return points
+    return [classical_apes(params, x, y) for x in x_values]
 
 
 @dataclass(eq=False)

@@ -3,6 +3,9 @@
 All commands emit deterministic CSV (period decimal separator, fixed column
 order, '#' provenance comments, no timestamps) to standard output or to
 --output. Exit status 0 means every requested computation met its tolerance.
+Each command takes the parsed arguments with the resolved parameters; the
+library refuses invalid levels, tolerances, cutoffs and sheet ranges before
+anything is written, so the CLI checks only what it must refuse earlier.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -25,29 +27,12 @@ from .analysis import (
     spectrum_report,
 )
 from .hamiltonian import PjtParams
-from .paramfile import ParamFileError, parse_params
+from .paramfile import parse_params
 from .presets import get_preset
 from .sectors import check_cutoff
 from .solver import ConvergenceError
 
-__all__ = ["RunConfig", "build_parser", "cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    command: str
-    source: str
-    params: PjtParams
-    cutoff: int = 15
-    num_states: int = 8
-    tolerance: float = 1e-8
-    output: str | None = None
-    xmin: float = -4.0
-    xmax: float = 4.0
-    points: int = 81
-    cutoffs: tuple[int, ...] = field(default_factory=tuple)
+__all__ = ["build_parser", "cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,57 +112,33 @@ def _parse_cutoff_list(text: str) -> tuple[int, ...]:
     return cutoffs
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    params, source = _resolve_params(args)
-    config = RunConfig(command=args.command, source=source, params=params)
-    config.output = args.output
+def _check_args(args: argparse.Namespace) -> None:
+    """Refuse the options the library cannot refuse before output starts.
+
+    Replaces the --cutoffs text of converge with the parsed ladder.
+    """
     if args.command == "spectrum":
         if args.cutoff < 1:
             raise ValueError(f"--cutoff must be >= 1, got {args.cutoff}")
-        if args.states < 3:
-            raise ValueError(f"--states must be >= 3, got {args.states}")
-        if not args.tolerance > 0:
-            raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
-        check_cutoff(args.cutoff, args.states)
-        config.cutoff = args.cutoff
-        config.num_states = args.states
-        config.tolerance = args.tolerance
     elif args.command == "apes":
         if args.points < 2:
             raise ValueError(f"--points must be >= 2, got {args.points}")
-        if not (math.isfinite(args.xmin) and math.isfinite(args.xmax)):
+        # np.linspace warns on ends or a width beyond the float range before
+        # the library sees the coordinates.
+        if not math.isfinite(args.xmax - args.xmin):
             raise ValueError("scan range must be finite")
         if not args.xmax > args.xmin:
             raise ValueError(
                 f"--xmax must be greater than --xmin, got [{args.xmin}, {args.xmax}]"
             )
-        # No entry of the 4x4 sheet matrix on the scan line, nor any partial
-        # sum of one, exceeds this; beyond the float range eigh fails.
-        extent = max(abs(args.xmin), abs(args.xmax))
-        bound = (
-            0.5 * params.hbar_omega * extent * extent
-            + extent * (params.f_g + params.f_u)
-            + params.lambda_corr
-            + params.xi_corr
-        )
-        if not math.isfinite(bound):
-            raise ValueError(
-                f"scan range [{args.xmin}, {args.xmax}] puts the sheet energies "
-                "beyond the float range"
-            )
-        config.xmin = args.xmin
-        config.xmax = args.xmax
-        config.points = args.points
-    elif args.command == "converge":
+    else:
+        # converge writes its header before it solves the first cutoff.
         if args.states < 3:
             raise ValueError(f"--states must be >= 3, got {args.states}")
         if not args.tolerance > 0:
             raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
-        config.cutoffs = _parse_cutoff_list(args.cutoffs)
-        check_cutoff(config.cutoffs[-1])
-        config.num_states = args.states
-        config.tolerance = args.tolerance
-    return config
+        args.cutoffs = _parse_cutoff_list(args.cutoffs)
+        check_cutoff(args.cutoffs[-1])
 
 
 @contextmanager
@@ -192,26 +153,23 @@ def _open_output(path: str | None):
             handle.close()
 
 
-def _write_provenance(out: TextIO, config: RunConfig, extra: str) -> None:
-    out.write(f"# pjtdiag {__version__} {config.command}\n")
-    out.write(f"# source={config.source}\n")
+def _write_provenance(out: TextIO, args: argparse.Namespace, source: str, extra: str) -> None:
+    out.write(f"# pjtdiag {__version__} {args.command}\n")
+    out.write(f"# source={source}\n")
     out.write(f"# {extra}\n")
 
 
-def cmd_spectrum(config: RunConfig) -> int:
+def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Levels, characters, R, and the delta footer as CSV. Returns exit status."""
     report = spectrum_report(
-        config.params,
-        config.cutoff,
-        num_states=config.num_states,
-        tolerance=config.tolerance,
+        params, args.cutoff, num_states=args.states, tolerance=args.tolerance
     )
-    with _open_output(config.output) as out:
+    with _open_output(args.output) as out:
         _write_provenance(
             out,
-            config,
-            f"cutoff={config.cutoff} states={config.num_states} "
-            f"tolerance={config.tolerance:g}",
+            args,
+            source,
+            f"cutoff={args.cutoff} states={args.states} tolerance={args.tolerance:g}",
         )
         out.write("index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n")
         for i, state in enumerate(report.states):
@@ -224,15 +182,16 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def cmd_apes(config: RunConfig) -> int:
+def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Classical sheet scan along X at Y = 0 as CSV. Returns exit status."""
-    xs = np.linspace(config.xmin, config.xmax, config.points)
-    points = apes_scan(config.params, xs, y=0.0)
-    with _open_output(config.output) as out:
+    xs = np.linspace(args.xmin, args.xmax, args.points)
+    points = apes_scan(params, xs, y=0.0)
+    with _open_output(args.output) as out:
         _write_provenance(
             out,
-            config,
-            f"xmin={config.xmin:g} xmax={config.xmax:g} points={config.points} y=0",
+            args,
+            source,
+            f"xmin={args.xmin:g} xmax={args.xmax:g} points={args.points} y=0",
         )
         out.write("x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n")
         for point in points:
@@ -245,30 +204,32 @@ def cmd_apes(config: RunConfig) -> int:
     return 0
 
 
-def cmd_converge(config: RunConfig) -> int:
+def cmd_converge(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Per-cutoff energies and delta as CSV; continues past failed cutoffs.
 
-    Failed cutoffs produce a diagnostic on standard error and no CSV row; a
-    cutoff whose level pattern leaves delta undefined gets delta_mev=nan.
-    Either condition makes the exit status nonzero.
+    args.cutoffs is the ladder as parsed by the checks in main. Failed
+    cutoffs produce a diagnostic on standard error and no CSV row; a cutoff
+    whose level pattern leaves delta undefined gets delta_mev=nan. Either
+    condition makes the exit status nonzero.
     """
     failures = 0
-    with _open_output(config.output) as out:
+    with _open_output(args.output) as out:
         _write_provenance(
             out,
-            config,
-            f"cutoffs={','.join(str(c) for c in config.cutoffs)} "
-            f"states={config.num_states} tolerance={config.tolerance:g}",
+            args,
+            source,
+            f"cutoffs={','.join(str(c) for c in args.cutoffs)} "
+            f"states={args.states} tolerance={args.tolerance:g}",
         )
-        energy_columns = ",".join(f"e{i}_mev" for i in range(config.num_states))
+        energy_columns = ",".join(f"e{i}_mev" for i in range(args.states))
         out.write(f"cutoff,{energy_columns},delta_mev\n")
-        for cutoff in config.cutoffs:
+        for cutoff in args.cutoffs:
             try:
                 energies, groups = level_groups(
-                    config.params,
+                    params,
                     cutoff,
-                    config.num_states,
-                    tolerance=config.tolerance,
+                    args.states,
+                    tolerance=args.tolerance,
                     compute_r=False,
                 )
             except (ValueError, ConvergenceError) as exc:
@@ -288,24 +249,23 @@ def cmd_converge(config: RunConfig) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point. Returns the process exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _build_config(args)
-    except (ValueError, OSError) as exc:
-        # ParamFileError is a ValueError; covers preset lookup, file access,
-        # schema violations, and option validation.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     commands = {"spectrum": cmd_spectrum, "apes": cmd_apes, "converge": cmd_converge}
     try:
-        return commands[config.command](config)
+        params, source = _resolve_params(args)
+        _check_args(args)
+        return commands[args.command](args, params, source)
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 1
     except StateOrderingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:
+        # ParamFileError is a ValueError; covers preset lookup, file access,
+        # an unwritable --output, schema violations, and option validation.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

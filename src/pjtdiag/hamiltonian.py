@@ -4,18 +4,20 @@ Electronic space: the four two-hole determinants, ordered
 
     (|e_uy e_gy>, |e_ux e_gy>, |e_uy e_gx>, |e_ux e_gx>).
 
-Symmetry-adapted combinations (A2u, A1u, Eux, Euy) diagonalize the static
-correlation term W, which places A1u at +Lambda, A2u at -Lambda, and the Eu
-pair at -Xi. Each orbital couples linearly to the (X, Y) components of the
-mode with its own strength (f_u, f_g), producing sum and difference channels
-f_u + f_g and f_u - f_g along X.
+Symmetry-adapted combinations (A2u, A1u, Eux, Euy), the rows of the
+orthogonal SYMMETRY_TRANSFORM, diagonalize the static correlation term W,
+which places A1u at +Lambda, A2u at -Lambda, and the Eu pair at -Xi. Each
+orbital couples linearly to the (X, Y) components of the mode with its own
+strength (f_u, f_g), producing sum and difference channels f_u + f_g and
+f_u - f_g along X.
 
 Vibrational space: the truncated two-mode Fock basis. The full matrix is
 
     H = hbar_omega * (I4 kron N) + B_X kron X + B_Y kron Y + W kron I_ph
 
 with the electronic index varying slowest: entry (e * D_ph + p) of a vector is
-the amplitude on determinant e, phonon state p.
+the amplitude on determinant e, phonon state p. classical_apes diagonalizes
+the 4x4 electronic matrix at a frozen displacement (x, y) instead.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .fock import FockBasis, number_operator, position_operator
 __all__ = [
     "DETERMINANTS",
     "SYMMETRY_LABELS",
-    "ELECTRONIC_BASIS",
+    "SYMMETRY_TRANSFORM",
     "ApesPoint",
-    "ElectronicBasis",
     "PjtParams",
     "VibronicHamiltonian",
     "assemble",
@@ -55,6 +56,20 @@ DETERMINANTS: tuple[str, str, str, str] = (
 )
 
 SYMMETRY_LABELS: tuple[str, str, str, str] = ("A2u", "A1u", "Eux", "Euy")
+
+# Maps determinant amplitudes to symmetry amplitudes: row i expands
+# SYMMETRY_LABELS[i] over DETERMINANTS, so for a determinant-basis vector c,
+# SYMMETRY_TRANSFORM @ c holds the A2u, A1u, Eux, Euy amplitudes. Orthogonal.
+_S = 1.0 / math.sqrt(2.0)
+SYMMETRY_TRANSFORM = np.array(
+    [
+        [_S, 0.0, 0.0, _S],  # A2u = (|e_ux e_gx> + |e_uy e_gy>) / sqrt(2)
+        [0.0, _S, -_S, 0.0],  # A1u = (|e_ux e_gy> - |e_uy e_gx>) / sqrt(2)
+        [-_S, 0.0, 0.0, _S],  # Eux = (|e_ux e_gx> - |e_uy e_gy>) / sqrt(2)
+        [0.0, _S, _S, 0.0],  # Euy = (|e_ux e_gy> + |e_uy e_gx>) / sqrt(2)
+    ]
+)
+SYMMETRY_TRANSFORM.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -87,38 +102,6 @@ class PjtParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-
-
-def _symmetry_rows() -> np.ndarray:
-    s = 1.0 / math.sqrt(2.0)
-    rows = np.array(
-        [
-            [s, 0.0, 0.0, s],  # A2u = (|e_ux e_gx> + |e_uy e_gy>) / sqrt(2)
-            [0.0, s, -s, 0.0],  # A1u = (|e_ux e_gy> - |e_uy e_gx>) / sqrt(2)
-            [-s, 0.0, 0.0, s],  # Eux = (|e_ux e_gx> - |e_uy e_gy>) / sqrt(2)
-            [0.0, s, s, 0.0],  # Euy = (|e_ux e_gy> + |e_uy e_gx>) / sqrt(2)
-        ]
-    )
-    rows.setflags(write=False)
-    return rows
-
-
-@dataclass(frozen=True, eq=False)
-class ElectronicBasis:
-    """Fixed four-determinant electronic space and its symmetry adaptation.
-
-    ``transform`` maps determinant amplitudes to symmetry amplitudes; row i
-    holds the expansion of symmetry_labels[i] over the determinants, so for a
-    determinant-basis coefficient vector c, (transform @ c) are the A2u, A1u,
-    Eux, Euy amplitudes. The matrix is orthogonal.
-    """
-
-    determinants: tuple[str, ...] = DETERMINANTS
-    symmetry_labels: tuple[str, ...] = SYMMETRY_LABELS
-    transform: np.ndarray = field(default_factory=_symmetry_rows, repr=False)
-
-
-ELECTRONIC_BASIS = ElectronicBasis()
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,6 +235,14 @@ class ApesPoint:
     y: float
     energies: np.ndarray
     vectors: np.ndarray = field(repr=False)
+
+    @property
+    def characters(self) -> np.ndarray:
+        """Per-sheet weights, one row per sheet, columns (w_a2u, w_a1u, w_eu)
+        with the two Eu components pooled. At exact sheet degeneracies the
+        split between the degenerate rows follows the numerical eigenbasis."""
+        weights = (SYMMETRY_TRANSFORM @ self.vectors) ** 2
+        return np.column_stack([weights[0], weights[1], weights[2] + weights[3]])
 
 
 def classical_apes(params: PjtParams, x: float, y: float) -> ApesPoint:

@@ -35,10 +35,19 @@ class SolveRequest:
     Attributes:
         num_states: Number k of lowest eigenpairs wanted.
         tolerance: Residual bound ||H v - E v|| in meV for every pair.
+
+    Raises:
+        ValueError: num_states below 1, or a tolerance that is not > 0.
     """
 
     num_states: int
     tolerance: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if self.num_states < 1:
+            raise ValueError(f"num_states must be >= 1, got {self.num_states}")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
 
 @dataclass(eq=False)
@@ -67,20 +76,17 @@ def solve(h: VibronicHamiltonian, req: SolveRequest) -> EigenResult:
         EigenResult with ascending energies and orthonormal vectors.
 
     Raises:
-        ValueError: on an invalid request, or a dense copy of the matrix
-            larger than MAX_DENSE_BYTES (checked before it is allocated).
+        ValueError: more states than the matrix dimension, or a dense copy
+            of the matrix larger than MAX_DENSE_BYTES (checked before it is
+            allocated).
         ConvergenceError: when a residual exceeds the tolerance; the
             exception carries the energies and residuals.
     """
     matrix = h.matrix
     dimension = matrix.shape[0]
     k = req.num_states
-    if k < 1:
-        raise ValueError(f"num_states must be >= 1, got {k}")
     if k > dimension:
         raise ValueError(f"num_states {k} exceeds matrix dimension {dimension}")
-    if not req.tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {req.tolerance}")
     needed = dimension * dimension * 8
     if needed > MAX_DENSE_BYTES:
         raise ValueError(

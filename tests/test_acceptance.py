@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pjtdiag import (
-    ELECTRONIC_BASIS,
     PRESETS,
     PjtParams,
     SolveRequest,
@@ -22,6 +21,7 @@ from pjtdiag import (
     solve,
     spectrum_report,
 )
+from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
 from pjtdiag.sectors import lowest_levels
 
 PRESET_NAMES = ("SiV", "GeV", "SnV", "PbV")
@@ -173,7 +173,7 @@ def test_c7_property_suite():
     trough = PjtParams(
         hbar_omega=75.9, lambda_corr=0.0, xi_corr=0.0, f_g=95.0, f_u=103.0
     )
-    u = ELECTRONIC_BASIS.transform
+    u = SYMMETRY_TRANSFORM
     for radius in (0.8, 2.6, 4.0):
         for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
             point = classical_apes(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pjtdiag import (
-    ELECTRONIC_BASIS,
     PRESETS,
     PjtParams,
     StateOrderingError,
@@ -18,6 +17,7 @@ from pjtdiag import (
     electronic_character,
     spectrum_report,
 )
+from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
 
 SIV = PRESETS["SiV"].params
 
@@ -33,7 +33,7 @@ def symmetry_state(basis, row, phonon):
     """Unit vector carrying one electronic symmetry row on one Fock state."""
     vector = np.zeros(4 * basis.size)
     for determinant in range(4):
-        amplitude = ELECTRONIC_BASIS.transform[row, determinant]
+        amplitude = SYMMETRY_TRANSFORM[row, determinant]
         vector[determinant * basis.size + basis.index[phonon]] = amplitude
     return vector
 

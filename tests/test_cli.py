@@ -322,3 +322,37 @@ def test_cutoff_beyond_memory_limit_rejected(capsys):
         assert code == 2
         assert out == ""
         assert "MiB" in err
+
+
+def test_unwritable_output_rejected(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out.csv")
+    for argv in (
+        ("spectrum", "--preset", "SiV"),
+        ("apes", "--preset", "SiV", "--points", "5"),
+        ("converge", "--preset", "SiV", "--cutoffs", "5,10", "--states", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--output", target)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "out.csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("spectrum", "--states", "2"), "num_states must be >= 3"),
+        (("spectrum", "--tolerance", "0"), "tolerance must be > 0"),
+        (("spectrum", "--cutoff", "0"), "--cutoff must be >= 1"),
+        (("apes", "--xmax", "inf"), "scan range must be finite"),
+        (("apes", "--points", "3", "--xmin", "0", "--xmax", "1e308"),
+         "sheet energies at (5e+307, 0.0) are beyond the float range"),
+        (("converge", "--states", "2"), "--states must be >= 3"),
+        (("converge", "--tolerance", "0"), "--tolerance must be > 0"),
+    ],
+)
+def test_refusals_exit_before_output(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv[0], "--preset", "SiV", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")

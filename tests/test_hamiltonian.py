@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import eigh
 
 from pjtdiag import (
-    ELECTRONIC_BASIS,
     PRESETS,
     PjtParams,
     apes_scan,
@@ -19,6 +18,7 @@ from pjtdiag import (
     pjt_coupling_block,
     w_matrix,
 )
+from pjtdiag.hamiltonian import SYMMETRY_LABELS, SYMMETRY_TRANSFORM
 
 SIV = PRESETS["SiV"].params
 
@@ -55,19 +55,20 @@ def test_params_coerce_to_float():
 
 
 def test_symmetry_transform_is_orthogonal():
-    u = ELECTRONIC_BASIS.transform
+    u = SYMMETRY_TRANSFORM
     assert np.allclose(u @ u.T, np.eye(4), atol=1e-15)
     assert np.allclose(u.T @ u, np.eye(4), atol=1e-15)
 
 
-def test_symmetry_rows():
-    u = ELECTRONIC_BASIS.transform
+def test_symmetry_transform_rows():
+    u = SYMMETRY_TRANSFORM
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(u[0], [s, 0.0, 0.0, s])
     assert np.allclose(u[1], [0.0, s, -s, 0.0])
     assert np.allclose(u[2], [-s, 0.0, 0.0, s])
     assert np.allclose(u[3], [0.0, s, s, 0.0])
-    assert ELECTRONIC_BASIS.symmetry_labels == ("A2u", "A1u", "Eux", "Euy")
+    assert SYMMETRY_LABELS == ("A2u", "A1u", "Eux", "Euy")
+    assert not u.flags.writeable
 
 
 def test_w_matrix_eigenvalues_siv():
@@ -92,7 +93,7 @@ def test_w_matrix_vanishes_without_correlation():
 
 
 def test_w_matrix_diagonal_in_symmetry_basis():
-    u = ELECTRONIC_BASIS.transform
+    u = SYMMETRY_TRANSFORM
     rotated = u @ w_matrix(SIV) @ u.T
     assert np.allclose(rotated, np.diag([-78.3, 78.3, -45.0, -45.0]), atol=1e-12)
 

@@ -34,6 +34,14 @@ def test_request_validation():
         solve(h, SolveRequest(num_states=2, tolerance=0.0))
 
 
+def test_invalid_request_cannot_be_built():
+    # Refused once at construction, so no converge_cutoff row carries them.
+    for kwargs in ({"num_states": 0}, {"num_states": 2, "tolerance": 0.0},
+                   {"num_states": 2, "tolerance": float("nan")}):
+        with pytest.raises(ValueError, match="num_states must be >= 1|tolerance must be > 0"):
+            SolveRequest(**kwargs)
+
+
 def test_decoupled_ground_energy():
     params = PjtParams(hbar_omega=75.9, lambda_corr=0.0, xi_corr=0.0, f_g=0.0, f_u=0.0)
     h = assemble(params, build_basis(15))
