@@ -4,11 +4,12 @@ two-mode Fock space.
 Two degenerate orbitals, each holding one hole, couple linearly to the two
 components of one doubly degenerate local vibration while a static
 correlation term splits the electronic multiplets. The package diagonalizes
-the vibronic matrix in sectors of conserved angular momentum J (the full
-sparse product-space matrix and its dense solve stay as a small-cutoff
-reference) and reduces the low-lying levels to physical observables:
-electronic characters, the distortion expectation R, and the splitting
-delta between the lowest vibronic level and the doublet above it. Built-in presets cover
+the vibronic matrix in sectors of conserved angular momentum J with numpy
+alone (the full sparse product-space matrix and its dense solve stay as a
+small-cutoff reference, and only they load scipy, on first use) and
+reduces the low-lying levels to physical observables: electronic
+characters, the distortion expectation R, and the splitting delta between
+the lowest vibronic level and the doublet above it. Built-in presets cover
 the four neutral group-IV vacancy centers in diamond.
 
 The package namespace holds the functions and inputs; result types and

@@ -29,10 +29,15 @@ from .analysis import (
 from .hamiltonian import PjtParams
 from .paramfile import parse_params
 from .presets import get_preset
-from .sectors import check_cutoff
+from .sectors import MAX_DENSE_BYTES, check_cutoff
 from .solver import ConvergenceError
 
 __all__ = ["build_parser", "cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
+
+# Memory an apes scan holds per point before its first row is written: the
+# coordinate and one ApesPoint, from the tracemalloc peak of cmd_apes at
+# 20000 to 80000 points (Python 3.11, numpy 2.4).
+APES_BYTES_PER_POINT = 546
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,6 +128,12 @@ def _check_args(args: argparse.Namespace) -> None:
     elif args.command == "apes":
         if args.points < 2:
             raise ValueError(f"--points must be >= 2, got {args.points}")
+        needed = args.points * APES_BYTES_PER_POINT
+        if needed > MAX_DENSE_BYTES:
+            raise ValueError(
+                f"--points {args.points} needs {needed / 2**20:.0f} MiB of scan "
+                f"points, beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
+            )
         # np.linspace warns on ends or a width beyond the float range before
         # the library sees the coordinates.
         if not math.isfinite(args.xmax - args.xmin):
@@ -132,13 +143,14 @@ def _check_args(args: argparse.Namespace) -> None:
                 f"--xmax must be greater than --xmin, got [{args.xmin}, {args.xmax}]"
             )
     else:
-        # converge writes its header before it solves the first cutoff.
+        # converge writes its header, one column per state, before it solves
+        # the first cutoff.
         if args.states < 3:
             raise ValueError(f"--states must be >= 3, got {args.states}")
         if not args.tolerance > 0:
             raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
         args.cutoffs = _parse_cutoff_list(args.cutoffs)
-        check_cutoff(args.cutoffs[-1])
+        check_cutoff(args.cutoffs[-1], args.states)
 
 
 @contextmanager

@@ -3,16 +3,21 @@
 The vibrational configuration space is spanned by number states |n, m> of the
 two components of a doubly degenerate mode, kept up to a total-quanta cutoff
 n + m <= N. States are ordered by ascending shell s = n + m, ties by ascending
-m, so states of equal unperturbed energy sit next to each other.
+m, so states of equal unperturbed energy sit next to each other. The
+operator matrices are scipy.sparse matrices for the full-space reference;
+scipy is imported when one is first built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["FockBasis", "build_basis", "position_operator", "number_operator"]
 
@@ -72,6 +77,8 @@ def position_operator(basis: FockBasis, mode: str) -> sparse.csr_matrix:
     Returns:
         Real symmetric CSR matrix with zero diagonal.
     """
+    from scipy import sparse
+
     which = str(mode).upper()
     if which not in ("X", "Y"):
         raise ValueError(f"mode must be 'X' or 'Y', got {mode!r}")
@@ -98,5 +105,7 @@ def number_operator(basis: FockBasis) -> sparse.csr_matrix:
     Multiplying by the vibrational quantum gives the harmonic part of the
     Hamiltonian: H_osc = hbar_omega * number_operator(basis).
     """
+    from scipy import sparse
+
     diag = np.array([n + m + 1.0 for (n, m) in basis.states])
     return sparse.diags(diag, 0, format="csr")

@@ -16,19 +16,24 @@ Vibrational space: the truncated two-mode Fock basis. The full matrix is
     H = hbar_omega * (I4 kron N) + B_X kron X + B_Y kron Y + W kron I_ph
 
 with the electronic index varying slowest: entry (e * D_ph + p) of a vector is
-the amplitude on determinant e, phonon state p. classical_apes diagonalizes
-the 4x4 electronic matrix at a frozen displacement (x, y) instead.
+the amplitude on determinant e, phonon state p. assemble builds it as a
+scipy.sparse matrix, the full-space reference, and imports scipy on first
+use. classical_apes diagonalizes the 4x4 electronic matrix at a frozen
+displacement (x, y) instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .fock import FockBasis, number_operator, position_operator
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "DETERMINANTS",
@@ -198,6 +203,8 @@ def assemble(params: PjtParams, basis: FockBasis) -> VibronicHamiltonian:
     Raises:
         ValueError: if the dimension would overflow 32-bit sparse indices.
     """
+    from scipy import sparse
+
     dim = 4 * basis.size
     if dim > _MAX_DIMENSION:
         raise ValueError(

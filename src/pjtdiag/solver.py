@@ -3,6 +3,7 @@
 ``solve`` diagonalizes the full sparse matrix with one dense LAPACK call. It
 is the small-cutoff reference that the conserved-J sectors are tested
 against, and it refuses matrices beyond MAX_DENSE_BYTES (cutoff 53 and up).
+It imports scipy.linalg on its first call.
 ``converge_cutoff`` repeats the J-sector solve over a ladder of Fock cutoffs.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .hamiltonian import PjtParams, VibronicHamiltonian
 from .sectors import MAX_DENSE_BYTES, ConvergenceError, lowest_levels
@@ -82,6 +82,8 @@ def solve(h: VibronicHamiltonian, req: SolveRequest) -> EigenResult:
         ConvergenceError: when a residual exceeds the tolerance; the
             exception carries the energies and residuals.
     """
+    import scipy.linalg
+
     matrix = h.matrix
     dimension = matrix.shape[0]
     k = req.num_states

@@ -2,10 +2,13 @@
 
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from pjtdiag.cli import main
+import pjtdiag
+from pjtdiag.cli import APES_BYTES_PER_POINT, main
 
 SIV_FILE = (
     "hbar_omega_mev=75.9\n"
@@ -273,6 +276,50 @@ def test_preset_and_file_mutually_exclusive(capsys):
     assert excinfo.value.code == 2
 
 
+# Runs in a fresh interpreter: the CLI path must not load scipy, and the
+# full-space reference must still load it on first use.
+_LAZY_SCIPY_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+
+import pjtdiag
+import pjtdiag.cli
+from pjtdiag import (PRESETS, SolveRequest, apes_scan, assemble, build_basis,
+                     delta_splitting, solve)
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+params = PRESETS["SiV"].params
+for argv in (
+    ["spectrum", "--preset", "SiV", "--cutoff", "6", "--states", "3"],
+    ["apes", "--preset", "SiV", "--points", "5"],
+    ["converge", "--preset", "SiV", "--cutoffs", "4,6", "--states", "3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert pjtdiag.cli.main(argv) == 0, argv
+assert delta_splitting(params, 6) > 0
+assert len(apes_scan(params, [0.0, 1.0])) == 2
+assert scipy_modules() == [], scipy_modules()
+
+result = solve(assemble(params, build_basis(4)), SolveRequest(num_states=3))
+assert result.energies.shape == (3,)
+assert "scipy.sparse" in sys.modules and "scipy.linalg" in sys.modules
+print("ok")
+"""
+
+
+def test_cli_path_does_not_import_scipy():
+    src = str(Path(pjtdiag.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _LAZY_SCIPY_SCRIPT, src],
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == "ok\n"
+
+
 def test_module_entry_point():
     completed = subprocess.run(
         [
@@ -324,6 +371,22 @@ def test_cutoff_beyond_memory_limit_rejected(capsys):
         assert "MiB" in err
 
 
+def test_apes_footprint_per_point(tmp_path):
+    # The --points refusal assumes APES_BYTES_PER_POINT held until the first row.
+    target = str(tmp_path / "apes.csv")
+    main(["apes", "--preset", "SiV", "--points", "10", "--output", target])
+    peaks = []
+    for points in (400, 1200):
+        tracemalloc.start()
+        try:
+            main(["apes", "--preset", "SiV", "--points", str(points), "--output", target])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_point = (peaks[1] - peaks[0]) / 800
+    assert 0.5 * APES_BYTES_PER_POINT < per_point < 1.5 * APES_BYTES_PER_POINT
+
+
 def test_unwritable_output_rejected(tmp_path, capsys):
     target = str(tmp_path / "missing" / "out.csv")
     for argv in (
@@ -349,6 +412,10 @@ def test_unwritable_output_rejected(tmp_path, capsys):
          "sheet energies at (5e+307, 0.0) are beyond the float range"),
         (("converge", "--states", "2"), "--states must be >= 3"),
         (("converge", "--tolerance", "0"), "--tolerance must be > 0"),
+        (("apes", "--points", "100000000"),
+         "--points 100000000 needs 52071 MiB of scan points, beyond the 256 MiB limit"),
+        (("converge", "--cutoffs", "1,2", "--states", "200000"),
+         "num_states 200000 exceeds matrix dimension 24"),
     ],
 )
 def test_refusals_exit_before_output(capsys, argv, message):
