@@ -3,8 +3,8 @@
 Electronic character decomposition over the symmetry labels, the distortion
 expectation R, classification of levels into degenerate groups, the splitting
 delta between the lowest A2u-type state and the Eu-type doublet, and classical
-sheet scans along a line of X (each point is a hamiltonian.ApesPoint, which
-carries its per-sheet characters).
+sheet scans along a line of X (one stacked hamiltonian.ApesPoint whose arrays
+lead with the grid axis and which carries the per-sheet characters).
 """
 
 from __future__ import annotations
@@ -343,18 +343,19 @@ def delta_splitting(
     return delta_from_groups(groups)
 
 
-def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> list[ApesPoint]:
+def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> ApesPoint:
     """Classical adiabatic sheets along a line of X values at fixed Y.
 
     Args:
         params: Model parameters.
-        x_values: Iterable of finite X coordinates.
+        x_values: Finite X coordinates, any array-like.
         y: Fixed Y coordinate.
 
     Returns:
-        One ApesPoint per input X, in input order.
+        One ApesPoint whose arrays carry the shape of x_values as leading
+        axes, in input order: energies[k] holds the sheets at x_values[k].
     """
-    return [classical_apes(params, x, y) for x in x_values]
+    return classical_apes(params, np.asarray(x_values, dtype=float), y)
 
 
 @dataclass(eq=False)

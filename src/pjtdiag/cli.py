@@ -35,9 +35,10 @@ from .solver import ConvergenceError
 __all__ = ["build_parser", "cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 
 # Memory an apes scan holds per point before its first row is written: the
-# coordinate and one ApesPoint, from the tracemalloc peak of cmd_apes at
-# 20000 to 80000 points (Python 3.11, numpy 2.4).
-APES_BYTES_PER_POINT = 546
+# coordinate, the stacked ApesPoint, the row table and its Python floats,
+# from the tracemalloc peak of cmd_apes at 20000 to 80000 points (Python
+# 3.11, numpy 2.4).
+APES_BYTES_PER_POINT = 552
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +198,9 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
 def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Classical sheet scan along X at Y = 0 as CSV. Returns exit status."""
     xs = np.linspace(args.xmin, args.xmax, args.points)
-    points = apes_scan(params, xs, y=0.0)
+    sheets = apes_scan(params, xs, y=0.0)
+    table = np.column_stack([sheets.x, sheets.energies, sheets.characters[:, 0]])
+    row = ",".join(["%.6f"] * table.shape[1]) + "\n"
     with _open_output(args.output) as out:
         _write_provenance(
             out,
@@ -206,13 +209,8 @@ def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
             f"xmin={args.xmin:g} xmax={args.xmax:g} points={args.points} y=0",
         )
         out.write("x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n")
-        for point in points:
-            e = point.energies
-            w0 = point.characters[0]
-            out.write(
-                f"{point.x:.6f},{e[0]:.6f},{e[1]:.6f},{e[2]:.6f},{e[3]:.6f},"
-                f"{w0[0]:.6f},{w0[1]:.6f},{w0[2]:.6f}\n"
-            )
+        for values in table.tolist():
+            out.write(row % tuple(values))
     return 0
 
 

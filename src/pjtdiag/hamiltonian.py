@@ -18,8 +18,9 @@ Vibrational space: the truncated two-mode Fock basis. The full matrix is
 with the electronic index varying slowest: entry (e * D_ph + p) of a vector is
 the amplitude on determinant e, phonon state p. assemble builds it as a
 scipy.sparse matrix, the full-space reference, and imports scipy on first
-use. classical_apes diagonalizes the 4x4 electronic matrix at a frozen
-displacement (x, y) instead.
+use. classical_apes diagonalizes the 4x4 electronic matrix at frozen
+displacements (x, y) instead: one point, or a whole grid of them stacked into
+one (..., 4, 4) np.linalg.eigh.
 """
 
 from __future__ import annotations
@@ -228,67 +229,85 @@ def assemble(params: PjtParams, basis: FockBasis) -> VibronicHamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class ApesPoint:
-    """Classical adiabatic energies at one nuclear configuration.
+    """Classical adiabatic energies at one nuclear configuration or a grid.
+
+    The coordinate shape leads every array: for scalar coordinates x and y
+    are floats and energies has shape (4,); for coordinate arrays of shape
+    S, x and y are arrays of shape S and energies has shape S + (4,).
 
     Attributes:
         x, y: Dimensionless mode coordinates.
-        energies: The four sheet energies in meV, ascending.
-        vectors: Electronic eigenvectors as columns (determinant basis),
-            matching ``energies``. Within a degenerate pair of sheets the
-            columns follow the numerical eigenbasis.
+        energies: The four sheet energies in meV, ascending along the last
+            axis.
+        vectors: Electronic eigenvectors as columns (determinant basis), shape
+            S + (4, 4), matching ``energies``. Within a degenerate pair of
+            sheets the columns follow the numerical eigenbasis.
     """
 
-    x: float
-    y: float
+    x: float | np.ndarray
+    y: float | np.ndarray
     energies: np.ndarray
     vectors: np.ndarray = field(repr=False)
 
     @property
     def characters(self) -> np.ndarray:
-        """Per-sheet weights, one row per sheet, columns (w_a2u, w_a1u, w_eu)
-        with the two Eu components pooled. At exact sheet degeneracies the
-        split between the degenerate rows follows the numerical eigenbasis."""
+        """Per-sheet weights of shape S + (4, 3): entry [..., i, :] holds
+        (w_a2u, w_a1u, w_eu) of sheet i, the two Eu components pooled. At
+        exact sheet degeneracies the split between the degenerate rows
+        follows the numerical eigenbasis."""
         weights = (SYMMETRY_TRANSFORM @ self.vectors) ** 2
-        return np.column_stack([weights[0], weights[1], weights[2] + weights[3]])
+        return np.stack(
+            [weights[..., 0, :], weights[..., 1, :], weights[..., 2, :] + weights[..., 3, :]],
+            axis=-1,
+        )
 
 
-def classical_apes(params: PjtParams, x: float, y: float) -> ApesPoint:
+def classical_apes(params: PjtParams, x, y) -> ApesPoint:
     """Adiabatic sheets with the mode treated as a classical displacement.
 
     Diagonalizes hbar_omega * (x^2 + y^2) / 2 * I4 + x * B_X + y * B_Y + W,
     the harmonic restoring energy plus the electronic terms at frozen (x, y).
+    x and y broadcast against each other; all points go through one stacked
+    np.linalg.eigh.
 
     Args:
         params: Model parameters.
-        x, y: Finite dimensionless coordinates.
+        x, y: Finite dimensionless coordinates, scalars or arrays.
 
     Returns:
-        ApesPoint with ascending energies.
+        ApesPoint with ascending energies and the broadcast coordinate shape
+        as leading axes; floats x and y for scalar input.
 
     Raises:
         ValueError: non-finite coordinates, or sheet energies beyond the
-            float range.
+            float range; the message names the first such point.
     """
-    x = float(x)
-    y = float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"coordinates must be finite, got ({x}, {y})")
-    lift = 0.5 * params.hbar_omega * (x * x + y * y)
-    # Bounds every absolute row sum of the sheet matrix, so no entry, partial
-    # sum or eigenvalue exceeds it; while it is finite, eigh cannot overflow.
-    bound = (
-        lift
-        + (abs(x) + abs(y)) * (params.f_g + params.f_u)
-        + params.lambda_corr
-        + params.xi_corr
-    )
-    if not math.isfinite(bound):
-        raise ValueError(f"sheet energies at ({x}, {y}) are beyond the float range")
-    h4 = lift * np.eye(4)
-    h4 += x * pjt_coupling_block(params, "X")
-    h4 += y * pjt_coupling_block(params, "Y")
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lift = 0.5 * params.hbar_omega * (x * x + y * y)
+        # Bounds every absolute row sum of the sheet matrix, so no entry,
+        # partial sum or eigenvalue exceeds it; while it is finite, eigh
+        # cannot overflow. Non-finite coordinates make it non-finite too.
+        bound = (
+            lift
+            + (np.abs(x) + np.abs(y)) * (params.f_g + params.f_u)
+            + params.lambda_corr
+            + params.xi_corr
+        )
+    refused = ~np.isfinite(bound)
+    if refused.any():
+        first = np.unravel_index(np.argmax(refused), refused.shape)
+        at = (float(x[first]), float(y[first]))
+        if not (math.isfinite(at[0]) and math.isfinite(at[1])):
+            raise ValueError(f"coordinates must be finite, got {at}")
+        raise ValueError(f"sheet energies at {at} are beyond the float range")
+    h4 = lift[..., None, None] * np.eye(4)
+    h4 += x[..., None, None] * pjt_coupling_block(params, "X")
+    h4 += y[..., None, None] * pjt_coupling_block(params, "Y")
     h4 += w_matrix(params)
     energies, vectors = np.linalg.eigh(h4)
+    if x.ndim == 0:
+        x, y = float(x), float(y)
     return ApesPoint(x=x, y=y, energies=energies, vectors=vectors)
 
 

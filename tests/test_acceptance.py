@@ -103,7 +103,7 @@ def test_c5_classical_sheet_anchors():
         )
         assert np.allclose(origin.energies, expected, atol=1e-9), name
         e_jt1, _ = ejt_from_couplings(params)
-        lowest = min(point.energies[0] for point in apes_scan(params, grid))
+        lowest = apes_scan(params, grid).energies[:, 0].min()
         assert lowest <= -e_jt1, name
 
 

@@ -299,7 +299,7 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert pjtdiag.cli.main(argv) == 0, argv
 assert delta_splitting(params, 6) > 0
-assert len(apes_scan(params, [0.0, 1.0])) == 2
+assert apes_scan(params, [0.0, 1.0]).energies.shape == (2, 4)
 assert scipy_modules() == [], scipy_modules()
 
 result = solve(assemble(params, build_basis(4)), SolveRequest(num_states=3))
@@ -413,7 +413,7 @@ def test_unwritable_output_rejected(tmp_path, capsys):
         (("converge", "--states", "2"), "--states must be >= 3"),
         (("converge", "--tolerance", "0"), "--tolerance must be > 0"),
         (("apes", "--points", "100000000"),
-         "--points 100000000 needs 52071 MiB of scan points, beyond the 256 MiB limit"),
+         "--points 100000000 needs 52643 MiB of scan points, beyond the 256 MiB limit"),
         (("converge", "--cutoffs", "1,2", "--states", "200000"),
          "num_states 200000 exceeds matrix dimension 24"),
     ],

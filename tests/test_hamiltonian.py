@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from pjtdiag import (
@@ -21,6 +23,18 @@ from pjtdiag import (
 from pjtdiag.hamiltonian import SYMMETRY_LABELS, SYMMETRY_TRANSFORM
 
 SIV = PRESETS["SiV"].params
+
+# The parameter ranges of the acceptance property suite.
+PARAMS = st.builds(
+    PjtParams,
+    hbar_omega=st.floats(20.0, 150.0),
+    lambda_corr=st.floats(0.0, 150.0),
+    xi_corr=st.floats(0.0, 100.0),
+    f_g=st.floats(0.0, 150.0),
+    f_u=st.floats(0.0, 150.0),
+)
+# Mixed signs, both zeros, and the degenerate origin.
+COORDINATES = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0]))
 
 
 def random_params(rng):
@@ -192,6 +206,74 @@ def test_classical_apes_rejects_nonfinite():
         with pytest.raises(ValueError, match="float range"):
             apes_scan(SIV, [0.0, -1e200])
         assert np.isfinite(classical_apes(SIV, 2e153, 0.0).energies).all()
+
+
+def test_classical_apes_scalar_shapes():
+    point = classical_apes(SIV, 1, -0.5)
+    assert type(point.x) is float and type(point.y) is float
+    assert point.energies.shape == (4,)
+    assert point.vectors.shape == (4, 4)
+    assert point.characters.shape == (4, 3)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=PARAMS,
+    points=st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=12),
+    scalar_y=st.booleans(),
+)
+def test_stacked_sheets_equal_scalar_calls_bitwise(params, points, scalar_y):
+    x = np.array([p[0] for p in points])
+    y = points[0][1] if scalar_y else np.array([p[1] for p in points])
+    stacked = classical_apes(params, x, y)
+    assert stacked.energies.shape == (len(points), 4)
+    characters = stacked.characters
+    for k in range(len(points)):
+        y_k = y if scalar_y else y[k]
+        single = classical_apes(params, x[k], y_k)
+        assert same_bits(stacked.x[k], single.x) and same_bits(stacked.y[k], single.y)
+        assert same_bits(stacked.energies[k], single.energies)
+        assert same_bits(stacked.vectors[k], single.vectors)
+        assert same_bits(characters[k], single.characters)
+
+
+def test_classical_apes_grid_keeps_coordinate_shape():
+    x, y = np.meshgrid(np.linspace(-2.0, 2.0, 3), np.linspace(-1.0, 1.0, 2))
+    grid = classical_apes(SIV, x, y)
+    assert grid.energies.shape == (2, 3, 4)
+    assert grid.vectors.shape == (2, 3, 4, 4)
+    assert grid.characters.shape == (2, 3, 4, 3)
+    assert same_bits(grid.energies[1, 2], classical_apes(SIV, 2.0, 1.0).energies)
+
+
+def test_apes_scan_of_no_points_is_empty():
+    scan = apes_scan(SIV, [])
+    assert scan.energies.shape == (0, 4)
+    assert scan.characters.shape == (0, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ([0.0, 1.0, 1e200, 2.0, np.inf], 0.0,
+         r"sheet energies at \(1e\+200, 0.0\) are beyond the float range"),
+        ([0.0, -1.5, np.inf, 1e200], 0.0, r"coordinates must be finite, got \(inf, 0.0\)"),
+        ([0.0, 1.0, 2.0], [0.5, np.nan, 1e200],
+         r"coordinates must be finite, got \(1.0, nan\)"),
+        ([[0.0, 1.0], [-1e200, 2.0]], 0.0,
+         r"sheet energies at \(-1e\+200, 0.0\) are beyond the float range"),
+    ],
+)
+def test_stacked_sheets_name_the_first_refused_point(x, y, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            classical_apes(SIV, np.array(x), y)
 
 
 def test_classical_apes_vectors_solve_the_sheet_problem():
