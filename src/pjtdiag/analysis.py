@@ -1,10 +1,10 @@
-"""Physical observables from vibronic eigenpairs.
+"""Physical observables from the J-sector levels.
 
-Electronic character decomposition over the symmetry labels, the distortion
-expectation R, classification of levels into degenerate groups, the splitting
-delta between the lowest A2u-type state and the Eu-type doublet, and classical
-sheet scans along a line of X (one stacked hamiltonian.ApesPoint whose arrays
-lead with the grid axis and which carries the per-sheet characters).
+Grouping of the lowest levels into degenerate multiplets with pooled
+electronic characters and distortion R, the splitting delta between the
+lowest A2u-type state and the Eu-type doublet, and classical sheet scans
+along a line of X (one stacked hamiltonian.ApesPoint whose arrays lead with
+the grid axis and which carries the per-sheet characters).
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockBasis, position_operator
-from .hamiltonian import SYMMETRY_TRANSFORM, ApesPoint, PjtParams, classical_apes
+from .hamiltonian import ApesPoint, PjtParams, classical_apes
 from .sectors import lowest_levels
 
 __all__ = [
@@ -27,19 +26,14 @@ __all__ = [
     "TruncationWarning",
     "VibronicState",
     "apes_scan",
-    "classify_levels",
     "delta_from_groups",
     "delta_splitting",
-    "distortion_expectation",
-    "electronic_character",
     "level_groups",
     "spectrum_report",
 ]
 
 # Energies closer than this are treated as one degenerate multiplet.
 DEGENERACY_TOL_MEV = 1e-6
-
-_NORMALIZATION_TOL = 1e-8
 
 # Fraction of probability in the top two Fock shells above which position
 # expectation values are considered truncation-contaminated.
@@ -64,65 +58,6 @@ def _warn_if_truncated(top_weight: float, stacklevel: int) -> None:
             TruncationWarning,
             stacklevel=stacklevel,
         )
-
-
-def _reshape_blocks(state_vector, basis: FockBasis) -> np.ndarray:
-    vector = np.asarray(state_vector, dtype=float)
-    expected = 4 * basis.size
-    if vector.shape != (expected,):
-        raise ValueError(
-            f"state vector must have shape ({expected},), got {vector.shape}"
-        )
-    norm = np.linalg.norm(vector)
-    if abs(norm - 1.0) > _NORMALIZATION_TOL:
-        raise ValueError(f"state vector must be normalized, got norm {norm}")
-    return vector.reshape(4, basis.size)
-
-
-def electronic_character(state_vector, basis: FockBasis) -> np.ndarray:
-    """Symmetry-resolved electronic weights of a vibronic state.
-
-    Each phonon component's 4-vector of determinant amplitudes is rotated to
-    the symmetry basis and the squared magnitudes are summed per label.
-
-    Args:
-        state_vector: Normalized coefficient vector of length 4 * basis.size,
-            electronic index slowest.
-        basis: Phonon basis the vector lives on.
-
-    Returns:
-        Array (w_a2u, w_a1u, w_eux, w_euy); sums to 1 for a normalized input.
-    """
-    blocks = _reshape_blocks(state_vector, basis)
-    symmetry_amplitudes = SYMMETRY_TRANSFORM @ blocks
-    return (symmetry_amplitudes**2).sum(axis=1)
-
-
-def distortion_expectation(state_vector, basis: FockBasis) -> float:
-    """RMS displacement R = sqrt(<X^2 + Y^2>) of a vibronic state.
-
-    Evaluated with the truncated position matrices. The vibrational vacuum
-    gives R = 1 (two zero-point halves). Warns when more than 1% of the
-    probability sits in the top two Fock shells, where truncation biases
-    the second moments.
-
-    Args:
-        state_vector: Normalized coefficient vector, electronic index slowest.
-        basis: Phonon basis the vector lives on.
-
-    Returns:
-        Dimensionless R >= 0.
-    """
-    blocks = _reshape_blocks(state_vector, basis)
-    shells = np.array([n + m for (n, m) in basis.states])
-    _warn_if_truncated((blocks[:, shells >= basis.cutoff - 1] ** 2).sum(), stacklevel=3)
-    x_op = position_operator(basis, "X")
-    y_op = position_operator(basis, "Y")
-    second_moment = 0.0
-    for component in blocks:
-        second_moment += np.linalg.norm(x_op @ component) ** 2
-        second_moment += np.linalg.norm(y_op @ component) ** 2
-    return math.sqrt(second_moment)
 
 
 @dataclass(eq=False)
@@ -177,44 +112,6 @@ def _group_label(character: np.ndarray, degeneracy: int) -> str:
     return "mixed"
 
 
-def classify_levels(
-    energies,
-    vectors,
-    basis: FockBasis,
-    *,
-    degeneracy_tol: float = DEGENERACY_TOL_MEV,
-    compute_r: bool = True,
-) -> list[LevelGroup]:
-    """Group levels into degenerate multiplets with pooled characters.
-
-    Consecutive energies closer than degeneracy_tol are merged into one
-    group. If the last computed level is itself part of a larger multiplet
-    that the solve truncated, the pooled values cover only the captured
-    members.
-
-    Args:
-        energies: Ascending energies, meV.
-        vectors: Matching eigenvector columns.
-        basis: Phonon basis.
-        degeneracy_tol: Gap below which neighbors are one multiplet, meV.
-        compute_r: Also evaluate R per group (skipping it avoids truncation
-            warnings when only energies and labels are needed).
-
-    Returns:
-        LevelGroups in ascending energy order.
-    """
-    energies = np.asarray(energies, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    characters = [electronic_character(vectors[:, i], basis) for i in range(energies.size)]
-    r_squared = None
-    if compute_r:
-        r_squared = [
-            distortion_expectation(vectors[:, i], basis) ** 2
-            for i in range(energies.size)
-        ]
-    return _pool_levels(energies, characters, r_squared, degeneracy_tol)
-
-
 def _pool_levels(
     energies: np.ndarray,
     characters,
@@ -251,7 +148,7 @@ def delta_from_groups(groups: list[LevelGroup]) -> float:
     """Splitting between the A2u-type ground state and the Eu-type doublet.
 
     Args:
-        groups: Output of classify_levels, ascending.
+        groups: Output of level_groups, ascending.
 
     Returns:
         Energy of the lowest Eu-labeled multiplet (multiplicity >= 2) minus
@@ -298,7 +195,7 @@ def level_groups(
 
     Returns:
         (energies, groups): the ascending level energies and their
-        LevelGroups, as classify_levels would give them.
+        LevelGroups.
     """
     levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
     r_squared = None

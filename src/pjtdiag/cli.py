@@ -19,18 +19,12 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    StateOrderingError,
-    apes_scan,
-    delta_from_groups,
-    level_groups,
-    spectrum_report,
-)
+from .analysis import StateOrderingError, apes_scan, spectrum_report
 from .hamiltonian import PjtParams
 from .paramfile import parse_params
 from .presets import get_preset
-from .sectors import MAX_DENSE_BYTES, check_cutoff
-from .solver import ConvergenceError
+from .sectors import MAX_DENSE_BYTES, ConvergenceError, check_cutoff
+from .solver import converge_cutoff
 
 __all__ = ["build_parser", "cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 
@@ -144,8 +138,9 @@ def _check_args(args: argparse.Namespace) -> None:
                 f"--xmax must be greater than --xmin, got [{args.xmin}, {args.xmax}]"
             )
     else:
-        # converge writes its header, one column per state, before it solves
-        # the first cutoff.
+        # converge_cutoff would report a level count or cutoff that does not
+        # fit as one failed row per cutoff, under a header with one column
+        # per state; refuse such a ladder here once instead.
         if args.states < 3:
             raise ValueError(f"--states must be >= 3, got {args.states}")
         if not args.tolerance > 0:
@@ -222,7 +217,7 @@ def cmd_converge(args: argparse.Namespace, params: PjtParams, source: str) -> in
     whose level pattern leaves delta undefined gets delta_mev=nan. Either
     condition makes the exit status nonzero.
     """
-    failures = 0
+    study = converge_cutoff(params, args.cutoffs, args.states, tolerance=args.tolerance)
     with _open_output(args.output) as out:
         _write_provenance(
             out,
@@ -233,28 +228,13 @@ def cmd_converge(args: argparse.Namespace, params: PjtParams, source: str) -> in
         )
         energy_columns = ",".join(f"e{i}_mev" for i in range(args.states))
         out.write(f"cutoff,{energy_columns},delta_mev\n")
-        for cutoff in args.cutoffs:
-            try:
-                energies, groups = level_groups(
-                    params,
-                    cutoff,
-                    args.states,
-                    tolerance=args.tolerance,
-                    compute_r=False,
-                )
-            except (ValueError, ConvergenceError) as exc:
-                print(f"cutoff {cutoff}: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            try:
-                delta = delta_from_groups(groups)
-            except StateOrderingError as exc:
-                print(f"cutoff {cutoff}: {exc}", file=sys.stderr)
-                failures += 1
-                delta = math.nan
-            energy_text = ",".join(f"{e:.6f}" for e in energies)
-            out.write(f"{cutoff},{energy_text},{delta:.6f}\n")
-    return 0 if failures == 0 else 1
+        for row in study.rows:
+            if row.error is not None:
+                print(f"cutoff {row.cutoff}: {row.error}", file=sys.stderr)
+            if row.energies is not None:
+                energy_text = ",".join(f"{e:.6f}" for e in row.energies)
+                out.write(f"{row.cutoff},{energy_text},{row.delta:.6f}\n")
+    return 0 if all(row.error is None for row in study.rows) else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

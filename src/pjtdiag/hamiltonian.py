@@ -11,14 +11,13 @@ orbital couples linearly to the (X, Y) components of the mode with its own
 strength (f_u, f_g), producing sum and difference channels f_u + f_g and
 f_u - f_g along X.
 
-Vibrational space: the truncated two-mode Fock basis. The full matrix is
+W (w_matrix) and the coupling blocks B_X, B_Y (pjt_coupling_block) make up
+the vibronic Hamiltonian over the truncated two-mode Fock space,
 
-    H = hbar_omega * (I4 kron N) + B_X kron X + B_Y kron Y + W kron I_ph
+    H = hbar_omega * (I4 kron N) + B_X kron X + B_Y kron Y + W kron I_ph,
 
-with the electronic index varying slowest: entry (e * D_ph + p) of a vector is
-the amplitude on determinant e, phonon state p. assemble builds it as a
-scipy.sparse matrix, the full-space reference, and imports scipy on first
-use. classical_apes diagonalizes the 4x4 electronic matrix at frozen
+which ``sectors`` builds and diagonalizes one conserved-J sector at a time.
+classical_apes diagonalizes the 4x4 electronic matrix at frozen
 displacements (x, y) instead: one point, or a whole grid of them stacked into
 one (..., 4, 4) np.linalg.eigh.
 """
@@ -27,14 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .fock import FockBasis, number_operator, position_operator
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "DETERMINANTS",
@@ -42,17 +35,12 @@ __all__ = [
     "SYMMETRY_TRANSFORM",
     "ApesPoint",
     "PjtParams",
-    "VibronicHamiltonian",
-    "assemble",
     "classical_apes",
     "couplings_from_ejt",
     "ejt_from_couplings",
     "pjt_coupling_block",
     "w_matrix",
 ]
-
-# Largest matrix dimension representable by 32-bit sparse indices.
-_MAX_DIMENSION = 2**31 - 1
 
 DETERMINANTS: tuple[str, str, str, str] = (
     "e_uy e_gy",
@@ -108,25 +96,6 @@ class PjtParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-
-
-@dataclass(frozen=True, eq=False)
-class VibronicHamiltonian:
-    """Assembled sparse vibronic matrix over electronic x Fock space.
-
-    Attributes:
-        params: Parameters the matrix was built from.
-        basis: Phonon basis; the matrix dimension is 4 * basis.size.
-        matrix: Real symmetric CSR matrix, electronic index slowest.
-    """
-
-    params: PjtParams
-    basis: FockBasis
-    matrix: sparse.csr_matrix = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
 
 
 def w_matrix(params: PjtParams) -> np.ndarray:
@@ -186,45 +155,6 @@ def pjt_coupling_block(params: PjtParams, which: str) -> np.ndarray:
     block[0, 2] = block[2, 0] = f_g
     block[1, 3] = block[3, 1] = f_g
     return block
-
-
-def assemble(params: PjtParams, basis: FockBasis) -> VibronicHamiltonian:
-    """Build the sparse vibronic matrix over the product space.
-
-    The Kronecker ordering puts the electronic index on the slow axis, so
-    rows [e * D_ph, (e + 1) * D_ph) belong to determinant e.
-
-    Args:
-        params: Model parameters.
-        basis: Truncated phonon basis.
-
-    Returns:
-        VibronicHamiltonian of dimension 4 * basis.size.
-
-    Raises:
-        ValueError: if the dimension would overflow 32-bit sparse indices.
-    """
-    from scipy import sparse
-
-    dim = 4 * basis.size
-    if dim > _MAX_DIMENSION:
-        raise ValueError(
-            f"cutoff {basis.cutoff} gives dimension {dim}, beyond 32-bit indexing"
-        )
-    x_op = position_operator(basis, "X")
-    y_op = position_operator(basis, "Y")
-    n_op = number_operator(basis)
-    identity4 = sparse.identity(4, format="csr")
-    identity_ph = sparse.identity(basis.size, format="csr")
-    matrix = (
-        params.hbar_omega * sparse.kron(identity4, n_op)
-        + sparse.kron(sparse.csr_matrix(pjt_coupling_block(params, "X")), x_op)
-        + sparse.kron(sparse.csr_matrix(pjt_coupling_block(params, "Y")), y_op)
-        + sparse.kron(sparse.csr_matrix(w_matrix(params)), identity_ph)
-    ).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return VibronicHamiltonian(params=params, basis=basis, matrix=matrix)
 
 
 @dataclass(frozen=True, eq=False)

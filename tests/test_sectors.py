@@ -1,5 +1,6 @@
 """Conserved-J sectors against the full product-space route."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -12,17 +13,15 @@ from pjtdiag import (
     PRESETS,
     ConvergenceError,
     PjtParams,
-    SolveRequest,
     StateOrderingError,
     TruncationWarning,
-    assemble,
-    build_basis,
-    classify_levels,
+    converge_cutoff,
     delta_from_groups,
-    solve,
+    delta_splitting,
     spectrum_report,
 )
 from pjtdiag.sectors import lowest_levels, sector_matrices
+from reference import assemble, build_basis, classify_levels, solve
 
 SIV = PRESETS["SiV"].params
 
@@ -101,7 +100,7 @@ def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         try:
-            result = solve(h, SolveRequest(num_states=num_states))
+            result = solve(h, num_states)
         except ConvergenceError:
             # The dense subset solver can miss its residual bound when the
             # couplings are near the float underflow (about 1e-175 meV);
@@ -159,3 +158,18 @@ def test_too_many_states_refused():
     with pytest.raises(ValueError, match="exceeds matrix dimension 12"):
         lowest_levels(SIV, 1, 13)
     assert lowest_levels(SIV, 1, 12).energies.size == 12
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: converge_cutoff(SIV, [5.7, 10.2], 3), "cutoffs[0]", 5.7),
+        (lambda: converge_cutoff(SIV, [5, 10], 3.0), "num_states", 3.0),
+        (lambda: lowest_levels(SIV, 5.5, 3), "cutoff", 5.5),
+        (lambda: delta_splitting(SIV, 10, num_states=8.0), "num_states", 8.0),
+        (lambda: spectrum_report(SIV, 15.0), "cutoff", 15.0),
+    ],
+)
+def test_non_integer_cutoff_or_level_count_refused(call, name, value):
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value}")):
+        call()
