@@ -197,11 +197,19 @@ def level_groups(
         (energies, groups): the ascending level energies and their
         LevelGroups.
     """
+    return _level_groups(params, cutoff, num_states, tolerance, compute_r)
+
+
+def _level_groups(
+    params: PjtParams, cutoff: int, num_states: int, tolerance: float, compute_r: bool
+) -> tuple[np.ndarray, list[LevelGroup]]:
+    """level_groups for the public functions that call it directly, so that
+    a TruncationWarning names the line that called them."""
     levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
     r_squared = None
     if compute_r:
         for top_weight in levels.top_shell_weight:
-            _warn_if_truncated(top_weight, stacklevel=3)
+            _warn_if_truncated(top_weight, stacklevel=4)
         r_squared = levels.r_squared
     groups = _pool_levels(levels.energies, levels.character, r_squared)
     return levels.energies, groups
@@ -314,7 +322,7 @@ def spectrum_report(
     """
     if num_states < 3:
         raise ValueError(f"num_states must be >= 3, got {num_states}")
-    energies, groups = level_groups(params, cutoff, num_states, tolerance=tolerance)
+    energies, groups = _level_groups(params, cutoff, num_states, tolerance, True)
     delta = delta_from_groups(groups)
     states: list[VibronicState] = []
     for group in groups:

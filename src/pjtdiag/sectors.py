@@ -19,7 +19,10 @@ in place of A1u makes every element real. Sector J holds the states
 |n_r, l = J - S> of each electronic component, with n_r = min(n+, n-) <=
 (N - |l|) / 2: 2N + 2 states at J = 0, fewer as |J| grows, none beyond
 |J| = N + 1. Sector -J is the mirror image of sector J, so its levels repeat
-those of J and only J >= 0 is diagonalized.
+those of J and only J >= 0 is diagonalized. The lowest k levels need only the
+sectors that can hold one: lowest_levels diagonalizes J = 0 .. k // 2, which
+hold at least k levels, and certifies the rest with a Cholesky test against
+the k-th of their levels, diagonalizing them only when the test fails.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -29,6 +32,7 @@ operator.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -224,6 +228,28 @@ def _fill(params: PjtParams, layout: _Layout) -> np.ndarray:
     return stack
 
 
+@functools.lru_cache(maxsize=1)
+def _sector_layout(cutoff: int) -> _Layout:
+    """_layout of the sectors J = 0 .. N + 1, kept for the most recent cutoff.
+
+    A fit calls lowest_levels many times at one cutoff, and the layout
+    depends on the cutoff alone. Its arrays are read-only because every
+    such call shares them.
+    """
+    layout = _layout(cutoff, np.arange(cutoff + 2))
+    for array in (
+        layout.j_values,
+        layout.dims,
+        layout.component,
+        layout.shell,
+        layout.moment_diag,
+        layout.moment_off,
+        *layout.coupling,
+    ):
+        array.setflags(write=False)
+    return layout
+
+
 def sector_matrices(
     params: PjtParams, cutoff: int, j_values=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,6 +292,59 @@ class SectorLevels:
     residuals: np.ndarray
 
 
+def _lowest(
+    values: np.ndarray, layout: _Layout, num_states: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sector, column) of the num_states lowest levels of the sectors in values.
+
+    Levels of J > 0 count twice, once for the mirror -J. Ties keep the order
+    sector by sector, then the mirrors, so they resolve as they would over
+    every sector.
+    """
+    sec, col = np.nonzero(np.arange(values.shape[1]) < layout.dims[: len(values), None])
+    mirrored = layout.j_values[sec] > 0
+    sec = np.concatenate([sec, sec[mirrored]])
+    col = np.concatenate([col, col[mirrored]])
+    order = np.argsort(values[sec, col], kind="stable")[:num_states]
+    return sec[order], col[order]
+
+
+def _all_above(stack: np.ndarray, level: float) -> bool:
+    """Whether every level of every matrix in a padded sector stack lies above level.
+
+    By Sylvester's law of inertia, H - s I has a Cholesky factorization
+    exactly when H has no eigenvalue at or below s. In floating point, a
+    factorization that succeeds is exact for H - s I + E, where ||E|| is
+    typically about size * eps * ||H - s I|| and at most about size**2 * eps
+    * ||H - s I|| (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10); here ||H - s I|| is at most twice the ceiling. The shift s lies
+    above level by several times that worst case, so a sector passes only if
+    its levels, and eigh's values of them, lie strictly above level; skipping
+    it cannot change which levels tie at level. A larger margin costs only
+    speed, through more fallbacks.
+    """
+    size = stack.shape[-1]
+    # Sectors J >= 1 have fewer than 2N + 2 states, so each carries padding,
+    # whose diagonal is _fill's Gershgorin ceiling: above |every level|.
+    ceiling = stack.diagonal(axis1=1, axis2=2).max()
+    shift = level + 8.0 * size * size * np.finfo(float).eps * ceiling
+    if not np.isfinite(shift):
+        # The ceiling overflowed: no bound, and LAPACK passes inf and nan.
+        return False
+    # Shifted in place, and restored exactly, so that no copy of the stack
+    # sits beside the factor.
+    index = np.arange(size)
+    diagonal = stack[:, index, index]
+    stack[:, index, index] -= shift
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        stack[:, index, index] = diagonal
+    return True
+
+
 def lowest_levels(
     params: PjtParams,
     cutoff: int,
@@ -273,7 +352,17 @@ def lowest_levels(
     *,
     tolerance: float = 1e-8,
 ) -> SectorLevels:
-    """Lowest num_states levels from one batched diagonalization of the sectors.
+    """Lowest num_states levels, diagonalizing only the sectors that can hold one.
+
+    Sectors J = 0 .. m - 1, m = num_states // 2 + 1, hold at least
+    num_states levels counting mirrors, so the num_states-th lowest of their
+    levels, U, is an upper bound on the wanted ones. They go through one
+    batched eigh. The remaining sectors go through one batched Cholesky
+    factorization of H_J - (U + margin): by Sylvester's law of inertia it
+    succeeds only if every level of sector J lies above U + margin, and those
+    sectors are then skipped. If it fails they are diagonalized too. Either
+    way the levels, and the choice among levels tied at U, are those of a
+    diagonalization of every sector.
 
     Args:
         params: Model parameters.
@@ -291,33 +380,40 @@ def lowest_levels(
     check_cutoff(cutoff, num_states)
     if not tolerance > 0:
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    layout = _layout(cutoff, np.arange(cutoff + 2))
+    layout = _sector_layout(cutoff)
     stack = _fill(params, layout)
-    values, vectors = np.linalg.eigh(stack)
-
-    sec, col = np.nonzero(np.arange(stack.shape[1]) < layout.dims[:, None])
-    mirrored = layout.j_values[sec] > 0
-    sec = np.concatenate([sec, sec[mirrored]])
-    col = np.concatenate([col, col[mirrored]])
-    order = np.argsort(values[sec, col], kind="stable")[:num_states]
-    sec, col = sec[order], col[order]
+    head = min(len(stack), num_states // 2 + 1)
+    values, vectors = np.linalg.eigh(stack[:head])
+    sec, col = _lowest(values, layout, num_states)
+    if head < len(stack) and not _all_above(stack[head:], values[sec[-1], col[-1]]):
+        rest_values, rest_vectors = np.linalg.eigh(stack[head:])
+        values = np.concatenate([values, rest_values])
+        vectors = np.concatenate([vectors, rest_vectors])
+        sec, col = _lowest(values, layout, num_states)
     energies = values[sec, col]
 
-    residuals, top, r_squared = (np.empty(num_states) for _ in range(3))
-    by_component = np.empty((num_states, 4))
-    for k in np.unique(sec):
-        rows = sec == k
-        part = vectors[k][:, col[rows]].T
-        weight = part * part
-        component = layout.component[k]
-        residuals[rows] = np.linalg.norm(
-            part @ stack[k] - part * energies[rows, None], axis=1
-        )
-        by_component[rows] = weight @ (component[:, None] == np.arange(4))
-        top[rows] = weight @ ((layout.shell[k] >= cutoff - 1) & (component >= 0))
-        r_squared[rows] = weight @ layout.moment_diag[k] + 2.0 * (
-            (part[:, :-1] * part[:, 1:]) @ layout.moment_off[k, :-1]
-        )
+    # A sector's wanted levels are its lowest columns, so the observables are
+    # formed for the lowest columns of the sectors up to the highest one
+    # used, and the wanted levels are gathered from them.
+    used, width = sec.max() + 1, col.max() + 1
+    cols = vectors[:used, :, :width]
+    residual = stack[:used] @ cols
+    residual -= cols * values[:used, None, :width]
+    residuals = np.sqrt(np.einsum("jsc,jsc->jc", residual, residual))
+    # Freed before the weights, so that at most two arrays of the size of
+    # cols are live beside the stack and its eigenvectors.
+    del residual
+    weight = cols * cols
+    component = layout.component[:used]
+    top_shell = (layout.shell[:used] >= cutoff - 1) & (component >= 0)
+    by_component = np.einsum("jsc,jsf->jcf", weight, component[:, :, None] == np.arange(4))
+    top = np.einsum("jsc,js->jc", weight, top_shell)
+    r_squared = np.einsum("jsc,js->jc", weight, layout.moment_diag[:used]) + 2.0 * np.einsum(
+        "jsc,jsc,js->jc", cols[:, :-1], cols[:, 1:], layout.moment_off[:used, :-1]
+    )
+    residuals, by_component, top, r_squared = (
+        array[sec, col] for array in (residuals, by_component, top, r_squared)
+    )
     if np.any(residuals > tolerance):
         raise ConvergenceError(
             f"sector residuals up to {residuals.max():.3e} meV exceed "

@@ -4,6 +4,8 @@ The package diagonalizes the vibronic matrix sector by sector. This module
 builds the same truncated model the direct way, as one scipy.sparse matrix
 over electronic x Fock space, solves it with one dense LAPACK call and
 classifies the eigenvectors; the tests compare the sectors against it.
+``every_sector_levels`` is the sector route without its pruning: one eigh of
+all sectors J = 0 .. N + 1 and a loop over them.
 
 The vibrational configuration space is spanned by number states |n, m> of the
 two components of a doubly degenerate mode, kept up to a total-quanta cutoff
@@ -38,7 +40,13 @@ from pjtdiag.hamiltonian import (
     pjt_coupling_block,
     w_matrix,
 )
-from pjtdiag.sectors import MAX_DENSE_BYTES, ConvergenceError
+from pjtdiag.sectors import (
+    MAX_DENSE_BYTES,
+    ConvergenceError,
+    SectorLevels,
+    _layout,
+    sector_matrices,
+)
 
 # Largest matrix dimension representable by 32-bit sparse indices.
 _MAX_DIMENSION = 2**31 - 1
@@ -346,3 +354,47 @@ def classify_levels(
             for i in range(energies.size)
         ]
     return _pool_levels(energies, characters, r_squared, degeneracy_tol)
+
+
+def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLevels:
+    """Lowest num_states levels from an eigh of every sector, one sector at a time.
+
+    Ties between levels resolve as in pjtdiag.sectors.lowest_levels: sector
+    by sector, then the mirrors -J of the sectors J > 0.
+    """
+    js, dims, stack = sector_matrices(params, cutoff)
+    layout = _layout(cutoff, js)
+    values, vectors = np.linalg.eigh(stack)
+    sec, col = np.nonzero(np.arange(stack.shape[1]) < dims[:, None])
+    mirrored = js[sec] > 0
+    sec = np.concatenate([sec, sec[mirrored]])
+    col = np.concatenate([col, col[mirrored]])
+    order = np.argsort(values[sec, col], kind="stable")[:num_states]
+    sec, col = sec[order], col[order]
+    energies = values[sec, col]
+
+    residuals, top, r_squared = (np.empty(num_states) for _ in range(3))
+    by_component = np.empty((num_states, 4))
+    for k in np.unique(sec):
+        rows = sec == k
+        part = vectors[k][:, col[rows]].T
+        weight = part * part
+        component = layout.component[k]
+        residuals[rows] = np.linalg.norm(
+            part @ stack[k] - part * energies[rows, None], axis=1
+        )
+        by_component[rows] = weight @ (component[:, None] == np.arange(4))
+        top[rows] = weight @ ((layout.shell[k] >= cutoff - 1) & (component >= 0))
+        r_squared[rows] = weight @ layout.moment_diag[k] + 2.0 * (
+            (part[:, :-1] * part[:, 1:]) @ layout.moment_off[k, :-1]
+        )
+    doublet = 0.5 * (by_component[:, 2] + by_component[:, 3])
+    return SectorLevels(
+        energies=energies,
+        character=np.column_stack(
+            [by_component[:, 0], by_component[:, 1], doublet, doublet]
+        ),
+        r_squared=r_squared,
+        top_shell_weight=top,
+        residuals=residuals,
+    )

@@ -20,8 +20,9 @@ from pjtdiag import (
     delta_splitting,
     spectrum_report,
 )
-from pjtdiag.sectors import lowest_levels, sector_matrices
-from reference import assemble, build_basis, classify_levels, solve
+from pjtdiag.analysis import level_groups
+from pjtdiag.sectors import _sector_layout, lowest_levels, sector_matrices
+from reference import assemble, build_basis, classify_levels, every_sector_levels, solve
 
 SIV = PRESETS["SiV"].params
 
@@ -129,6 +130,69 @@ def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
         assert state.degeneracy == group.degeneracy
 
 
+def assert_same_levels(levels, reference):
+    assert np.array_equal(levels.energies, reference.energies)
+    for name in ("character", "r_squared", "top_shell_weight"):
+        assert np.abs(getattr(levels, name) - getattr(reference, name)).max() < 1e-12, name
+
+
+def decoupled(hbar_omega, correlation):
+    """Without coupling and with Lambda = Xi, the A2u and Eu levels of each
+    shell s tie exactly across the sectors |J| <= s + 1."""
+    return PjtParams(hbar_omega, correlation, correlation, 0.0, 0.0)
+
+
+DECOUPLED = st.builds(decoupled, st.floats(20.0, 150.0), st.floats(0.0, 100.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20), data=st.data())
+def test_pruned_sectors_match_every_sector(params, cutoff, data):
+    num_states = data.draw(st.integers(1, 2 * (cutoff + 1) * (cutoff + 2)), label="num_states")
+    levels = lowest_levels(params, cutoff, num_states)
+    assert_same_levels(levels, every_sector_levels(params, cutoff, num_states))
+
+
+def recorded_eigh_batches(monkeypatch):
+    """Sector counts of every np.linalg.eigh call from now on."""
+    batches = []
+    eigh = np.linalg.eigh
+
+    def recording(stack):
+        batches.append(len(stack))
+        return eigh(stack)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return batches
+
+
+def test_only_sectors_that_can_hold_a_wanted_level_are_diagonalized(monkeypatch):
+    batches = recorded_eigh_batches(monkeypatch)
+    levels = lowest_levels(SIV, 60, 8)
+    assert batches == [5]
+    monkeypatch.undo()
+    assert_same_levels(levels, every_sector_levels(SIV, 60, 8))
+
+
+def test_failed_certification_diagonalizes_the_rest(monkeypatch):
+    # The ground level of J = 0 ties with the lowest of J = 1, so sector 1
+    # fails the Cholesky test and sectors 1 .. 16 are diagonalized.
+    params = decoupled(80.0, 10.0)
+    batches = recorded_eigh_batches(monkeypatch)
+    levels = lowest_levels(params, 15, 1)
+    assert batches == [1, 16]
+    monkeypatch.undo()
+    assert_same_levels(levels, every_sector_levels(params, 15, 1))
+
+
+def test_cached_layout_is_read_only():
+    layout = _sector_layout(15)
+    assert _sector_layout(15) is layout
+    arrays = [getattr(layout, name) for name in ("j_values", "dims", "component", "shell")]
+    arrays += [layout.moment_diag, layout.moment_off, *layout.coupling]
+    assert not any(array.flags.writeable for array in arrays)
+
+
 def test_residuals_and_weights_of_sector_levels():
     levels = lowest_levels(SIV, 15, 8)
     assert levels.residuals.max() < 1e-10
@@ -137,8 +201,11 @@ def test_residuals_and_weights_of_sector_levels():
 
 
 def test_spectrum_report_warns_when_truncated():
-    with pytest.warns(TruncationWarning, match="top two Fock shells"):
-        spectrum_report(SIV, 4, 3)
+    # Both entry points attribute the warning to the line that called them.
+    for call in (lambda: spectrum_report(SIV, 4, 3), lambda: level_groups(SIV, 4, 3)):
+        with pytest.warns(TruncationWarning, match="top two Fock shells") as record:
+            call()
+        assert {w.filename for w in record} == {__file__}
 
 
 def test_oversized_cutoff_refused_before_allocating():
