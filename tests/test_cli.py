@@ -3,11 +3,13 @@
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 import pjtdiag
+from pjtdiag import cli
 from pjtdiag.cli import APES_BYTES_PER_POINT, main
 
 SIV_FILE = (
@@ -20,7 +22,11 @@ SIV_FILE = (
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit status, or ("SystemExit", code), stdout, stderr) of one main call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -262,6 +268,93 @@ def test_bad_cutoff_list_rejected(capsys):
     )
     assert code == 2
     assert "ascending" in err
+
+
+def test_truncation_reported_as_plain_lines_on_every_call(capsys):
+    for _ in range(2):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--preset", "SiV", "--cutoff", "4", "--states", "3"
+        )
+        assert code == 0
+        assert "delta_mev=" in out
+        lines = err.splitlines()
+        # The Eu doublet shares one message, printed once.
+        assert [line[:15] for line in lines] == ["warning: 22.1% ", "warning: 27.2% "]
+        assert all(line.endswith("increase the cutoff") for line in lines)
+        assert ".py:" not in err
+
+
+def test_truncation_lines_precede_a_failed_report(tmp_path, capsys):
+    # Weak coupling and strong E-channel correlation put a doublet lowest.
+    path = tmp_path / "inverted.txt"
+    path.write_text(
+        "hbar_omega_mev=75\nlambda_mev=0\nxi_mev=45\nf_g_mev=10\nf_u_mev=10\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        capsys, "spectrum", "--params", str(path), "--cutoff", "2", "--states", "3"
+    )
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert [line[:15] for line in lines[:2]] == ["warning: 1.5% o", "warning: 21.9% "]
+    assert lines[2].startswith("error: lowest level is not a nondegenerate")
+    assert len(lines) == 3
+
+
+def test_truncation_lines_do_not_depend_on_warning_filters():
+    for action in ("error", "ignore"):
+        completed = subprocess.run(
+            [sys.executable, "-W", action, "-m", "pjtdiag", "spectrum",
+             "--preset", "SiV", "--cutoff", "4", "--states", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert completed.returncode == 0, completed.stderr
+        lines = completed.stderr.splitlines()
+        assert [line[:15] for line in lines] == ["warning: 22.1% ", "warning: 27.2% "]
+
+
+def test_spectrum_shows_other_warnings_as_usual(monkeypatch, capsys):
+    report = cli.spectrum_report
+
+    def noisy_report(*args, **kwargs):
+        warnings.warn("unrelated", RuntimeWarning)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "spectrum_report", noisy_report)
+    with pytest.warns(RuntimeWarning, match="unrelated"):
+        code, _, err = run_cli(
+            capsys, "spectrum", "--preset", "SiV", "--cutoff", "4", "--states", "3"
+        )
+    assert code == 0
+    assert err.count("warning: ") == 2
+
+
+CLEAN_SPECTRUM = ("spectrum", "--preset", "SiV", "--cutoff", "6", "--states", "3")
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (CLEAN_SPECTRUM, 0),
+        (("apes", "--preset", "SiV", "--points", "5"), 0),
+        # Default --cutoffs: the checks replace it on the parsed namespace.
+        (("converge", "--preset", "SiV", "--states", "3"), 0),
+        (("--version",), ("SystemExit", 0)),
+        (("spectrum",), ("SystemExit", 2)),
+        (("spectrum", "--preset", "SiV", "--states", "2"), 2),
+    ],
+)
+def test_repeated_calls_behave_like_fresh_ones(capsys, argv, status):
+    clean = run_cli(capsys, *CLEAN_SPECTRUM)
+    # The first call below builds a new parser, the later ones reuse it.
+    cli._parser.cache_clear()
+    first = run_cli(capsys, *argv)
+    assert first[0] == status
+    assert first[1] or first[2]
+    assert run_cli(capsys, *argv) == first
+    assert run_cli(capsys, *CLEAN_SPECTRUM) == clean
 
 
 def test_source_flag_required():
