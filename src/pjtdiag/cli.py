@@ -112,7 +112,7 @@ def _resolve_params(args: argparse.Namespace) -> tuple[PjtParams, str]:
 
 def _parse_cutoff_list(text: str) -> tuple[int, ...]:
     try:
-        cutoffs = tuple(int(part) for part in text.split(",") if part.strip())
+        cutoffs = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"--cutoffs must be comma-separated integers, got {text!r}") from None
     if len(cutoffs) < 2:

@@ -17,9 +17,11 @@ the vibronic Hamiltonian over the truncated two-mode Fock space,
     H = hbar_omega * (I4 kron N) + B_X kron X + B_Y kron Y + W kron I_ph,
 
 which ``sectors`` builds and diagonalizes one conserved-J sector at a time.
-classical_apes diagonalizes the 4x4 electronic matrix at frozen
-displacements (x, y) instead: one point, or a whole grid of them stacked into
-one (..., 4, 4) np.linalg.eigh.
+classical_apes solves the 4x4 electronic matrix at frozen displacements
+(x, y) instead, one point or a whole grid at once, in closed form: at
+(rho, 0) the matrix splits into two 2x2 blocks, over (A2u, Eux) and
+(A1u, Euy), and a turn by the polar angle phi of (x, y) carries their
+eigenvectors to (x, y).
 """
 
 from __future__ import annotations
@@ -170,8 +172,13 @@ class ApesPoint:
         energies: The four sheet energies in meV, ascending along the last
             axis.
         vectors: Electronic eigenvectors as columns (determinant basis), shape
-            S + (4, 4), matching ``energies``. Within a degenerate pair of
-            sheets the columns follow the numerical eigenbasis.
+            S + (4, 4), matching ``energies``. Each column lies in one of two
+            planes, A2u with cos(phi) Eux - sin(phi) Euy or A1u with
+            sin(phi) Eux + cos(phi) Euy, where phi is the polar angle of
+            (x, y) and 0 at the origin. Sheets of equal energy keep the
+            order of the (A2u, ...) plane before the (A1u, ...) plane, lower
+            state before upper; where a plane's two states are degenerate,
+            its columns are their sum and difference over sqrt(2).
     """
 
     x: float | np.ndarray
@@ -182,9 +189,11 @@ class ApesPoint:
     @property
     def characters(self) -> np.ndarray:
         """Per-sheet weights of shape S + (4, 3): entry [..., i, :] holds
-        (w_a2u, w_a1u, w_eu) of sheet i, the two Eu components pooled. At
-        exact sheet degeneracies the split between the degenerate rows
-        follows the numerical eigenbasis."""
+        (w_a2u, w_a1u, w_eu) of sheet i, the two Eu components pooled. The
+        weights are those of ``vectors``, so at a degeneracy between the two
+        planes each row holds one plane's weights, with either w_a1u or
+        w_a2u zero. Up to rounding they do not change when (x, y) turns
+        about the origin."""
         weights = (SYMMETRY_TRANSFORM @ self.vectors) ** 2
         return np.stack(
             [weights[..., 0, :], weights[..., 1, :], weights[..., 2, :] + weights[..., 3, :]],
@@ -192,13 +201,86 @@ class ApesPoint:
         )
 
 
+def _half_angles(half_gap: float, off, gap):
+    """Upper eigenvector (c, s) / sqrt(2) of [[m + half_gap, off], [off, m - half_gap]].
+
+    gap is hypot(half_gap, off); (c, s) belongs to m + gap and (-s, c) to
+    m - gap. Half-angle formulas with sqrt and division only, no trig
+    ufuncs, so that stacked and scalar calls agree bitwise. Where off is 0
+    as well as half_gap, any basis will do; this one is (1, +-1) / sqrt(2).
+    """
+    if half_gap == 0.0:
+        return 0.5, np.copysign(0.5, off)
+    big = np.sqrt(0.25 + 0.25 * (abs(half_gap) / gap))
+    small = 0.25 * (off / gap) / big
+    return (big, small) if half_gap > 0.0 else (small, big)
+
+
+def _unsorted_sheets(params: PjtParams, x, y, lift):
+    """Energies (..., 4) and vectors as rows (..., 4, 4), in block order.
+
+    At (rho, 0) the sheet matrix splits into [[centre + h, o], [o, centre - h]]
+    over (A2u, Eux) and over (A1u, Euy), with o = coupling * rho. Turning to
+    the polar angle phi of (x, y) maps (Eux, Euy) to (cos Eux + sin Euy,
+    cos Euy - sin Eux) and leaves A2u and A1u alone. Sheets come lower then
+    upper, the (A2u, Eux) block first; row k is the vector of sheet k over
+    the determinants.
+    """
+    lam, xi = params.lambda_corr, params.xi_corr
+    rho = np.hypot(x, y)
+    turned = rho > 0.0
+    cos = np.divide(x, rho, out=np.ones(rho.shape), where=turned)
+    sin = np.divide(y, rho, out=np.zeros(rho.shape), where=turned)
+    # For subnormal coordinates rho is rounded coarsely, and only the ratio
+    # of cos and sin is right until they are scaled back to unit length.
+    norm = np.hypot(cos, sin)
+    cos /= norm
+    sin /= norm
+    energies = np.empty(rho.shape + (4,))
+    rows = np.empty(rho.shape + (4, 4))
+    blocks = (
+        (-0.5 * (lam + xi), 0.5 * (xi - lam), -(params.f_u + params.f_g)),
+        (0.5 * (lam - xi), 0.5 * (lam + xi), -(params.f_u - params.f_g)),
+    )
+    for block, (centre, half_gap, coupling) in enumerate(blocks):
+        off = coupling * rho
+        gap = np.hypot(half_gap, off)
+        mid = lift + centre
+        lower, upper = 2 * block, 2 * block + 1
+        np.subtract(mid, gap, out=energies[..., lower])
+        np.add(mid, gap, out=energies[..., upper])
+        c, s = _half_angles(half_gap, off, gap)
+        for k, (a, e) in ((lower, (-s, c)), (upper, (c, s))):
+            # Symmetry amplitudes (a, e) / sqrt(2) of A2u or A1u and of the
+            # turned Eu; the determinants are (A2u - Eux, A1u + Euy,
+            # Euy - A1u, A2u + Eux) / sqrt(2).
+            along, across = cos * e, sin * e
+            row = rows[..., k, :]
+            if block == 0:
+                np.subtract(a, along, out=row[..., 0])
+                np.negative(across, out=row[..., 1])
+                row[..., 2] = row[..., 1]
+                np.add(a, along, out=row[..., 3])
+            else:
+                np.negative(across, out=row[..., 0])
+                np.add(a, along, out=row[..., 1])
+                np.subtract(along, a, out=row[..., 2])
+                row[..., 3] = across
+    return energies, rows
+
+
 def classical_apes(params: PjtParams, x, y) -> ApesPoint:
     """Adiabatic sheets with the mode treated as a classical displacement.
 
-    Diagonalizes hbar_omega * (x^2 + y^2) / 2 * I4 + x * B_X + y * B_Y + W,
-    the harmonic restoring energy plus the electronic terms at frozen (x, y).
-    x and y broadcast against each other; all points go through one stacked
-    np.linalg.eigh.
+    The sheets are the eigenpairs of hbar_omega * (x^2 + y^2) / 2 * I4 +
+    x * B_X + y * B_Y + W, the harmonic restoring energy plus the electronic
+    terms at frozen (x, y). Linear coupling conserves J = L_z + S, so the
+    energies depend on rho = |(x, y)| alone: at (rho, 0) the matrix splits
+    into two 2x2 blocks, over (A2u, Eux) and (A1u, Euy), with closed-form
+    eigensystems, and a turn by the polar angle phi of (x, y) carries their
+    eigenvectors to (x, y). x and y broadcast against each other; every
+    point takes the same elementwise arithmetic, so a stacked call and
+    scalar calls agree bitwise.
 
     Args:
         params: Model parameters.
@@ -216,8 +298,9 @@ def classical_apes(params: PjtParams, x, y) -> ApesPoint:
     with np.errstate(over="ignore", invalid="ignore"):
         lift = 0.5 * params.hbar_omega * (x * x + y * y)
         # Bounds every absolute row sum of the sheet matrix, so no entry,
-        # partial sum or eigenvalue exceeds it; while it is finite, eigh
-        # cannot overflow. Non-finite coordinates make it non-finite too.
+        # block gap or sheet energy exceeds it; while it is finite, the
+        # closed form cannot overflow. Non-finite coordinates make it
+        # non-finite too.
         bound = (
             lift
             + (np.abs(x) + np.abs(y)) * (params.f_g + params.f_u)
@@ -231,11 +314,17 @@ def classical_apes(params: PjtParams, x, y) -> ApesPoint:
         if not (math.isfinite(at[0]) and math.isfinite(at[1])):
             raise ValueError(f"coordinates must be finite, got {at}")
         raise ValueError(f"sheet energies at {at} are beyond the float range")
-    h4 = lift[..., None, None] * np.eye(4)
-    h4 += x[..., None, None] * pjt_coupling_block(params, "X")
-    h4 += y[..., None, None] * pjt_coupling_block(params, "Y")
-    h4 += w_matrix(params)
-    energies, vectors = np.linalg.eigh(h4)
+    # The block temporaries die with _unsorted_sheets, before the sort below
+    # holds two copies of the vectors.
+    energies, rows = _unsorted_sheets(params, x, y, lift)
+    order = np.argsort(energies, axis=-1, kind="stable")
+    # Gather whole rows (sheet k of point i is flat row 4 i + k), several
+    # times faster than np.take_along_axis on columns, then transpose so that
+    # the columns hold the vectors.
+    picked = (order.reshape(-1, 4) + np.arange(0, order.size, 4).reshape(-1, 1)).ravel()
+    energies = energies.reshape(-1)[picked].reshape(order.shape)
+    rows = rows.reshape(-1, 4)[picked].reshape(rows.shape)
+    vectors = np.ascontiguousarray(rows.swapaxes(-1, -2))
     if x.ndim == 0:
         x, y = float(x), float(y)
     return ApesPoint(x=x, y=y, energies=energies, vectors=vectors)

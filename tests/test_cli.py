@@ -270,6 +270,18 @@ def test_bad_cutoff_list_rejected(capsys):
     assert "ascending" in err
 
 
+@pytest.mark.parametrize("cutoffs", ["4,,6", "4,6,", ",4,6", "4, ,6"])
+def test_cutoff_list_with_an_empty_item_rejected(capsys, cutoffs):
+    code, out, err = run_cli(
+        capsys, "converge", "--preset", "SiV", "--cutoffs", cutoffs, "--states", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        f"error: --cutoffs must be comma-separated integers, got {cutoffs!r}"
+    )
+
+
 def test_truncation_reported_as_plain_lines_on_every_call(capsys):
     for _ in range(2):
         code, out, err = run_cli(

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
@@ -294,6 +294,86 @@ def test_classical_apes_rotation_invariance():
     for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
         point = classical_apes(SIV, radius * np.cos(angle), radius * np.sin(angle))
         assert np.allclose(point.energies, reference, atol=1e-9)
+
+
+# Draws with the degeneracies of the closed form: equal correlations, equal
+# or vanishing couplings.
+CORRELATIONS = st.one_of(
+    st.tuples(st.floats(0.0, 150.0), st.floats(0.0, 100.0)),
+    st.floats(0.0, 150.0).map(lambda v: (v, v)),
+    st.just((0.0, 0.0)),
+)
+COUPLINGS = st.one_of(
+    st.tuples(st.floats(0.0, 150.0), st.floats(0.0, 150.0)),
+    st.floats(0.0, 150.0).map(lambda v: (v, v)),
+    st.just((0.0, 0.0)),
+)
+SHEET_PARAMS = st.builds(
+    lambda hbar_omega, corr, coupling: PjtParams(hbar_omega, *corr, *coupling),
+    st.floats(20.0, 150.0),
+    CORRELATIONS,
+    COUPLINGS,
+)
+ZERO = st.sampled_from([0.0, -0.0])
+# Up to 1e153 a coordinate stays below the overflow refusal at every quantum
+# drawn here; at 3e153 the lift would overflow.
+HUGE = st.sampled_from([1e153, -1e153, 3e152])
+SHEET_POINTS = st.one_of(
+    st.tuples(COORDINATES, COORDINATES),
+    st.tuples(st.floats(-6.0, -1e-3), ZERO),
+    st.tuples(ZERO, st.floats(-6.0, 6.0).filter(lambda v: v != 0.0)),
+    st.tuples(HUGE, st.one_of(ZERO, HUGE, st.floats(-6.0, 6.0))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=SHEET_PARAMS, point=SHEET_POINTS)
+@example(params=PjtParams(75.9, 0.0, 0.0, 0.0, 0.0), point=(0.0, 0.0))
+@example(params=PjtParams(75.9, 50.0, 50.0, 80.0, 80.0), point=(-0.0, 0.0))
+@example(params=PjtParams(75.9, 50.0, 50.0, 95.0, 103.0), point=(0.0, -1.5))
+@example(params=SIV, point=(2e153, 0.0))
+@example(params=PjtParams(112.0, 26.9, 26.9, 0.0, 0.0), point=(5e-324, 5e-324))
+def test_classical_apes_matches_independent_eigh(params, point):
+    x, y = point
+    matrix = (
+        0.5 * params.hbar_omega * (x * x + y * y) * np.eye(4)
+        + x * pjt_coupling_block(params, "X")
+        + y * pjt_coupling_block(params, "Y")
+        + w_matrix(params)
+    )
+    # The row-sum bound of the sheet matrix.
+    scale = (
+        0.5 * params.hbar_omega * (x * x + y * y)
+        + (abs(x) + abs(y)) * (params.f_g + params.f_u)
+        + params.lambda_corr
+        + params.xi_corr
+    )
+    # The smallest normal float covers subnormal parameters, where w_matrix
+    # rounds 0.5 * lambda_corr and the reference matrix is itself one
+    # subnormal step off.
+    tolerance = 1e-12 * scale + np.finfo(float).tiny
+    expected = np.linalg.eigh(matrix)[0]
+    sheets = classical_apes(params, x, y)
+    energies, vectors = sheets.energies, sheets.vectors
+    assert np.all(np.diff(energies) >= 0.0)
+    assert np.abs(energies - expected).max() <= tolerance
+    assert np.abs(matrix @ vectors - vectors * energies).max() <= tolerance
+    assert np.abs(vectors.T @ vectors - np.eye(4)).max() <= 1e-12
+    assert np.abs(sheets.characters.sum(axis=-1) - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=PARAMS,
+    radius=st.floats(0.05, 6.0),
+    angle=st.floats(0.0, 2.0 * np.pi),
+)
+def test_classical_apes_characters_invariant_under_rotation(params, radius, angle):
+    # The A2u, A1u and pooled Eu weights of a sheet are invariant under J.
+    reference = classical_apes(params, radius, 0.0)
+    assume(np.diff(reference.energies).min() > 1e-6 * np.abs(reference.energies).max())
+    turned = classical_apes(params, radius * np.cos(angle), radius * np.sin(angle))
+    assert np.abs(turned.characters - reference.characters).max() <= 1e-12
 
 
 def test_classical_apes_zero_correlation_formula():
