@@ -370,8 +370,10 @@ def test_classical_apes_matches_independent_eigh(params, point):
 )
 def test_classical_apes_characters_invariant_under_rotation(params, radius, angle):
     # The A2u, A1u and pooled Eu weights of a sheet are invariant under J.
+    # Sheets apart by 1e-3 of their scale keep the eigenvector error of any
+    # backward-stable solver, about eps * scale / gap, below the tolerance.
     reference = classical_apes(params, radius, 0.0)
-    assume(np.diff(reference.energies).min() > 1e-6 * np.abs(reference.energies).max())
+    assume(np.diff(reference.energies).min() > 1e-3 * np.abs(reference.energies).max())
     turned = classical_apes(params, radius * np.cos(angle), radius * np.sin(angle))
     assert np.abs(turned.characters - reference.characters).max() <= 1e-12
 
