@@ -22,22 +22,14 @@ from .analysis import (
     StateOrderingError,
     TruncationWarning,
     apes_scan,
-    delta_from_groups,
+    converge_cutoff,
     delta_splitting,
     spectrum_report,
 )
-from .hamiltonian import (
-    PjtParams,
-    classical_apes,
-    couplings_from_ejt,
-    ejt_from_couplings,
-    pjt_coupling_block,
-    w_matrix,
-)
+from .hamiltonian import PjtParams, classical_apes, couplings_from_ejt, ejt_from_couplings
 from .paramfile import ParamFileError, parse_params
 from .presets import PRESETS
 from .sectors import ConvergenceError
-from .solver import converge_cutoff
 
 __all__ = [
     "__version__",
@@ -51,11 +43,8 @@ __all__ = [
     "classical_apes",
     "converge_cutoff",
     "couplings_from_ejt",
-    "delta_from_groups",
     "delta_splitting",
     "ejt_from_couplings",
     "parse_params",
-    "pjt_coupling_block",
     "spectrum_report",
-    "w_matrix",
 ]

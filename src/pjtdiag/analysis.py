@@ -1,10 +1,17 @@
 """Physical observables from the J-sector levels.
 
-Grouping of the lowest levels into degenerate multiplets with pooled
-electronic characters and distortion R, the splitting delta between the
-lowest A2u-type state and the Eu-type doublet, and classical sheet scans
-along a line of X (one stacked hamiltonian.ApesPoint whose arrays lead with
-the grid axis and which carries the per-sheet characters).
+Every level is labelled from its exact quantum numbers, the conserved
+J = L_z + S and, at J = 0, its parity under the reflection Y -> -Y
+(Longuet-Higgins, Opik, Pryce & Sack, Proc. R. Soc. A 244, 1 (1958);
+Bersuker, The Jahn-Teller Effect (2006)): the even J = 0 levels are A2u,
+the odd ones A1u, a pair of |J| a nonzero multiple of 3 is A1u + A2u
+(degenerate in this linear model), and any other pair of +-J is Eu. The
+splitting delta runs from the ground level, which must be even J = 0, to
+the lowest Eu-type level; a ground level that ties with another to
+rounding is refused. The module also holds the cutoff convergence
+ladder and classical sheet scans along a line of X (one stacked
+hamiltonian.ApesPoint whose arrays lead with the grid axis and which
+carries the per-sheet characters).
 """
 
 from __future__ import annotations
@@ -16,24 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ApesPoint, PjtParams, classical_apes
-from .sectors import lowest_levels
+from .sectors import ConvergenceError, SectorLevels, as_index, lowest_levels
 
 __all__ = [
-    "DEGENERACY_TOL_MEV",
-    "LevelGroup",
+    "ConvergenceStudy",
+    "CutoffResult",
     "SpectrumReport",
     "StateOrderingError",
     "TruncationWarning",
     "VibronicState",
     "apes_scan",
-    "delta_from_groups",
+    "converge_cutoff",
     "delta_splitting",
-    "level_groups",
     "spectrum_report",
 ]
-
-# Energies closer than this are treated as one degenerate multiplet.
-DEGENERACY_TOL_MEV = 1e-6
 
 # Fraction of probability in the top two Fock shells above which position
 # expectation values are considered truncation-contaminated.
@@ -60,159 +63,38 @@ def _warn_if_truncated(top_weight: float, stacklevel: int) -> None:
         )
 
 
-@dataclass(eq=False)
-class LevelGroup:
-    """One degenerate multiplet of computed levels.
-
-    Characters and R are averaged over the group members (the subspace
-    trace divided by the multiplicity), which makes them independent of the
-    solver's arbitrary basis choice inside the multiplet. The label names
-    the multiplet's vibronic type, not its electronic composition: in the
-    strong-coupling regime every low state carries roughly half A2u and
-    half Eu electronic weight, so electronic weights alone cannot separate
-    the nondegenerate A2u-type level from the Eu-type doublet; the
-    degeneracy does.
-    """
-
-    indices: list[int]
-    energy: float
-    character: np.ndarray
-    label: str
-    distortion_r: float
-
-    @property
-    def degeneracy(self) -> int:
-        return len(self.indices)
+def _label(j: int, parity: int) -> str:
+    """Vibronic label of a level of J and, at J = 0, reflection parity."""
+    if j == 0:
+        return "A2u" if parity > 0 else "A1u"
+    return "A1u+A2u" if j % 3 == 0 else "Eu"
 
 
-def _group_label(character: np.ndarray, degeneracy: int) -> str:
-    """Vibronic multiplet label from degeneracy plus electronic weights.
-
-    A doubly degenerate group is the Eu-type vibronic doublet (the only
-    doubly degenerate label available; a tunnel-split singlet pair closer
-    than the degeneracy tolerance would be indistinguishable from one). A
-    nondegenerate level must be A2u- or A1u-type; the electronic A2u vs
-    A1u weights discriminate, with "mixed" when they tie. Larger
-    accidental multiplets (decoupled-limit shells) fall back to whichever
-    pooled electronic weight exceeds half.
-    """
-    w_a2u, w_a1u, w_eux, w_euy = character
-    if degeneracy == 2:
-        return "Eu"
-    if degeneracy == 1:
-        if abs(w_a2u - w_a1u) < 1e-3:
-            return "mixed"
-        return "A2u" if w_a2u > w_a1u else "A1u"
-    if w_a2u > 0.5:
-        return "A2u"
-    if w_a1u > 0.5:
-        return "A1u"
-    if w_eux + w_euy > 0.5:
-        return "Eu"
-    return "mixed"
-
-
-def _pool_levels(
-    energies: np.ndarray,
-    characters,
-    r_squared,
-    degeneracy_tol: float = DEGENERACY_TOL_MEV,
-) -> list[LevelGroup]:
-    """LevelGroups from per-level characters and R^2 (None: R is NaN)."""
-    groups: list[list[int]] = []
-    for i in range(energies.size):
-        if groups and energies[i] - energies[groups[-1][-1]] < degeneracy_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    out: list[LevelGroup] = []
-    for members in groups:
-        character = np.mean([characters[i] for i in members], axis=0)
-        if r_squared is not None:
-            r_value = math.sqrt(np.mean([r_squared[i] for i in members]))
-        else:
-            r_value = math.nan
-        out.append(
-            LevelGroup(
-                indices=list(members),
-                energy=float(np.mean(energies[members])),
-                character=character,
-                label=_group_label(character, len(members)),
-                distortion_r=r_value,
-            )
-        )
-    return out
-
-
-def delta_from_groups(groups: list[LevelGroup]) -> float:
-    """Splitting between the A2u-type ground state and the Eu-type doublet.
-
-    Args:
-        groups: Output of level_groups, ascending.
-
-    Returns:
-        Energy of the lowest Eu-labeled multiplet (multiplicity >= 2) minus
-        the ground energy, meV.
+def _delta(levels: SectorLevels) -> float:
+    """Energy of the lowest Eu-type level minus the ground energy, meV.
 
     Raises:
-        StateOrderingError: the ground group is degenerate or not A2u-type,
-            or no Eu doublet was found among the computed levels.
+        StateOrderingError: the ground level is degenerate or not the even
+            J = 0 one, or no level of J other than a multiple of 3 was
+            computed.
     """
-    if not groups:
-        raise StateOrderingError("no levels to classify")
-    ground = groups[0]
-    if ground.degeneracy != 1 or ground.label != "A2u":
+    j, parity, energies = levels.j, levels.parity, levels.energies
+    # The ground multiplet: the levels that tie with the lowest to rounding,
+    # among which rounding alone picks the first.
+    ground = np.flatnonzero(energies - energies[0] <= levels.resolution)
+    if ground.size > 1 or j[0] != 0 or parity[0] < 0:
+        labels = ", ".join(sorted(_label(j[i], parity[i]) for i in ground))
         raise StateOrderingError(
             "lowest level is not a nondegenerate A2u-type state "
-            f"(multiplicity {ground.degeneracy}, label {ground.label}); "
+            f"(multiplicity {ground.size}: {labels}); "
             "the parameter regime breaks the expected ordering"
         )
-    for group in groups[1:]:
-        if group.label == "Eu" and group.degeneracy >= 2:
-            return group.energy - ground.energy
-    raise StateOrderingError(
-        "no Eu-type doublet among the computed levels; request more states"
-    )
-
-
-def level_groups(
-    params: PjtParams,
-    cutoff: int,
-    num_states: int,
-    *,
-    tolerance: float = 1e-8,
-    compute_r: bool = True,
-) -> tuple[np.ndarray, list[LevelGroup]]:
-    """Lowest levels from the J sectors, grouped into degenerate multiplets.
-
-    Args:
-        params: Model parameters.
-        cutoff: Fock cutoff.
-        num_states: Levels to compute.
-        tolerance: Residual bound, meV.
-        compute_r: Also evaluate R per group; warns with TruncationWarning
-            for each level with more than 1% weight in the top two shells.
-
-    Returns:
-        (energies, groups): the ascending level energies and their
-        LevelGroups.
-    """
-    return _level_groups(params, cutoff, num_states, tolerance, compute_r)
-
-
-def _level_groups(
-    params: PjtParams, cutoff: int, num_states: int, tolerance: float, compute_r: bool
-) -> tuple[np.ndarray, list[LevelGroup]]:
-    """level_groups for the public functions that call it directly, so that
-    a TruncationWarning names the line that called them."""
-    levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
-    r_squared = None
-    if compute_r:
-        for top_weight in levels.top_shell_weight:
-            _warn_if_truncated(top_weight, stacklevel=4)
-        r_squared = levels.r_squared
-    groups = _pool_levels(levels.energies, levels.character, r_squared)
-    return levels.energies, groups
+    doublets = np.flatnonzero(j % 3)
+    if not doublets.size:
+        raise StateOrderingError(
+            "no Eu-type doublet among the computed levels; request more states"
+        )
+    return float(energies[doublets[0]] - energies[0])
 
 
 def delta_splitting(
@@ -224,9 +106,8 @@ def delta_splitting(
 ) -> float:
     """Gap between the lowest vibronic level and the Eu-type doublet above it.
 
-    Computes num_states levels at the given cutoff, classifies them, and
-    measures the doublet's distance from the nondegenerate A2u-type ground
-    state.
+    Computes num_states levels at the given cutoff and measures the lowest
+    Eu-type level's distance from the nondegenerate A2u-type ground state.
 
     Args:
         params: Model parameters.
@@ -242,10 +123,96 @@ def delta_splitting(
     """
     if num_states < 3:
         raise ValueError(f"num_states must be >= 3 to resolve the doublet, got {num_states}")
-    _, groups = level_groups(
-        params, cutoff, num_states, tolerance=tolerance, compute_r=False
-    )
-    return delta_from_groups(groups)
+    return _delta(lowest_levels(params, cutoff, num_states, tolerance=tolerance))
+
+
+@dataclass(eq=False)
+class CutoffResult:
+    """Outcome at one Fock cutoff.
+
+    ``energies`` is None when the levels could not be computed; ``delta``
+    is nan when they were not, or when they lack the level pattern that
+    defines it. ``error`` holds the failure message in either case.
+    """
+
+    cutoff: int
+    energies: np.ndarray | None
+    delta: float
+    error: str | None = None
+
+
+@dataclass(eq=False)
+class ConvergenceStudy:
+    """Per-cutoff levels and delta from converge_cutoff."""
+
+    rows: list[CutoffResult]
+    ground_tolerance: float
+
+    @property
+    def converged(self) -> bool:
+        """True when the ground energies of the last two rows that have
+        energies agree within ground_tolerance."""
+        solved = [row for row in self.rows if row.energies is not None]
+        if len(solved) < 2:
+            return False
+        return abs(solved[-1].energies[0] - solved[-2].energies[0]) < self.ground_tolerance
+
+
+def converge_cutoff(
+    params: PjtParams,
+    cutoffs,
+    num_states: int,
+    *,
+    tolerance: float = 1e-8,
+    ground_tolerance: float = 1e-3,
+) -> ConvergenceStudy:
+    """Levels and delta at a ladder of Fock cutoffs, to monitor convergence.
+
+    The ground energy is variational, so it must be non-increasing along an
+    ascending ladder; the convergence flag compares the last two rows that
+    have energies against ground_tolerance. A cutoff whose levels or delta
+    cannot be computed is recorded in its row instead of stopping the
+    ladder.
+
+    Args:
+        params: Model parameters.
+        cutoffs: Strictly ascending integers, at least two.
+        num_states: Levels to compute at every cutoff, >= 1.
+        tolerance: Residual bound, meV.
+        ground_tolerance: Ground-energy agreement defining "converged", meV.
+
+    Returns:
+        ConvergenceStudy with one row per cutoff.
+
+    Raises:
+        TypeError: a cutoff or num_states that is not an integer.
+        ValueError: a ladder, level count or tolerance that no cutoff could
+            satisfy; per-cutoff failures go into the rows instead.
+    """
+    ladder = [as_index(c, f"cutoffs[{i}]") for i, c in enumerate(cutoffs)]
+    if len(ladder) < 2:
+        raise ValueError(f"need at least two cutoffs, got {ladder}")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"cutoffs must be strictly ascending, got {ladder}")
+    if as_index(num_states, "num_states") < 1:
+        raise ValueError(f"num_states must be >= 1, got {num_states}")
+    if not tolerance > 0:
+        raise ValueError(f"tolerance must be > 0, got {tolerance}")
+    if not ground_tolerance > 0:
+        raise ValueError(f"ground_tolerance must be > 0, got {ground_tolerance}")
+
+    rows: list[CutoffResult] = []
+    for cutoff in ladder:
+        try:
+            levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
+        except (ValueError, ConvergenceError) as exc:
+            rows.append(CutoffResult(cutoff, None, math.nan, str(exc)))
+            continue
+        try:
+            rows.append(CutoffResult(cutoff, levels.energies, _delta(levels)))
+        except StateOrderingError as exc:
+            rows.append(CutoffResult(cutoff, levels.energies, math.nan, str(exc)))
+    return ConvergenceStudy(rows=rows, ground_tolerance=ground_tolerance)
 
 
 def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> ApesPoint:
@@ -267,11 +234,12 @@ def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> ApesPoint:
 class VibronicState:
     """One computed level dressed with its observables.
 
-    character holds the electronic weights (w_a2u, w_a1u, w_eux, w_euy)
-    pooled over the state's degenerate group; degeneracy is the captured
-    group size. dominant_label names the multiplet's vibronic type (a
-    doublet is Eu-type even though its electronic weights stay near the
-    half-A2u, half-Eu mixture typical of the strong-coupling regime).
+    character holds the level's electronic weights (w_a2u, w_a1u, w_eux,
+    w_euy). dominant_label names its vibronic type from J and, at J = 0,
+    the reflection parity; degeneracy is 1 at J = 0 and 2 for the pair
+    +-J. The label is not read off the weights: in the strong-coupling
+    regime every low level carries roughly half A2u and half Eu electronic
+    weight.
     """
 
     energy: float
@@ -298,13 +266,13 @@ def spectrum_report(
     *,
     tolerance: float = 1e-8,
 ) -> SpectrumReport:
-    """Solve, classify, and package the low-lying spectrum.
+    """Solve, label, and package the low-lying spectrum.
 
-    States within one degenerate group share pooled characters, label, and
-    R. If the last requested state cuts an accidental multiplet of several
-    J sectors, the pooled values of that final group cover only its
-    captured members; request enough states to cover full multiplets when
-    that matters.
+    Each level is labelled from its J and reflection parity. The two
+    levels of a pair +-J share their characters and R exactly; a request
+    that ends inside a pair reports only its first member. Warns with
+    TruncationWarning for each level with more than 1% weight in the top
+    two Fock shells.
 
     Args:
         params: Model parameters.
@@ -318,22 +286,23 @@ def spectrum_report(
 
     Raises:
         StateOrderingError: the level pattern needed to define delta is
-            absent.
+            absent: the ground level is degenerate or not A2u-type, or no
+            Eu-type level was computed.
     """
     if num_states < 3:
         raise ValueError(f"num_states must be >= 3, got {num_states}")
-    energies, groups = _level_groups(params, cutoff, num_states, tolerance, True)
-    delta = delta_from_groups(groups)
-    states: list[VibronicState] = []
-    for group in groups:
-        for i in group.indices:
-            states.append(
-                VibronicState(
-                    energy=float(energies[i]),
-                    character=group.character,
-                    distortion_r=group.distortion_r,
-                    dominant_label=group.label,
-                    degeneracy=group.degeneracy,
-                )
-            )
+    levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
+    for top_weight in levels.top_shell_weight:
+        _warn_if_truncated(top_weight, stacklevel=3)
+    delta = _delta(levels)
+    states = [
+        VibronicState(
+            energy=float(levels.energies[i]),
+            character=levels.character[i],
+            distortion_r=math.sqrt(levels.r_squared[i]),
+            dominant_label=_label(levels.j[i], levels.parity[i]),
+            degeneracy=1 if levels.j[i] == 0 else 2,
+        )
+        for i in range(num_states)
+    ]
     return SpectrumReport(params=params, cutoff=int(cutoff), states=states, delta=delta)

@@ -26,12 +26,17 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from . import __version__
-from .analysis import StateOrderingError, TruncationWarning, apes_scan, spectrum_report
+from .analysis import (
+    StateOrderingError,
+    TruncationWarning,
+    apes_scan,
+    converge_cutoff,
+    spectrum_report,
+)
 from .hamiltonian import PjtParams
 from .paramfile import parse_params
 from .presets import get_preset
 from .sectors import MAX_DENSE_BYTES, ConvergenceError, check_cutoff
-from .solver import converge_cutoff
 
 __all__ = ["cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 

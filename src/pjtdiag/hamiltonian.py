@@ -11,8 +11,8 @@ orbital couples linearly to the (X, Y) components of the mode with its own
 strength (f_u, f_g), producing sum and difference channels f_u + f_g and
 f_u - f_g along X.
 
-W (w_matrix) and the coupling blocks B_X, B_Y (pjt_coupling_block) make up
-the vibronic Hamiltonian over the truncated two-mode Fock space,
+W and the coupling blocks B_X, B_Y make up the vibronic Hamiltonian over
+the truncated two-mode Fock space,
 
     H = hbar_omega * (I4 kron N) + B_X kron X + B_Y kron Y + W kron I_ph,
 
@@ -32,30 +32,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DETERMINANTS",
-    "SYMMETRY_LABELS",
     "SYMMETRY_TRANSFORM",
     "ApesPoint",
     "PjtParams",
     "classical_apes",
     "couplings_from_ejt",
     "ejt_from_couplings",
-    "pjt_coupling_block",
-    "w_matrix",
 ]
 
-DETERMINANTS: tuple[str, str, str, str] = (
-    "e_uy e_gy",
-    "e_ux e_gy",
-    "e_uy e_gx",
-    "e_ux e_gx",
-)
-
-SYMMETRY_LABELS: tuple[str, str, str, str] = ("A2u", "A1u", "Eux", "Euy")
-
-# Maps determinant amplitudes to symmetry amplitudes: row i expands
-# SYMMETRY_LABELS[i] over DETERMINANTS, so for a determinant-basis vector c,
-# SYMMETRY_TRANSFORM @ c holds the A2u, A1u, Eux, Euy amplitudes. Orthogonal.
+# Maps determinant amplitudes to symmetry amplitudes: rows 0 .. 3 expand
+# A2u, A1u, Eux and Euy over the determinants in the order of the module
+# docstring, so for a determinant-basis vector c, SYMMETRY_TRANSFORM @ c holds
+# the A2u, A1u, Eux, Euy amplitudes. Orthogonal.
 _S = 1.0 / math.sqrt(2.0)
 SYMMETRY_TRANSFORM = np.array(
     [
@@ -98,65 +86,6 @@ class PjtParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-
-
-def w_matrix(params: PjtParams) -> np.ndarray:
-    """Static electronic correlation term in the determinant basis.
-
-    Diagonal in the symmetry basis with eigenvalues +Lambda (A1u), -Lambda
-    (A2u) and -Xi (each Eu component); expressed here over the determinants.
-
-    Returns:
-        4x4 symmetric array in meV.
-    """
-    lam = params.lambda_corr
-    xi = params.xi_corr
-    lam_block = np.array(
-        [
-            [-1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, -1.0, 0.0],
-            [0.0, -1.0, 1.0, 0.0],
-            [-1.0, 0.0, 0.0, -1.0],
-        ]
-    )
-    xi_block = np.array(
-        [
-            [1.0, 0.0, 0.0, -1.0],
-            [0.0, 1.0, 1.0, 0.0],
-            [0.0, 1.0, 1.0, 0.0],
-            [-1.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    return 0.5 * lam * lam_block - 0.5 * xi * xi_block
-
-
-def pjt_coupling_block(params: PjtParams, which: str) -> np.ndarray:
-    """Electronic 4x4 block multiplying the X or Y position operator.
-
-    The X block is diagonal, carrying the sum channel f_u + f_g on the outer
-    determinants and the difference channel f_u - f_g on the inner ones. The
-    Y block is purely off-diagonal: f_u flips the ungerade component, f_g the
-    gerade one.
-
-    Args:
-        params: Model parameters.
-        which: "X" or "Y" (case-insensitive).
-
-    Returns:
-        4x4 symmetric array in meV.
-    """
-    label = str(which).upper()
-    if label not in ("X", "Y"):
-        raise ValueError(f"which must be 'X' or 'Y', got {which!r}")
-    f_g, f_u = params.f_g, params.f_u
-    if label == "X":
-        return np.diag([f_u + f_g, -(f_u - f_g), f_u - f_g, -(f_u + f_g)])
-    block = np.zeros((4, 4))
-    block[0, 1] = block[1, 0] = f_u
-    block[2, 3] = block[3, 2] = f_u
-    block[0, 2] = block[2, 0] = f_g
-    block[1, 3] = block[3, 1] = f_g
-    return block
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,10 +19,19 @@ in place of A1u makes every element real. Sector J holds the states
 |n_r, l = J - S> of each electronic component, with n_r = min(n+, n-) <=
 (N - |l|) / 2: 2N + 2 states at J = 0, fewer as |J| grows, none beyond
 |J| = N + 1. Sector -J is the mirror image of sector J, so its levels repeat
-those of J and only J >= 0 is diagonalized. The lowest k levels need only the
-sectors that can hold one: lowest_levels diagonalizes J = 0 .. k // 2, which
-hold at least k levels, and certifies the rest with a Cholesky test against
-the k-th of their levels, diagonalizing them only when the test fails.
+those of J and only J >= 0 is diagonalized.
+
+The reflection Y -> -Y maps J to -J. It swaps E+ and E- and the chains l
+and -l, and changes the sign of A1u, so it splits sector 0 into two halves
+of N + 1 states: the even one holds A2u and (E+ + E-) / sqrt(2), the odd one
+i * A1u and (E+ - E-) / sqrt(2), each coupled sqrt(2) times as strongly as
+A2u or i * A1u is to E+ alone. lowest_levels diagonalizes the halves in
+place of sector 0, each padded to 2N + 2 like the other sectors, and
+returns each level's signed J and, at J = 0, its parity. The lowest k
+levels need only the blocks that can hold one: the halves and J = 1 ..
+k // 2 hold at least k levels, and the rest are certified with a Cholesky
+test against the k-th of their levels and diagonalized only when the test
+fails.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -47,7 +56,6 @@ __all__ = [
     "SectorLevels",
     "check_cutoff",
     "lowest_levels",
-    "sector_matrices",
 ]
 
 # Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
@@ -56,6 +64,13 @@ MAX_DENSE_BYTES = 2**28
 
 # Electronic components of every sector: A2u, i * A1u, E+, E-.
 _SPIN = np.array([0, 0, 1, -1])
+
+# Components kept in a block of parity 0 (a whole sector), +1 (the even half
+# of sector 0) and -1 (the odd half; row -1). In a half, the E+ chain
+# stands for (E+ + E-) / sqrt(2) or (E+ - E-) / sqrt(2).
+_KEPT = np.array(
+    [[True, True, True, True], [True, False, True, False], [False, True, True, False]]
+)
 
 # B- couples a component with S to one with S - 1 and raises l by one:
 # (target, source) pairs; _fill gives 1/2 <target|B-|source> of each.
@@ -80,7 +95,7 @@ class ConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-def _index(value, name: str) -> int:
+def as_index(value, name: str) -> int:
     """value as an int, refusing floats and other non-integers by name."""
     try:
         return operator.index(value)
@@ -98,14 +113,15 @@ def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
 
     Raises:
         TypeError: a cutoff or level count that is not an integer.
-        ValueError: negative cutoff, a padded sector stack larger than
+        ValueError: negative cutoff, sector matrices larger than
             MAX_DENSE_BYTES, or more levels than states.
     """
-    cutoff = _index(cutoff, "cutoff")
+    cutoff = as_index(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
-    # Sectors J = 0 .. N + 1, padded to the largest dimension 2N + 2.
-    needed = (cutoff + 2) * (2 * cutoff + 2) ** 2 * 8
+    # The two halves of sector 0 and the sectors J = 1 .. N + 1, each
+    # padded to 2N + 2 states.
+    needed = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
     if needed > MAX_DENSE_BYTES:
         raise ValueError(
             f"cutoff {cutoff} needs {needed / 2**20:.0f} MiB of sector matrices, "
@@ -113,7 +129,7 @@ def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
         )
     if num_states is None:
         return
-    if _index(num_states, "num_states") < 1:
+    if as_index(num_states, "num_states") < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
     dimension = 2 * (cutoff + 1) * (cutoff + 2)
     if num_states > dimension:
@@ -122,37 +138,49 @@ def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Where each basis state and coupling sits in the padded sector stack.
+    """Where each basis state and coupling sits in a stack of blocks.
 
-    Arrays of shape (sectors, size) describe slots; padding slots have
-    component -1. ``coupling`` lists (sector, row, column, pair, amplitude)
-    with the target slot as row and the source slot as column, one entry
-    per phonon matrix element; the transposed entry is implied.
+    A block is a whole sector J (parity 0) or a half of sector 0 (parity
+    +1 or -1), padded to 2N + 2 slots. Arrays of shape (blocks, size)
+    describe slots; padding slots have component -1. ``observed`` holds,
+    for each slot, what a level's squared amplitude there adds to its
+    weights on the four components, its top-shell weight and the diagonal
+    part of its R^2; ``moment_off`` the coupling of each slot to the next
+    in R^2. ``coupling`` lists (block,
+    row, column, pair, amplitude) with the target slot as row and the
+    source slot as column, one entry per phonon matrix element; the
+    transposed entry is implied.
     """
 
     j_values: np.ndarray
+    parity: np.ndarray
     dims: np.ndarray
     component: np.ndarray
     shell: np.ndarray
-    moment_diag: np.ndarray
+    observed: np.ndarray
     moment_off: np.ndarray
     coupling: tuple[np.ndarray, ...]
 
 
-def _layout(cutoff: int, j_values: np.ndarray) -> _Layout:
+def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None) -> _Layout:
+    """Layout of blocks J, each a whole sector unless parity gives it +1 or
+    -1, which makes it the even or odd half of sector 0 (J must be 0)."""
     n = cutoff
+    size = 2 * n + 2
+    parity = np.zeros(len(j_values), dtype=int) if parity is None else parity
     chain = n // 2 + 1
-    # Grid (sector, component, n_r) of candidate states.
+    # Grid (block, component, n_r) of candidate states.
     l_val = j_values[:, None] - _SPIN[None, :]
     n_r = np.arange(chain)
-    valid = (np.abs(l_val)[:, :, None] <= n) & (
-        n_r[None, None, :] <= (n - np.abs(l_val))[:, :, None] // 2
+    valid = (
+        _KEPT[parity][:, :, None]
+        & (np.abs(l_val)[:, :, None] <= n)
+        & (n_r[None, None, :] <= (n - np.abs(l_val))[:, :, None] // 2)
     )
     flat_valid = valid.reshape(len(j_values), -1)
     position = (np.cumsum(flat_valid, axis=1) - 1).reshape(valid.shape)
     position[~valid] = -1
     dims = flat_valid.sum(axis=1)
-    size = 2 * n + 2
 
     sec, comp, rank = np.nonzero(valid)
     slot = position[sec, comp, rank]
@@ -165,10 +193,12 @@ def _layout(cutoff: int, j_values: np.ndarray) -> _Layout:
     component[sec, slot] = comp
     shell = np.zeros((len(j_values), size), dtype=int)
     shell[sec, slot] = shell_slot
+    observed = np.zeros((len(j_values), size, 6))
+    observed[sec, slot, comp] = 1.0
+    observed[sec, slot, 4] = shell_slot >= n - 1
     # <(PXP)^2 + (PYP)^2>: s + 1 below the cutoff, N / 2 on the top shell,
     # and sqrt((n+ + 1)(n- + 1)) between n_r and n_r + 1 of one chain.
-    moment_diag = np.zeros((len(j_values), size))
-    moment_diag[sec, slot] = np.where(shell_slot < n, shell_slot + 1.0, 0.5 * n)
+    observed[sec, slot, 5] = np.where(shell_slot < n, shell_slot + 1.0, 0.5 * n)
     moment_off = np.zeros((len(j_values), size))
     has_next = shell_slot + 2 <= n
     moment_off[sec[has_next], slot[has_next]] = np.sqrt(
@@ -176,43 +206,47 @@ def _layout(cutoff: int, j_values: np.ndarray) -> _Layout:
     )
 
     # (a+^dag + a-) from each source slot to the target component's chain
-    # at l + 1: a+^dag adds one quantum, a- removes one.
+    # at l + 1: a+^dag adds one quantum, a- removes one. A half drops the
+    # pairs whose target it does not keep; E- mirrors E+ there, which
+    # scales the kept ones by sqrt(2).
+    scale = np.where(parity == 0, 1.0, math.sqrt(2.0))
     parts = []
     for pair, (target, source) in enumerate(_COUPLED):
         src = comp == source
         s_sec, s_slot, s_plus, s_minus = sec[src], slot[src], n_plus[src], n_minus[src]
+        kept = _KEPT[parity[s_sec], target]
         moves = (
-            (s_plus + s_minus < n, s_plus + 1, s_minus, np.sqrt(s_plus + 1.0)),
-            (s_minus >= 1, s_plus, s_minus - 1, np.sqrt(s_minus)),
+            (kept & (s_plus + s_minus < n), s_plus + 1, s_minus, np.sqrt(s_plus + 1.0)),
+            (kept & (s_minus >= 1), s_plus, s_minus - 1, np.sqrt(s_minus)),
         )
         for ok, t_plus, t_minus, amp in moves:
             t_slot = position[s_sec[ok], target, np.minimum(t_plus, t_minus)[ok]]
-            parts.append(
-                (s_sec[ok], t_slot, s_slot[ok], np.full(ok.sum(), pair), amp[ok])
-            )
+            amp = amp[ok] * scale[s_sec[ok]]
+            parts.append((s_sec[ok], t_slot, s_slot[ok], np.full(ok.sum(), pair), amp))
     return _Layout(
         j_values=j_values,
+        parity=parity,
         dims=dims,
         component=component,
         shell=shell,
-        moment_diag=moment_diag,
+        observed=observed,
         moment_off=moment_off,
         coupling=tuple(np.concatenate(column) for column in zip(*parts)),
     )
 
 
 def _fill(params: PjtParams, layout: _Layout) -> np.ndarray:
-    """Padded stack of sector matrices; padding sits above every level."""
-    sectors, size = layout.component.shape
+    """Padded stack of block matrices; padding sits above every level."""
+    blocks, size = layout.component.shape
     f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g
     # 1/2 <target|B-|source> of the _COUPLED pairs.
-    halves = np.array([-f_sum, f_diff, -f_sum, -f_diff]) / math.sqrt(2.0)
+    elements = np.array([-f_sum, f_diff, -f_sum, -f_diff]) / math.sqrt(2.0)
     w_diag = np.array(
         [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr]
     )
-    stack = np.zeros((sectors, size, size))
+    stack = np.zeros((blocks, size, size))
     sec, row, col, pair, amp = layout.coupling
-    values = halves[pair] * amp
+    values = elements[pair] * amp
     stack[sec, row, col] = values
     stack[sec, col, row] = values
     real = layout.component >= 0
@@ -221,8 +255,13 @@ def _fill(params: PjtParams, layout: _Layout) -> np.ndarray:
         params.hbar_omega * (layout.shell + 1.0) + w_diag[layout.component],
         0.0,
     )
-    # Gershgorin: every eigenvalue is at most the largest absolute row sum.
-    ceiling = (np.abs(stack).sum(axis=2) + np.abs(diagonal)).max() + 1.0
+    # Gershgorin: every eigenvalue is at most the largest absolute row sum,
+    # summed from the coupling list so that no copy of the stack is made.
+    row_sums = np.abs(diagonal)
+    magnitudes = np.abs(values)
+    np.add.at(row_sums, (sec, row), magnitudes)
+    np.add.at(row_sums, (sec, col), magnitudes)
+    ceiling = row_sums.max() + 1.0
     index = np.arange(size)
     stack[:, index, index] = np.where(real, diagonal, ceiling)
     return stack
@@ -230,45 +269,27 @@ def _fill(params: PjtParams, layout: _Layout) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _sector_layout(cutoff: int) -> _Layout:
-    """_layout of the sectors J = 0 .. N + 1, kept for the most recent cutoff.
+    """_layout of the even and odd halves of sector 0 and the sectors J = 1
+    .. N + 1, in that order, kept for the most recent cutoff.
 
     A fit calls lowest_levels many times at one cutoff, and the layout
     depends on the cutoff alone. Its arrays are read-only because every
     such call shares them.
     """
-    layout = _layout(cutoff, np.arange(cutoff + 2))
+    blocks = np.arange(cutoff + 3)
+    layout = _layout(cutoff, np.maximum(blocks - 1, 0), np.where(blocks < 2, 1 - 2 * blocks, 0))
     for array in (
         layout.j_values,
+        layout.parity,
         layout.dims,
         layout.component,
         layout.shell,
-        layout.moment_diag,
+        layout.observed,
         layout.moment_off,
         *layout.coupling,
     ):
         array.setflags(write=False)
     return layout
-
-
-def sector_matrices(
-    params: PjtParams, cutoff: int, j_values=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real symmetric matrices of the requested J sectors.
-
-    Args:
-        params: Model parameters.
-        cutoff: Fock cutoff N.
-        j_values: Integer J of each sector; default 0 .. N + 1.
-
-    Returns:
-        (j_values, dims, stack): sector k occupies stack[k, :dims[k],
-        :dims[k]]; the rest of each matrix is a diagonal padding above all
-        of its eigenvalues.
-    """
-    check_cutoff(cutoff)
-    js = np.arange(cutoff + 2) if j_values is None else np.asarray(j_values, dtype=int)
-    layout = _layout(cutoff, js)
-    return layout.j_values, layout.dims, _fill(params, layout)
 
 
 @dataclass(eq=False)
@@ -278,42 +299,55 @@ class SectorLevels:
     Attributes:
         energies: Ascending energies, meV. A level of J > 0 appears twice,
             once for J and once for its mirror -J.
+        j: Signed J of each level; the mirror copy carries -J.
+        parity: +1 or -1 under Y -> -Y for a level of J = 0, 0 otherwise.
         character: (k, 4) electronic weights (w_a2u, w_a1u, w_eux, w_euy);
             the E+ and E- weight splits evenly onto Eux and Euy.
         r_squared: <X^2 + Y^2> of the truncated position operators.
         top_shell_weight: Weight in the top two Fock shells.
         residuals: ||H v - E v|| in the sector, meV.
+        resolution: Energies closer than this are equal to rounding, meV:
+            8 size eps ||H||, several times the rounding error of an
+            eigenvalue from eigh (about size eps ||H||; Golub & Van Loan,
+            Matrix Computations, ch. 8), with ||H|| bounded by _fill's
+            Gershgorin ceiling.
     """
 
     energies: np.ndarray
+    j: np.ndarray
+    parity: np.ndarray
     character: np.ndarray
     r_squared: np.ndarray
     top_shell_weight: np.ndarray
     residuals: np.ndarray
+    resolution: float
 
 
-def _lowest(
-    values: np.ndarray, layout: _Layout, num_states: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sector, column) of the num_states lowest levels of the sectors in values.
+def _lowest(values: np.ndarray, layout: _Layout, num_states: int) -> tuple[np.ndarray, ...]:
+    """(energy, block, column, signed J) of the num_states lowest levels
+    among the first len(values) blocks of layout.
 
     Levels of J > 0 count twice, once for the mirror -J. Ties keep the order
-    sector by sector, then the mirrors, so they resolve as they would over
-    every sector.
+    block by block, then the mirrors, so they resolve as they would over
+    every block.
     """
-    sec, col = np.nonzero(np.arange(values.shape[1]) < layout.dims[: len(values), None])
-    mirrored = layout.j_values[sec] > 0
-    sec = np.concatenate([sec, sec[mirrored]])
-    col = np.concatenate([col, col[mirrored]])
-    order = np.argsort(values[sec, col], kind="stable")[:num_states]
-    return sec[order], col[order]
+    block, col = np.nonzero(np.arange(values.shape[1]) < layout.dims[: len(values), None])
+    energy, j = values[block, col], layout.j_values[block]
+    mirror = j > 0
+    energy = np.concatenate([energy, energy[mirror]])
+    block = np.concatenate([block, block[mirror]])
+    col = np.concatenate([col, col[mirror]])
+    j = np.concatenate([j, -j[mirror]])
+    order = np.argsort(energy, kind="stable")[:num_states]
+    return energy[order], block[order], col[order], j[order]
 
 
-def _all_above(stack: np.ndarray, level: float) -> bool:
+def _all_above(stack: np.ndarray, level: float, ceiling: float) -> bool:
     """Whether every level of every matrix in a padded sector stack lies above level.
 
-    By Sylvester's law of inertia, H - s I has a Cholesky factorization
-    exactly when H has no eigenvalue at or below s. In floating point, a
+    ceiling is _fill's Gershgorin ceiling, above |every level|. By
+    Sylvester's law of inertia, H - s I has a Cholesky factorization exactly
+    when H has no eigenvalue at or below s. In floating point, a
     factorization that succeeds is exact for H - s I + E, where ||E|| is
     typically about size * eps * ||H - s I|| and at most about size**2 * eps
     * ||H - s I|| (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -324,9 +358,6 @@ def _all_above(stack: np.ndarray, level: float) -> bool:
     speed, through more fallbacks.
     """
     size = stack.shape[-1]
-    # Sectors J >= 1 have fewer than 2N + 2 states, so each carries padding,
-    # whose diagonal is _fill's Gershgorin ceiling: above |every level|.
-    ceiling = stack.diagonal(axis1=1, axis2=2).max()
     shift = level + 8.0 * size * size * np.finfo(float).eps * ceiling
     if not np.isfinite(shift):
         # The ceiling overflowed: no bound, and LAPACK passes inf and nan.
@@ -345,6 +376,37 @@ def _all_above(stack: np.ndarray, level: float) -> bool:
     return True
 
 
+def _observables(
+    stack: np.ndarray,
+    values: np.ndarray,
+    vectors: np.ndarray,
+    layout: _Layout,
+    block: np.ndarray,
+    col: np.ndarray,
+) -> np.ndarray:
+    """(residual, w_a2u, w_a1u, w_e+, w_e-, top-shell weight, R^2) of the
+    levels (block, col) of the stack, one row each.
+
+    A block's wanted levels are its lowest columns, so the observables are
+    formed for the lowest columns of the blocks up to the highest one used,
+    and the wanted levels are gathered from them.
+    """
+    used, width = block.max() + 1, col.max() + 1
+    cols = vectors[:used, :, :width]
+    residual = stack[:used] @ cols
+    residual -= cols * values[:used, None, :width]
+    residual *= residual
+    residuals = np.sqrt(residual.sum(axis=1))
+    # Freed before the weights, so that at most two arrays of the size of
+    # cols are live beside the stack and its eigenvectors.
+    del residual
+    observed = np.matmul((cols * cols).transpose(0, 2, 1), layout.observed[:used])
+    cols = cols[:, :-1] * cols[:, 1:]
+    cols *= layout.moment_off[:used, :-1, None]
+    observed[:, :, 5] += 2.0 * cols.sum(axis=1)
+    return np.column_stack([residuals[block, col], observed[block, col]])
+
+
 def lowest_levels(
     params: PjtParams,
     cutoff: int,
@@ -354,15 +416,15 @@ def lowest_levels(
 ) -> SectorLevels:
     """Lowest num_states levels, diagonalizing only the sectors that can hold one.
 
-    Sectors J = 0 .. m - 1, m = num_states // 2 + 1, hold at least
-    num_states levels counting mirrors, so the num_states-th lowest of their
-    levels, U, is an upper bound on the wanted ones. They go through one
-    batched eigh. The remaining sectors go through one batched Cholesky
-    factorization of H_J - (U + margin): by Sylvester's law of inertia it
-    succeeds only if every level of sector J lies above U + margin, and those
-    sectors are then skipped. If it fails they are diagonalized too. Either
-    way the levels, and the choice among levels tied at U, are those of a
-    diagonalization of every sector.
+    The two halves of sector 0 and the sectors J = 1 .. num_states // 2
+    hold at least num_states levels counting mirrors, so the num_states-th
+    lowest of their levels, U, is an upper bound on the wanted ones; they go
+    through one batched eigh. The remaining sectors go through one batched
+    Cholesky factorization of H_J - (U + margin): by Sylvester's law of
+    inertia it succeeds only if every level of sector J lies above U +
+    margin, and those sectors are then skipped. If it fails they are
+    diagonalized too. Either way the levels, and the choice among levels
+    tied at U, are those of a diagonalization of every sector.
 
     Args:
         params: Model parameters.
@@ -382,38 +444,20 @@ def lowest_levels(
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     layout = _sector_layout(cutoff)
     stack = _fill(params, layout)
-    head = min(len(stack), num_states // 2 + 1)
+    # Every block holds fewer than 2N + 2 states, so it carries padding,
+    # whose diagonal is _fill's Gershgorin ceiling: above |every level|.
+    ceiling = stack.diagonal(axis1=1, axis2=2).max()
+    head = min(len(stack), 2 + num_states // 2)
     values, vectors = np.linalg.eigh(stack[:head])
-    sec, col = _lowest(values, layout, num_states)
-    if head < len(stack) and not _all_above(stack[head:], values[sec[-1], col[-1]]):
+    energies, block, col, j = _lowest(values, layout, num_states)
+    if head < len(stack) and not _all_above(stack[head:], energies[-1], ceiling):
         rest_values, rest_vectors = np.linalg.eigh(stack[head:])
         values = np.concatenate([values, rest_values])
         vectors = np.concatenate([vectors, rest_vectors])
-        sec, col = _lowest(values, layout, num_states)
-    energies = values[sec, col]
+        energies, block, col, j = _lowest(values, layout, num_states)
 
-    # A sector's wanted levels are its lowest columns, so the observables are
-    # formed for the lowest columns of the sectors up to the highest one
-    # used, and the wanted levels are gathered from them.
-    used, width = sec.max() + 1, col.max() + 1
-    cols = vectors[:used, :, :width]
-    residual = stack[:used] @ cols
-    residual -= cols * values[:used, None, :width]
-    residuals = np.sqrt(np.einsum("jsc,jsc->jc", residual, residual))
-    # Freed before the weights, so that at most two arrays of the size of
-    # cols are live beside the stack and its eigenvectors.
-    del residual
-    weight = cols * cols
-    component = layout.component[:used]
-    top_shell = (layout.shell[:used] >= cutoff - 1) & (component >= 0)
-    by_component = np.einsum("jsc,jsf->jcf", weight, component[:, :, None] == np.arange(4))
-    top = np.einsum("jsc,js->jc", weight, top_shell)
-    r_squared = np.einsum("jsc,js->jc", weight, layout.moment_diag[:used]) + 2.0 * np.einsum(
-        "jsc,jsc,js->jc", cols[:, :-1], cols[:, 1:], layout.moment_off[:used, :-1]
-    )
-    residuals, by_component, top, r_squared = (
-        array[sec, col] for array in (residuals, by_component, top, r_squared)
-    )
+    table = _observables(stack, values, vectors, layout, block, col)
+    residuals = table[:, 0]
     if np.any(residuals > tolerance):
         raise ConvergenceError(
             f"sector residuals up to {residuals.max():.3e} meV exceed "
@@ -421,13 +465,14 @@ def lowest_levels(
             energies=energies,
             residuals=residuals,
         )
-    doublet = 0.5 * (by_component[:, 2] + by_component[:, 3])
+    doublet = 0.5 * (table[:, 3] + table[:, 4])
     return SectorLevels(
         energies=energies,
-        character=np.column_stack(
-            [by_component[:, 0], by_component[:, 1], doublet, doublet]
-        ),
-        r_squared=r_squared,
-        top_shell_weight=top,
+        j=j,
+        parity=layout.parity[block],
+        character=np.column_stack([table[:, 1], table[:, 2], doublet, doublet]),
+        r_squared=table[:, 6],
+        top_shell_weight=table[:, 5],
         residuals=residuals,
+        resolution=8.0 * stack.shape[-1] * np.finfo(float).eps * ceiling,
     )

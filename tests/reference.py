@@ -3,9 +3,14 @@
 The package diagonalizes the vibronic matrix sector by sector. This module
 builds the same truncated model the direct way, as one scipy.sparse matrix
 over electronic x Fock space, solves it with one dense LAPACK call and
-classifies the eigenvectors; the tests compare the sectors against it.
+classifies the eigenvectors by the symmetry operators built here on the same
+Fock space: the generator of J = L_z + S, a geometric C3 turn and the
+reflection Y -> -Y. The tests compare the sectors against it. It also holds
+the 4x4 electronic blocks of the product-space matrix and
+``sector_matrices``, which builds whole sectors of any J.
 ``every_sector_levels`` is the sector route without its pruning: one eigh of
-all sectors J = 0 .. N + 1 and a loop over them.
+both halves of sector 0 and of all sectors J = 1 .. N + 1, and a loop over
+them.
 
 The vibrational configuration space is spanned by number states |n, m> of the
 two components of a doubly degenerate mode, kept up to a total-quanta cutoff
@@ -28,30 +33,112 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from pjtdiag.analysis import (
-    DEGENERACY_TOL_MEV,
-    LevelGroup,
-    _pool_levels,
-    _warn_if_truncated,
-)
-from pjtdiag.hamiltonian import (
-    SYMMETRY_TRANSFORM,
-    PjtParams,
-    pjt_coupling_block,
-    w_matrix,
-)
+from pjtdiag.analysis import _warn_if_truncated
+from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM, PjtParams
 from pjtdiag.sectors import (
     MAX_DENSE_BYTES,
     ConvergenceError,
     SectorLevels,
+    _fill,
     _layout,
-    sector_matrices,
+    check_cutoff,
 )
 
 # Largest matrix dimension representable by 32-bit sparse indices.
 _MAX_DIMENSION = 2**31 - 1
 
 _NORMALIZATION_TOL = 1e-8
+
+# The electronic index runs over these determinants, and the rows of
+# SYMMETRY_TRANSFORM over SYMMETRY_LABELS.
+DETERMINANTS: tuple[str, str, str, str] = (
+    "e_uy e_gy",
+    "e_ux e_gy",
+    "e_uy e_gx",
+    "e_ux e_gx",
+)
+
+SYMMETRY_LABELS: tuple[str, str, str, str] = ("A2u", "A1u", "Eux", "Euy")
+
+
+def w_matrix(params: PjtParams) -> np.ndarray:
+    """Static electronic correlation term in the determinant basis.
+
+    Diagonal in the symmetry basis with eigenvalues +Lambda (A1u), -Lambda
+    (A2u) and -Xi (each Eu component); expressed here over the determinants.
+
+    Returns:
+        4x4 symmetric array in meV.
+    """
+    lam = params.lambda_corr
+    xi = params.xi_corr
+    lam_block = np.array(
+        [
+            [-1.0, 0.0, 0.0, -1.0],
+            [0.0, 1.0, -1.0, 0.0],
+            [0.0, -1.0, 1.0, 0.0],
+            [-1.0, 0.0, 0.0, -1.0],
+        ]
+    )
+    xi_block = np.array(
+        [
+            [1.0, 0.0, 0.0, -1.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [-1.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    return 0.5 * lam * lam_block - 0.5 * xi * xi_block
+
+
+def pjt_coupling_block(params: PjtParams, which: str) -> np.ndarray:
+    """Electronic 4x4 block multiplying the X or Y position operator.
+
+    The X block is diagonal, carrying the sum channel f_u + f_g on the outer
+    determinants and the difference channel f_u - f_g on the inner ones. The
+    Y block is purely off-diagonal: f_u flips the ungerade component, f_g the
+    gerade one.
+
+    Args:
+        params: Model parameters.
+        which: "X" or "Y" (case-insensitive).
+
+    Returns:
+        4x4 symmetric array in meV.
+    """
+    label = str(which).upper()
+    if label not in ("X", "Y"):
+        raise ValueError(f"which must be 'X' or 'Y', got {which!r}")
+    f_g, f_u = params.f_g, params.f_u
+    if label == "X":
+        return np.diag([f_u + f_g, -(f_u - f_g), f_u - f_g, -(f_u + f_g)])
+    block = np.zeros((4, 4))
+    block[0, 1] = block[1, 0] = f_u
+    block[2, 3] = block[3, 2] = f_u
+    block[0, 2] = block[2, 0] = f_g
+    block[1, 3] = block[3, 1] = f_g
+    return block
+
+
+def sector_matrices(
+    params: PjtParams, cutoff: int, j_values=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real symmetric matrices of the requested J sectors.
+
+    Args:
+        params: Model parameters.
+        cutoff: Fock cutoff N.
+        j_values: Integer J of each sector; default 0 .. N + 1.
+
+    Returns:
+        (j_values, dims, stack): sector k occupies stack[k, :dims[k],
+        :dims[k]]; the rest of each matrix is a diagonal padding above all
+        of its eigenvalues.
+    """
+    check_cutoff(cutoff)
+    js = np.arange(cutoff + 2) if j_values is None else np.asarray(j_values, dtype=int)
+    layout = _layout(cutoff, js)
+    return layout.j_values, layout.dims, _fill(params, layout)
 
 
 @dataclass(frozen=True)
@@ -318,83 +405,218 @@ def distortion_expectation(state_vector, basis: FockBasis) -> float:
     return math.sqrt(second_moment)
 
 
+def rotation_generator(basis: FockBasis) -> sparse.csr_matrix:
+    """Real antisymmetric K over electronic x Fock space with J = L_z + S = iK.
+
+    L_z = i (a_y^dag a_x - a_x^dag a_y) is the phonon angular momentum and
+    S = i (|Eux><Euy| - |Euy><Eux|) is +1 on E+ = (Eux - i Euy) / sqrt(2) and
+    -1 on E- = (Eux + i Euy) / sqrt(2). <J^2> of a real vector v is
+    ||K v||^2.
+    """
+    rows, cols, vals = [], [], []
+    for k, (n, m) in enumerate(basis.states):
+        if n >= 1:
+            # a_y^dag a_x |n, m> = sqrt(n (m + 1)) |n - 1, m + 1>
+            rows.append(basis.index[(n - 1, m + 1)])
+            cols.append(k)
+            vals.append(math.sqrt(n * (m + 1.0)))
+        if m >= 1:
+            # -a_x^dag a_y |n, m> = -sqrt((n + 1) m) |n + 1, m - 1>
+            rows.append(basis.index[(n + 1, m - 1)])
+            cols.append(k)
+            vals.append(-math.sqrt((n + 1.0) * m))
+    phonon = sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
+    electronic = np.zeros((4, 4))
+    electronic[2, 3], electronic[3, 2] = 1.0, -1.0
+    electronic = SYMMETRY_TRANSFORM.T @ electronic @ SYMMETRY_TRANSFORM
+    return (
+        sparse.kron(sparse.csr_matrix(electronic), sparse.identity(basis.size))
+        + sparse.kron(sparse.identity(4), phonon)
+    ).tocsr()
+
+
+def c3_rotation(basis: FockBasis) -> np.ndarray:
+    """The geometric C3: a turn by 120 degrees of (X, Y) and of both orbital
+    doublets, each x -> cos x + sin y and y -> cos y - sin x.
+
+    The phonon part maps |n, m> = (a_x^dag)^n (a_y^dag)^m |0> / sqrt(n! m!) to
+    the same polynomial in the turned creation operators.
+    """
+    c, s = math.cos(2.0 * math.pi / 3.0), math.sin(2.0 * math.pi / 3.0)
+    phonon = np.zeros((basis.size, basis.size))
+    for k, (n, m) in enumerate(basis.states):
+        # Coefficients by power p of a_x^dag; a_y^dag carries the rest.
+        poly = np.ones(1)
+        for _ in range(n):
+            poly = np.convolve(poly, [s, c])
+        for _ in range(m):
+            poly = np.convolve(poly, [c, -s])
+        for p, coefficient in enumerate(poly):
+            q = n + m - p
+            norm = math.sqrt(
+                math.factorial(p) * math.factorial(q) / (math.factorial(n) * math.factorial(m))
+            )
+            phonon[basis.index[(p, q)], k] = coefficient * norm
+    # One doublet over (y, x); a determinant's index is 2 g + u.
+    doublet = np.array([[c, s], [-s, c]])
+    return np.kron(np.kron(doublet, doublet), phonon)
+
+
+def reflection(basis: FockBasis) -> sparse.csr_matrix:
+    """Y -> -Y: diag(1, -1, -1, 1) over the determinants times (-1)^m."""
+    signs = np.array([(-1.0) ** m for (_, m) in basis.states])
+    return sparse.diags(np.kron([1.0, -1.0, -1.0, 1.0], signs), format="csr")
+
+
+# Levels closer than this form one multiplet, in which a full-space solver
+# returns any orthonormal basis.
+MULTIPLET_TOL_MEV = 1e-6
+
+
+def multiplets(energies) -> list[np.ndarray]:
+    """Indices of each run of ascending energies closer than MULTIPLET_TOL_MEV."""
+    starts = np.flatnonzero(np.diff(np.asarray(energies, dtype=float)) >= MULTIPLET_TOL_MEV) + 1
+    return np.split(np.arange(len(energies)), starts)
+
+
+def symmetry_vectors(energies, vectors, basis: FockBasis) -> np.ndarray:
+    """Eigenvectors turned within each multiplet to diagonalize J^2 and, among
+    those of J = 0, the reflection; ascending |J| and even before odd.
+
+    The multiplets must be complete, so that each spans a space J and the
+    reflection keep.
+    """
+    vectors = np.array(vectors, dtype=float)
+    generator, mirror = rotation_generator(basis), reflection(basis)
+    for members in multiplets(energies):
+        part = vectors[:, members]
+        turned = generator @ part
+        part = part @ np.linalg.eigh(turned.T @ turned)[1]
+        zero = np.linalg.norm(generator @ part, axis=0) < 0.5
+        if zero.any():
+            even_first = np.linalg.eigh(part[:, zero].T @ (mirror @ part[:, zero]))[1][:, ::-1]
+            part[:, zero] = part[:, zero] @ even_first
+        vectors[:, members] = part
+    return vectors
+
+
+@dataclass(eq=False)
+class ClassifiedLevel:
+    """One full-space level with its symmetry and observables.
+
+    j_squared is <J^2>, reflection is <Y -> -Y>; label follows from them:
+    A2u or A1u for even or odd J = 0, A1u+A2u for |J| a nonzero multiple of
+    3, Eu otherwise.
+    """
+
+    energy: float
+    j_squared: float
+    reflection: float
+    character: np.ndarray
+    distortion_r: float
+
+    @property
+    def j(self) -> int:
+        return round(math.sqrt(max(self.j_squared, 0.0)))
+
+    @property
+    def label(self) -> str:
+        if self.j == 0:
+            return "A2u" if self.reflection > 0 else "A1u"
+        return "A1u+A2u" if self.j % 3 == 0 else "Eu"
+
+
 def classify_levels(
     energies,
     vectors,
     basis: FockBasis,
     *,
-    degeneracy_tol: float = DEGENERACY_TOL_MEV,
     compute_r: bool = True,
-) -> list[LevelGroup]:
-    """Group levels into degenerate multiplets with pooled characters.
+) -> list[ClassifiedLevel]:
+    """Label full-space levels from <J^2> and the reflection parity.
 
-    Consecutive energies closer than degeneracy_tol are merged into one
-    group. If the last computed level is itself part of a larger multiplet
-    that the solve truncated, the pooled values cover only the captured
-    members.
+    The eigenvectors are first turned by symmetry_vectors, so the
+    multiplets must be complete.
 
     Args:
         energies: Ascending energies, meV.
         vectors: Matching eigenvector columns.
         basis: Phonon basis.
-        degeneracy_tol: Gap below which neighbors are one multiplet, meV.
-        compute_r: Also evaluate R per group (skipping it avoids truncation
+        compute_r: Also evaluate R per level (skipping it avoids truncation
             warnings when only energies and labels are needed).
 
     Returns:
-        LevelGroups in ascending energy order.
+        ClassifiedLevels in the order of symmetry_vectors.
     """
     energies = np.asarray(energies, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    characters = [electronic_character(vectors[:, i], basis) for i in range(energies.size)]
-    r_squared = None
-    if compute_r:
-        r_squared = [
-            distortion_expectation(vectors[:, i], basis) ** 2
-            for i in range(energies.size)
-        ]
-    return _pool_levels(energies, characters, r_squared, degeneracy_tol)
+    vectors = symmetry_vectors(energies, vectors, basis)
+    j_squared = np.linalg.norm(rotation_generator(basis) @ vectors, axis=0) ** 2
+    parity = np.einsum("si,si->i", vectors, reflection(basis) @ vectors)
+    return [
+        ClassifiedLevel(
+            energy=float(energies[i]),
+            j_squared=float(j_squared[i]),
+            reflection=float(parity[i]),
+            character=electronic_character(vectors[:, i], basis),
+            distortion_r=(
+                distortion_expectation(vectors[:, i], basis) if compute_r else math.nan
+            ),
+        )
+        for i in range(energies.size)
+    ]
 
 
 def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLevels:
-    """Lowest num_states levels from an eigh of every sector, one sector at a time.
+    """Lowest num_states levels from an eigh of both halves of sector 0 and of
+    every sector J = 1 .. N + 1, one block at a time.
 
-    Ties between levels resolve as in pjtdiag.sectors.lowest_levels: sector
-    by sector, then the mirrors -J of the sectors J > 0.
+    Ties between levels resolve as in pjtdiag.sectors.lowest_levels: the
+    even half, the odd half, the sectors J = 1 .. N + 1, then their mirrors.
     """
-    js, dims, stack = sector_matrices(params, cutoff)
-    layout = _layout(cutoff, js)
-    values, vectors = np.linalg.eigh(stack)
-    sec, col = np.nonzero(np.arange(stack.shape[1]) < dims[:, None])
-    mirrored = js[sec] > 0
-    sec = np.concatenate([sec, sec[mirrored]])
-    col = np.concatenate([col, col[mirrored]])
-    order = np.argsort(values[sec, col], kind="stable")[:num_states]
-    sec, col = sec[order], col[order]
-    energies = values[sec, col]
+    layout = _layout(
+        cutoff, np.array([0, 0, *range(1, cutoff + 2)]), np.array([1, -1] + [0] * (cutoff + 1))
+    )
+    stack = _fill(params, layout)
+    solved = [np.linalg.eigh(matrix) for matrix in stack]
+    # (energy, block, column, signed J), the mirrors last.
+    candidates, mirrors = [], []
+    for block, dim in enumerate(layout.dims):
+        j = int(layout.j_values[block])
+        for column in range(dim):
+            level = (solved[block][0][column], block, column)
+            candidates.append((*level, j))
+            if j > 0:
+                mirrors.append((*level, -j))
+    candidates += mirrors
+    order = np.argsort([c[0] for c in candidates], kind="stable")[:num_states]
 
+    picked = [candidates[i] for i in order]
+    energies = np.array([c[0] for c in picked])
     residuals, top, r_squared = (np.empty(num_states) for _ in range(3))
     by_component = np.empty((num_states, 4))
-    for k in np.unique(sec):
-        rows = sec == k
-        part = vectors[k][:, col[rows]].T
+    for i, (energy, block, column, _) in enumerate(picked):
+        part = solved[block][1][:, column]
         weight = part * part
-        component = layout.component[k]
-        residuals[rows] = np.linalg.norm(
-            part @ stack[k] - part * energies[rows, None], axis=1
-        )
-        by_component[rows] = weight @ (component[:, None] == np.arange(4))
-        top[rows] = weight @ ((layout.shell[k] >= cutoff - 1) & (component >= 0))
-        r_squared[rows] = weight @ layout.moment_diag[k] + 2.0 * (
-            (part[:, :-1] * part[:, 1:]) @ layout.moment_off[k, :-1]
+        component = layout.component[block]
+        residuals[i] = np.linalg.norm(stack[block] @ part - part * energy)
+        by_component[i] = weight @ (component[:, None] == np.arange(4))
+        shell = layout.shell[block]
+        top[i] = weight @ ((shell >= cutoff - 1) & (component >= 0))
+        moment = np.where(shell < cutoff, shell + 1.0, 0.5 * cutoff) * (component >= 0)
+        r_squared[i] = weight @ moment + 2.0 * (
+            (part[:-1] * part[1:]) @ layout.moment_off[block, :-1]
         )
     doublet = 0.5 * (by_component[:, 2] + by_component[:, 3])
+    size = stack.shape[-1]
     return SectorLevels(
         energies=energies,
+        j=np.array([c[3] for c in picked], dtype=int),
+        parity=layout.parity[[c[1] for c in picked]],
         character=np.column_stack(
             [by_component[:, 0], by_component[:, 1], doublet, doublet]
         ),
         r_squared=r_squared,
         top_shell_weight=top,
         residuals=residuals,
+        resolution=8.0 * size * np.finfo(float).eps * stack[:, range(size), range(size)].max(),
     )

@@ -1,4 +1,7 @@
-"""State characters, distortion, level grouping, delta, and sheet scans."""
+"""State characters, distortion, level labels, delta, and sheet scans."""
+
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from pjtdiag import (
     StateOrderingError,
     TruncationWarning,
     apes_scan,
+    converge_cutoff,
     delta_splitting,
     ejt_from_couplings,
     spectrum_report,
@@ -132,23 +136,26 @@ def test_degenerate_pair_distortion_identical(siv_solution):
 
 def test_classify_levels_siv(siv_solution):
     basis, result = siv_solution
-    groups = classify_levels(result.energies, result.vectors, basis)
-    assert [group.degeneracy for group in groups] == [1, 2, 2, 2, 1]
-    assert groups[0].label == "A2u"
-    assert groups[1].label == "Eu"
-    for group in groups:
-        assert group.character.sum() == pytest.approx(1.0, abs=1e-10)
-        assert group.energy == pytest.approx(
-            np.mean(result.energies[list(group.indices)]), abs=1e-9
-        )
+    levels = classify_levels(result.energies, result.vectors, basis)
+    assert [level.j for level in levels] == [0, 1, 1, 2, 2, 3, 3, 0]
+    assert [level.label for level in levels] == (
+        ["A2u"] + ["Eu"] * 4 + ["A1u+A2u"] * 2 + ["A2u"]
+    )
+    for level in levels:
+        assert level.j_squared == pytest.approx(level.j**2, abs=1e-9)
+        assert level.character.sum() == pytest.approx(1.0, abs=1e-10)
+    assert [level.reflection for level in levels if level.j == 0] == pytest.approx(
+        [1.0, 1.0], abs=1e-9
+    )
+    assert [level.energy for level in levels] == result.energies.tolist()
 
 
 def test_classify_levels_without_distortion(siv_solution):
     basis, result = siv_solution
-    groups = classify_levels(
+    levels = classify_levels(
         result.energies, result.vectors, basis, compute_r=False
     )
-    assert all(np.isnan(group.distortion_r) for group in groups)
+    assert all(np.isnan(level.distortion_r) for level in levels)
 
 
 def test_delta_splitting_matches_frozen_values():
@@ -175,6 +182,35 @@ def test_delta_splitting_rejects_inverted_ordering():
     )
     with pytest.raises(StateOrderingError):
         delta_splitting(inverted, 8)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # Without coupling and with Lambda = Xi, A2u ties with the Eu pair.
+        PjtParams(hbar_omega=80.0, lambda_corr=10.0, xi_corr=10.0, f_g=0.0, f_u=0.0),
+        # With f_g = 0 and Lambda = Xi = 0 the e_g orbital is a spectator,
+        # and every level is at least twofold.
+        PjtParams(hbar_omega=20.0, lambda_corr=0.0, xi_corr=0.0, f_g=0.0, f_u=1.0),
+    ],
+    ids=["decoupled", "spectator"],
+)
+def test_degenerate_ground_refused_at_every_cutoff(params):
+    # Rounding orders the tied ground levels differently from one cutoff to
+    # the next; the refusal must not depend on it.
+    cutoffs = range(1, 21)
+    refusal = r"lowest level is not a nondegenerate A2u-type state \(multiplicity [2-9]"
+    for cutoff in cutoffs:
+        with pytest.raises(StateOrderingError, match=refusal):
+            delta_splitting(params, cutoff)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            with pytest.raises(StateOrderingError, match=refusal):
+                spectrum_report(params, cutoff)
+    for row in converge_cutoff(params, cutoffs, 8).rows:
+        assert row.energies is not None
+        assert np.isnan(row.delta)
+        assert re.match(refusal, row.error)
 
 
 def test_apes_scan_origin_characters():
@@ -244,8 +280,12 @@ def test_spectrum_report_zero_coupling_pattern():
     assert states[2].dominant_label == "Eu"
     # without coupling the gap is the bare electronic one
     assert report.delta == pytest.approx(78.3 - 45.0, abs=1e-8)
-    partners = [state for state in states if state.dominant_label == "A1u"]
-    assert partners
-    assert partners[0].energy - states[0].energy == pytest.approx(
-        2.0 * 78.3, abs=1e-8
-    )
+    # The bare A1u level, 2 Lambda above the ground level, is the odd
+    # J = 0 level of pure A1u character.
+    partners = [
+        state for state in states
+        if abs(state.energy - states[0].energy - 2.0 * 78.3) < 1e-8
+    ]
+    assert [state.dominant_label for state in partners] == ["A1u"]
+    assert partners[0].character[1] == pytest.approx(1.0, abs=1e-12)
+    assert partners[0].degeneracy == 1

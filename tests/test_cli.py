@@ -104,6 +104,20 @@ def test_spectrum_states_flag(capsys):
     assert len(rows) == 5
 
 
+def test_spectrum_labels_follow_j(capsys):
+    # By J: 0, 1, 1, 2, 2, 3, 3, 0, 4, 4, 1, 1, 2, 2, 5, 5, 3, 3, 6, 6, 0, 1, 1, 4.
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--preset", "SiV", "--cutoff", "15", "--states", "24"
+    )
+    assert code == 0
+    _, rows, footers = split_csv(out)
+    assert [row[2] for row in rows] == (
+        ["A2u"] + ["Eu"] * 4 + ["A1u+A2u"] * 2 + ["A2u"] + ["Eu"] * 8
+        + ["A1u+A2u"] * 4 + ["A2u"] + ["Eu"] * 3
+    )
+    assert footers == ["delta_mev=6.664543"]
+
+
 def test_apes_origin_row(capsys):
     code, out, err = run_cli(capsys, "apes", "--preset", "SiV")
     assert code == 0

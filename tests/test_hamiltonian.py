@@ -15,11 +15,9 @@ from pjtdiag import (
     classical_apes,
     couplings_from_ejt,
     ejt_from_couplings,
-    pjt_coupling_block,
-    w_matrix,
 )
-from pjtdiag.hamiltonian import SYMMETRY_LABELS, SYMMETRY_TRANSFORM
-from reference import assemble, build_basis
+from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
+from reference import SYMMETRY_LABELS, assemble, build_basis, pjt_coupling_block, w_matrix
 
 SIV = PRESETS["SiV"].params
 
