@@ -97,33 +97,30 @@ def _delta(levels: SectorLevels) -> float:
     return float(energies[doublets[0]] - energies[0])
 
 
-def delta_splitting(
-    params: PjtParams,
-    cutoff: int,
-    *,
-    num_states: int = 8,
-    tolerance: float = 1e-8,
-) -> float:
+def delta_splitting(params: PjtParams, cutoff: int, *, num_states: int = 8) -> float:
     """Gap between the lowest vibronic level and the Eu-type doublet above it.
 
     Computes num_states levels at the given cutoff and measures the lowest
     Eu-type level's distance from the nondegenerate A2u-type ground state.
+    Levels and ties are resolved to SectorLevels.resolution, which scales
+    with the energies, so delta(s * params) is s * delta(params).
 
     Args:
         params: Model parameters.
         cutoff: Fock cutoff (the default elsewhere is 15).
         num_states: Levels to compute, >= 3.
-        tolerance: Residual bound, meV.
 
     Returns:
         delta in meV (positive in the expected regime).
 
     Raises:
+        ValueError: invalid request, or matrix elements beyond the float range.
+        ConvergenceError: a residual exceeds the resolution.
         StateOrderingError: expected level pattern absent.
     """
     if num_states < 3:
         raise ValueError(f"num_states must be >= 3 to resolve the doublet, got {num_states}")
-    return _delta(lowest_levels(params, cutoff, num_states, tolerance=tolerance))
+    return _delta(lowest_levels(params, cutoff, num_states))
 
 
 @dataclass(eq=False)
@@ -163,7 +160,6 @@ def converge_cutoff(
     cutoffs,
     num_states: int,
     *,
-    tolerance: float = 1e-8,
     ground_tolerance: float = 1e-3,
 ) -> ConvergenceStudy:
     """Levels and delta at a ladder of Fock cutoffs, to monitor convergence.
@@ -172,13 +168,13 @@ def converge_cutoff(
     ascending ladder; the convergence flag compares the last two rows that
     have energies against ground_tolerance. A cutoff whose levels or delta
     cannot be computed is recorded in its row instead of stopping the
-    ladder.
+    ladder: a cutoff refused by lowest_levels, a residual above the
+    resolution, or a level pattern without delta.
 
     Args:
         params: Model parameters.
         cutoffs: Strictly ascending integers, at least two.
         num_states: Levels to compute at every cutoff, >= 1.
-        tolerance: Residual bound, meV.
         ground_tolerance: Ground-energy agreement defining "converged", meV.
 
     Returns:
@@ -186,8 +182,8 @@ def converge_cutoff(
 
     Raises:
         TypeError: a cutoff or num_states that is not an integer.
-        ValueError: a ladder, level count or tolerance that no cutoff could
-            satisfy; per-cutoff failures go into the rows instead.
+        ValueError: a ladder, level count or ground_tolerance that no cutoff
+            could satisfy; per-cutoff failures go into the rows instead.
     """
     ladder = [as_index(c, f"cutoffs[{i}]") for i, c in enumerate(cutoffs)]
     if len(ladder) < 2:
@@ -196,15 +192,13 @@ def converge_cutoff(
         raise ValueError(f"cutoffs must be strictly ascending, got {ladder}")
     if as_index(num_states, "num_states") < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     if not ground_tolerance > 0:
         raise ValueError(f"ground_tolerance must be > 0, got {ground_tolerance}")
 
     rows: list[CutoffResult] = []
     for cutoff in ladder:
         try:
-            levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
+            levels = lowest_levels(params, cutoff, num_states)
         except (ValueError, ConvergenceError) as exc:
             rows.append(CutoffResult(cutoff, None, math.nan, str(exc)))
             continue
@@ -259,39 +253,35 @@ class SpectrumReport:
     delta: float
 
 
-def spectrum_report(
-    params: PjtParams,
-    cutoff: int,
-    num_states: int = 8,
-    *,
-    tolerance: float = 1e-8,
-) -> SpectrumReport:
+def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> SpectrumReport:
     """Solve, label, and package the low-lying spectrum.
 
     Each level is labelled from its J and reflection parity. The two
     levels of a pair +-J share their characters and R exactly; a request
     that ends inside a pair reports only its first member. Warns with
     TruncationWarning for each level with more than 1% weight in the top
-    two Fock shells.
+    two Fock shells. Every level's residual is at most
+    SectorLevels.resolution.
 
     Args:
         params: Model parameters.
         cutoff: Fock cutoff.
         num_states: Levels to report, >= 3.
-        tolerance: Residual bound, meV.
 
     Returns:
         SpectrumReport with states ascending and delta > 0 in the expected
         regime.
 
     Raises:
+        ValueError: invalid request, or matrix elements beyond the float range.
+        ConvergenceError: a residual exceeds the resolution.
         StateOrderingError: the level pattern needed to define delta is
             absent: the ground level is degenerate or not A2u-type, or no
             Eu-type level was computed.
     """
     if num_states < 3:
         raise ValueError(f"num_states must be >= 3, got {num_states}")
-    levels = lowest_levels(params, cutoff, num_states, tolerance=tolerance)
+    levels = lowest_levels(params, cutoff, num_states)
     for top_weight in levels.top_shell_weight:
         _warn_if_truncated(top_weight, stacklevel=3)
     delta = _delta(levels)

@@ -2,10 +2,12 @@
 
 All commands emit deterministic CSV (period decimal separator, fixed column
 order, '#' provenance comments, no timestamps) to standard output or to
---output. Exit status 0 means every requested computation met its tolerance.
-Each command takes the parsed arguments with the resolved parameters; the
-library refuses invalid levels, tolerances, cutoffs and sheet ranges before
-anything is written, so the CLI checks only what it must refuse earlier.
+--output. Exit status 0 means every requested computation succeeded, each
+level with a residual within the resolution of its sector matrices. Each
+command takes the parsed arguments with the resolved parameters; the
+library refuses invalid levels, cutoffs, sheet ranges and overflowing
+matrices before anything is written, so the CLI checks only what it must
+refuse earlier.
 Levels with much weight in the top Fock shells are reported as 'warning:'
 lines on standard error; the CSV is the same with or without them.
 
@@ -79,7 +81,6 @@ def _parser() -> argparse.ArgumentParser:
     add_source(spectrum)
     spectrum.add_argument("--cutoff", type=int, default=15, help="Fock cutoff (default 15)")
     spectrum.add_argument("--states", type=int, default=8, help="levels to report (default 8)")
-    spectrum.add_argument("--tolerance", type=float, default=1e-8, help="residual bound in meV")
     spectrum.add_argument("--output", default=None, help="write CSV here instead of stdout")
 
     apes = sub.add_parser(
@@ -101,7 +102,6 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated ascending cutoffs (default 5,10,15,20)",
     )
     converge.add_argument("--states", type=int, default=8, help="levels per cutoff (default 8)")
-    converge.add_argument("--tolerance", type=float, default=1e-8, help="residual bound in meV")
     converge.add_argument("--output", default=None, help="write CSV here instead of stdout")
     return parser
 
@@ -160,8 +160,6 @@ def _check_args(args: argparse.Namespace) -> None:
         # per state; refuse such a ladder here once instead.
         if args.states < 3:
             raise ValueError(f"--states must be >= 3, got {args.states}")
-        if not args.tolerance > 0:
-            raise ValueError(f"--tolerance must be > 0, got {args.tolerance}")
         args.cutoffs = _parse_cutoff_list(args.cutoffs)
         check_cutoff(args.cutoffs[-1], args.states)
 
@@ -193,9 +191,7 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
-            report = spectrum_report(
-                params, args.cutoff, num_states=args.states, tolerance=args.tolerance
-            )
+            report = spectrum_report(params, args.cutoff, num_states=args.states)
     finally:
         # A degenerate multiplet repeats one message; print it once, as the
         # default warning filter did.
@@ -207,12 +203,7 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
                 printed.add(str(w.message))
                 print(f"warning: {w.message}", file=sys.stderr)
     with _open_output(args.output) as out:
-        _write_provenance(
-            out,
-            args,
-            source,
-            f"cutoff={args.cutoff} states={args.states} tolerance={args.tolerance:g}",
-        )
+        _write_provenance(out, args, source, f"cutoff={args.cutoff} states={args.states}")
         out.write("index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n")
         for i, state in enumerate(report.states):
             w = state.character
@@ -251,14 +242,13 @@ def cmd_converge(args: argparse.Namespace, params: PjtParams, source: str) -> in
     whose level pattern leaves delta undefined gets delta_mev=nan. Either
     condition makes the exit status nonzero.
     """
-    study = converge_cutoff(params, args.cutoffs, args.states, tolerance=args.tolerance)
+    study = converge_cutoff(params, args.cutoffs, args.states)
     with _open_output(args.output) as out:
         _write_provenance(
             out,
             args,
             source,
-            f"cutoffs={','.join(str(c) for c in args.cutoffs)} "
-            f"states={args.states} tolerance={args.tolerance:g}",
+            f"cutoffs={','.join(str(c) for c in args.cutoffs)} states={args.states}",
         )
         energy_columns = ",".join(f"e{i}_mev" for i in range(args.states))
         out.write(f"cutoff,{energy_columns},delta_mev\n")

@@ -78,7 +78,7 @@ _COUPLED = ((0, 2), (1, 2), (3, 0), (3, 1))
 
 
 class ConvergenceError(RuntimeError):
-    """A diagonalization could not push every residual below the requested tolerance.
+    """A diagonalization left a residual above SectorLevels.resolution.
 
     Carries the best energies and residuals reached so that callers can
     diagnose without rerunning.
@@ -235,8 +235,13 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
     )
 
 
+@np.errstate(over="ignore")
 def _fill(params: PjtParams, layout: _Layout) -> np.ndarray:
-    """Padded stack of block matrices; padding sits above every level."""
+    """Padded stack of block matrices; padding sits above every level.
+
+    An element or row sum beyond the float range makes the padding inf,
+    without a warning.
+    """
     blocks, size = layout.component.shape
     f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g
     # 1/2 <target|B-|source> of the _COUPLED pairs.
@@ -257,11 +262,13 @@ def _fill(params: PjtParams, layout: _Layout) -> np.ndarray:
     )
     # Gershgorin: every eigenvalue is at most the largest absolute row sum,
     # summed from the coupling list so that no copy of the stack is made.
+    # That sum is positive (hbar_omega > 0), so twice it lies strictly above
+    # every level and scales with H.
     row_sums = np.abs(diagonal)
     magnitudes = np.abs(values)
     np.add.at(row_sums, (sec, row), magnitudes)
     np.add.at(row_sums, (sec, col), magnitudes)
-    ceiling = row_sums.max() + 1.0
+    ceiling = 2.0 * row_sums.max()
     index = np.arange(size)
     stack[:, index, index] = np.where(real, diagonal, ceiling)
     return stack
@@ -305,12 +312,15 @@ class SectorLevels:
             the E+ and E- weight splits evenly onto Eux and Euy.
         r_squared: <X^2 + Y^2> of the truncated position operators.
         top_shell_weight: Weight in the top two Fock shells.
-        residuals: ||H v - E v|| in the sector, meV.
+        residuals: ||H v - E v|| in the sector, meV, each at most resolution.
         resolution: Energies closer than this are equal to rounding, meV:
             8 size eps ||H||, several times the rounding error of an
             eigenvalue from eigh (about size eps ||H||; Golub & Van Loan,
             Matrix Computations, ch. 8), with ||H|| bounded by _fill's
-            Gershgorin ceiling.
+            Gershgorin ceiling. It also bounds the residuals: for symmetric
+            H, a unit v with ||H v - E v|| <= resolution has an eigenvalue
+            within resolution of E. It scales with the five energies, so the
+            unit of energy decides neither ties nor acceptance.
     """
 
     energies: np.ndarray
@@ -345,7 +355,7 @@ def _lowest(values: np.ndarray, layout: _Layout, num_states: int) -> tuple[np.nd
 def _all_above(stack: np.ndarray, level: float, ceiling: float) -> bool:
     """Whether every level of every matrix in a padded sector stack lies above level.
 
-    ceiling is _fill's Gershgorin ceiling, above |every level|. By
+    ceiling is _fill's Gershgorin ceiling, finite and above |every level|. By
     Sylvester's law of inertia, H - s I has a Cholesky factorization exactly
     when H has no eigenvalue at or below s. In floating point, a
     factorization that succeeds is exact for H - s I + E, where ||E|| is
@@ -359,9 +369,6 @@ def _all_above(stack: np.ndarray, level: float, ceiling: float) -> bool:
     """
     size = stack.shape[-1]
     shift = level + 8.0 * size * size * np.finfo(float).eps * ceiling
-    if not np.isfinite(shift):
-        # The ceiling overflowed: no bound, and LAPACK passes inf and nan.
-        return False
     # Shifted in place, and restored exactly, so that no copy of the stack
     # sits beside the factor.
     index = np.arange(size)
@@ -383,20 +390,24 @@ def _observables(
     layout: _Layout,
     block: np.ndarray,
     col: np.ndarray,
+    ceiling: float,
 ) -> np.ndarray:
     """(residual, w_a2u, w_a1u, w_e+, w_e-, top-shell weight, R^2) of the
     levels (block, col) of the stack, one row each.
 
     A block's wanted levels are its lowest columns, so the observables are
     formed for the lowest columns of the blocks up to the highest one used,
-    and the wanted levels are gathered from them.
+    and the wanted levels are gathered from them. The residuals are squared
+    in units of ceiling, which bounds them, so that they neither overflow
+    nor underflow.
     """
     used, width = block.max() + 1, col.max() + 1
     cols = vectors[:used, :, :width]
     residual = stack[:used] @ cols
     residual -= cols * values[:used, None, :width]
+    residual /= ceiling
     residual *= residual
-    residuals = np.sqrt(residual.sum(axis=1))
+    residuals = ceiling * np.sqrt(residual.sum(axis=1))
     # Freed before the weights, so that at most two arrays of the size of
     # cols are live beside the stack and its eigenvectors.
     del residual
@@ -407,13 +418,7 @@ def _observables(
     return np.column_stack([residuals[block, col], observed[block, col]])
 
 
-def lowest_levels(
-    params: PjtParams,
-    cutoff: int,
-    num_states: int,
-    *,
-    tolerance: float = 1e-8,
-) -> SectorLevels:
+def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLevels:
     """Lowest num_states levels, diagonalizing only the sectors that can hold one.
 
     The two halves of sector 0 and the sectors J = 1 .. num_states // 2
@@ -424,29 +429,30 @@ def lowest_levels(
     inertia it succeeds only if every level of sector J lies above U +
     margin, and those sectors are then skipped. If it fails they are
     diagonalized too. Either way the levels, and the choice among levels
-    tied at U, are those of a diagonalization of every sector.
+    tied at U, are those of a diagonalization of every sector. A level is
+    accepted only if its residual is at most SectorLevels.resolution.
 
     Args:
         params: Model parameters.
         cutoff: Fock cutoff N.
         num_states: Levels wanted, 1 .. 2 (N + 1)(N + 2).
-        tolerance: Residual bound, meV.
 
     Returns:
         SectorLevels in ascending energy order.
 
     Raises:
-        ValueError: invalid request or a cutoff beyond the memory limit.
-        ConvergenceError: a residual exceeds tolerance.
+        ValueError: invalid request, a cutoff beyond the memory limit, or
+            matrix elements beyond the float range.
+        ConvergenceError: a residual exceeds the resolution or is not finite.
     """
     check_cutoff(cutoff, num_states)
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     layout = _sector_layout(cutoff)
     stack = _fill(params, layout)
     # Every block holds fewer than 2N + 2 states, so it carries padding,
     # whose diagonal is _fill's Gershgorin ceiling: above |every level|.
     ceiling = stack.diagonal(axis1=1, axis2=2).max()
+    if not np.isfinite(ceiling):
+        raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
     head = min(len(stack), 2 + num_states // 2)
     values, vectors = np.linalg.eigh(stack[:head])
     energies, block, col, j = _lowest(values, layout, num_states)
@@ -456,12 +462,13 @@ def lowest_levels(
         vectors = np.concatenate([vectors, rest_vectors])
         energies, block, col, j = _lowest(values, layout, num_states)
 
-    table = _observables(stack, values, vectors, layout, block, col)
+    table = _observables(stack, values, vectors, layout, block, col, ceiling)
     residuals = table[:, 0]
-    if np.any(residuals > tolerance):
+    resolution = 8.0 * stack.shape[-1] * np.finfo(float).eps * ceiling
+    if not np.all(residuals <= resolution):
         raise ConvergenceError(
             f"sector residuals up to {residuals.max():.3e} meV exceed "
-            f"tolerance {tolerance:.3e}",
+            f"the resolution {resolution:.3e} meV",
             energies=energies,
             residuals=residuals,
         )
@@ -474,5 +481,5 @@ def lowest_levels(
         r_squared=table[:, 6],
         top_shell_weight=table[:, 5],
         residuals=residuals,
-        resolution=8.0 * stack.shape[-1] * np.finfo(float).eps * ceiling,
+        resolution=resolution,
     )

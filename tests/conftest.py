@@ -4,6 +4,7 @@ Tests marked ``@pytest.mark.acceptance(num=..., title=...)`` get one summary
 line each at the end of the run, so the gate can be read at a glance.
 """
 
+import numpy as np
 import pytest
 
 from pjtdiag import PRESETS
@@ -50,3 +51,16 @@ def siv_solution():
     hamiltonian = assemble(PRESETS["SiV"].params, basis)
     result = solve(hamiltonian, 8)
     return basis, result
+
+
+@pytest.fixture
+def perturbed_eigh(monkeypatch):
+    """np.linalg.eigh with every eigenvector component raised by 1e-6, so
+    that the residuals lie far above the resolution of any sector matrix."""
+    eigh = np.linalg.eigh
+
+    def perturbed(stack):
+        values, vectors = eigh(stack)
+        return values, vectors + 1e-6
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)

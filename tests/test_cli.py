@@ -520,13 +520,14 @@ def test_unwritable_output_rejected(tmp_path, capsys):
     "argv, message",
     [
         (("spectrum", "--states", "2"), "num_states must be >= 3"),
-        (("spectrum", "--tolerance", "0"), "tolerance must be > 0"),
+        (("spectrum", "--cutoff", "1000"),
+         "cutoff 1000 needs 30670 MiB of sector matrices, beyond the 256 MiB limit"),
         (("spectrum", "--cutoff", "0"), "--cutoff must be >= 1"),
         (("apes", "--xmax", "inf"), "scan range must be finite"),
         (("apes", "--points", "3", "--xmin", "0", "--xmax", "1e308"),
          "sheet energies at (5e+307, 0.0) are beyond the float range"),
         (("converge", "--states", "2"), "--states must be >= 3"),
-        (("converge", "--tolerance", "0"), "--tolerance must be > 0"),
+        (("converge", "--cutoffs", "0,5"), "--cutoffs values must be >= 1, got '0,5'"),
         (("apes", "--points", "100000000"),
          "--points 100000000 needs 52643 MiB of scan points, beyond the 256 MiB limit"),
         (("converge", "--cutoffs", "1,2", "--states", "200000"),
@@ -538,3 +539,38 @@ def test_refusals_exit_before_output(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "converge"])
+def test_tolerance_flag_is_gone(capsys, command):
+    # Residuals are checked against the resolution of the sector matrices.
+    code, out, err = run_cli(capsys, command, "--preset", "SiV", "--tolerance", "1e-8")
+    assert code == ("SystemExit", 2)
+    assert out == ""
+    assert "unrecognized arguments: --tolerance 1e-8" in err
+
+
+def test_matrix_beyond_float_range_refused(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(
+        "hbar_omega_mev=7.59e307\nlambda_mev=7.83e307\nxi_mev=4.5e307\n"
+        "f_g_mev=9.5e307\nf_u_mev=1.03e308\n"
+    )
+    code, out, err = run_cli(capsys, "spectrum", "--params", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: matrix elements at cutoff 15 are beyond the float range\n"
+    code, out, err = run_cli(capsys, "converge", "--params", str(path), "--cutoffs", "2,4")
+    assert code == 1
+    assert split_csv(out)[1] == []
+    assert err.splitlines() == [
+        f"cutoff {c}: matrix elements at cutoff {c} are beyond the float range" for c in (2, 4)
+    ]
+
+
+def test_unconverged_levels_exit_1(perturbed_eigh, capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--preset", "SiV")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: solver did not converge: sector residuals up to ")
+    assert "exceed the resolution" in err

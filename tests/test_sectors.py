@@ -1,16 +1,18 @@
 """Conserved-J sectors against the full product-space route."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pjtdiag import (
     PRESETS,
+    ConvergenceError,
     PjtParams,
     StateOrderingError,
     TruncationWarning,
@@ -379,3 +381,79 @@ def test_too_many_states_refused():
 def test_non_integer_cutoff_or_level_count_refused(call, name, value):
     with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value}")):
         call()
+
+
+def scaled(params, scale):
+    """params with all five energies multiplied by scale."""
+    return PjtParams(*(scale * value for value in dataclasses.astuple(params)))
+
+
+def tied_runs(levels):
+    """Sorted (J, parity) pairs of each run of levels tied to the
+    resolution, the last run dropped. Rounding orders the levels of a run,
+    and decides which levels of a run cut by num_states are kept."""
+    cuts = np.flatnonzero(np.diff(levels.energies) > levels.resolution) + 1
+    runs = np.split(np.column_stack([levels.j, levels.parity]), cuts)[:-1]
+    return [sorted(map(tuple, run.tolist())) for run in runs]
+
+
+def delta_or_refusal(params, cutoff, num_states):
+    try:
+        return delta_splitting(params, cutoff, num_states=num_states)
+    except StateOrderingError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20), exponent=st.floats(-300.0, 300.0))
+@example(params=SIV, cutoff=15, exponent=5.0)
+@example(params=SIV, cutoff=15, exponent=-16.0)
+@example(params=SIV, cutoff=15, exponent=300.0)
+def test_levels_scale_with_the_energies(params, cutoff, exponent):
+    # H is homogeneous of degree one in the five energies, so the unit of
+    # energy must decide neither acceptance nor ties.
+    scale = 10.0**exponent
+    num_states = min(8, 2 * (cutoff + 1) * (cutoff + 2))
+    levels = lowest_levels(params, cutoff, num_states)
+    big = lowest_levels(scaled(params, scale), cutoff, num_states)
+    bound = 1e-12 * np.abs(big.energies).max()
+    assert np.abs(big.energies - scale * levels.energies).max() <= bound
+    # Levels closer than a few resolutions may tie on one side only.
+    gaps = np.diff(levels.energies) / levels.resolution
+    assume(not np.any((gaps > 0.25) & (gaps < 4.0)))
+    assert tied_runs(big) == tied_runs(levels)
+    delta = delta_or_refusal(params, cutoff, num_states)
+    big_delta = delta_or_refusal(scaled(params, scale), cutoff, num_states)
+    assert (delta is None) == (big_delta is None)
+    if delta is not None:
+        assert abs(big_delta - scale * delta) <= bound
+
+
+HUGE = PjtParams(7.59e307, 7.83e307, 4.5e307, 9.5e307, 1.03e308)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lowest_levels(HUGE, 15, 8),
+        lambda: delta_splitting(HUGE, 15),
+        lambda: spectrum_report(HUGE, 15),
+    ],
+)
+def test_matrix_beyond_float_range_refused_before_eigh(monkeypatch, call):
+    batches = recorded_eigh_batches(monkeypatch)
+    with pytest.raises(ValueError, match="matrix elements at cutoff 15 are beyond the float range"):
+        call()
+    assert batches == []
+
+
+def test_unconverged_levels_carry_diagnostics(perturbed_eigh):
+    with pytest.raises(ConvergenceError, match="exceed the resolution") as excinfo:
+        lowest_levels(SIV, 15, 8)
+    error = excinfo.value
+    assert error.energies.shape == error.residuals.shape == (8,)
+    assert error.residuals.max() > 1e-6
+    study = converge_cutoff(SIV, [5, 10], 8)
+    for row in study.rows:
+        assert row.energies is None
+        assert row.error.startswith("sector residuals up to ")

@@ -35,9 +35,9 @@ def test_request_validation():
 
 def test_invalid_request_refused_before_any_cutoff():
     # Refused once, so no converge_cutoff row carries them.
-    for kwargs in ({"num_states": 0}, {"num_states": 2, "tolerance": 0.0},
-                   {"num_states": 2, "tolerance": float("nan")}):
-        with pytest.raises(ValueError, match="num_states must be >= 1|tolerance must be > 0"):
+    for kwargs in ({"num_states": 0}, {"num_states": 2, "ground_tolerance": 0.0},
+                   {"num_states": 2, "ground_tolerance": float("nan")}):
+        with pytest.raises(ValueError, match="num_states must be >= 1|ground_tolerance must be > 0"):
             converge_cutoff(SIV, (1, 2), **kwargs)
 
 
