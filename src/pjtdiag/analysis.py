@@ -31,7 +31,6 @@ __all__ = [
     "SpectrumReport",
     "StateOrderingError",
     "TruncationWarning",
-    "VibronicState",
     "apes_scan",
     "converge_cutoff",
     "delta_splitting",
@@ -41,6 +40,10 @@ __all__ = [
 # Fraction of probability in the top two Fock shells above which position
 # expectation values are considered truncation-contaminated.
 _TOP_SHELL_LIMIT = 0.01
+
+# Ground-energy agreement of the last two solved rows that makes a ladder
+# converged, meV.
+_GROUND_TOLERANCE_MEV = 1e-3
 
 
 class TruncationWarning(UserWarning):
@@ -143,30 +146,23 @@ class ConvergenceStudy:
     """Per-cutoff levels and delta from converge_cutoff."""
 
     rows: list[CutoffResult]
-    ground_tolerance: float
 
     @property
     def converged(self) -> bool:
         """True when the ground energies of the last two rows that have
-        energies agree within ground_tolerance."""
+        energies agree within 1e-3 meV."""
         solved = [row for row in self.rows if row.energies is not None]
         if len(solved) < 2:
             return False
-        return abs(solved[-1].energies[0] - solved[-2].energies[0]) < self.ground_tolerance
+        return abs(solved[-1].energies[0] - solved[-2].energies[0]) < _GROUND_TOLERANCE_MEV
 
 
-def converge_cutoff(
-    params: PjtParams,
-    cutoffs,
-    num_states: int,
-    *,
-    ground_tolerance: float = 1e-3,
-) -> ConvergenceStudy:
+def converge_cutoff(params: PjtParams, cutoffs, num_states: int) -> ConvergenceStudy:
     """Levels and delta at a ladder of Fock cutoffs, to monitor convergence.
 
     The ground energy is variational, so it must be non-increasing along an
     ascending ladder; the convergence flag compares the last two rows that
-    have energies against ground_tolerance. A cutoff whose levels or delta
+    have energies to within 1e-3 meV. A cutoff whose levels or delta
     cannot be computed is recorded in its row instead of stopping the
     ladder: a cutoff refused by lowest_levels, a residual above the
     resolution, or a level pattern without delta.
@@ -175,15 +171,14 @@ def converge_cutoff(
         params: Model parameters.
         cutoffs: Strictly ascending integers, at least two.
         num_states: Levels to compute at every cutoff, >= 1.
-        ground_tolerance: Ground-energy agreement defining "converged", meV.
 
     Returns:
         ConvergenceStudy with one row per cutoff.
 
     Raises:
         TypeError: a cutoff or num_states that is not an integer.
-        ValueError: a ladder, level count or ground_tolerance that no cutoff
-            could satisfy; per-cutoff failures go into the rows instead.
+        ValueError: a ladder or level count that no cutoff could satisfy;
+            per-cutoff failures go into the rows instead.
     """
     ladder = [as_index(c, f"cutoffs[{i}]") for i, c in enumerate(cutoffs)]
     if len(ladder) < 2:
@@ -192,8 +187,6 @@ def converge_cutoff(
         raise ValueError(f"cutoffs must be strictly ascending, got {ladder}")
     if as_index(num_states, "num_states") < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
-    if not ground_tolerance > 0:
-        raise ValueError(f"ground_tolerance must be > 0, got {ground_tolerance}")
 
     rows: list[CutoffResult] = []
     for cutoff in ladder:
@@ -206,7 +199,7 @@ def converge_cutoff(
             rows.append(CutoffResult(cutoff, levels.energies, _delta(levels)))
         except StateOrderingError as exc:
             rows.append(CutoffResult(cutoff, levels.energies, math.nan, str(exc)))
-    return ConvergenceStudy(rows=rows, ground_tolerance=ground_tolerance)
+    return ConvergenceStudy(rows=rows)
 
 
 def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> ApesPoint:
@@ -225,31 +218,22 @@ def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> ApesPoint:
 
 
 @dataclass(eq=False)
-class VibronicState:
-    """One computed level dressed with its observables.
-
-    character holds the level's electronic weights (w_a2u, w_a1u, w_eux,
-    w_euy). dominant_label names its vibronic type from J and, at J = 0,
-    the reflection parity; degeneracy is 1 at J = 0 and 2 for the pair
-    +-J. The label is not read off the weights: in the strong-coupling
-    regime every low level carries roughly half A2u and half Eu electronic
-    weight.
-    """
-
-    energy: float
-    character: np.ndarray
-    distortion_r: float
-    dominant_label: str
-    degeneracy: int
-
-
-@dataclass(eq=False)
 class SpectrumReport:
-    """Low-lying vibronic spectrum with characters, R, and delta."""
+    """Low-lying vibronic spectrum and delta.
+
+    levels is the SectorLevels of the computation, unchanged: energies,
+    signed J, parity, characters (w_a2u, w_a1u, w_eu), R^2, top-shell
+    weights, residuals and the resolution they are accepted against.
+    labels names each level's vibronic type from its J and, at J = 0, its
+    reflection parity; a level of J != 0 is one of the degenerate pair +-J.
+    The label is not read off the weights: in the strong-coupling regime
+    every low level carries roughly half A2u and half Eu electronic weight.
+    """
 
     params: PjtParams
     cutoff: int
-    states: list[VibronicState]
+    levels: SectorLevels
+    labels: tuple[str, ...]
     delta: float
 
 
@@ -269,8 +253,8 @@ def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> Spec
         num_states: Levels to report, >= 3.
 
     Returns:
-        SpectrumReport with states ascending and delta > 0 in the expected
-        regime.
+        SpectrumReport holding the num_states levels of lowest_levels in
+        ascending order, their labels, and delta > 0 in the expected regime.
 
     Raises:
         ValueError: invalid request, or matrix elements beyond the float range.
@@ -285,14 +269,7 @@ def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> Spec
     for top_weight in levels.top_shell_weight:
         _warn_if_truncated(top_weight, stacklevel=3)
     delta = _delta(levels)
-    states = [
-        VibronicState(
-            energy=float(levels.energies[i]),
-            character=levels.character[i],
-            distortion_r=math.sqrt(levels.r_squared[i]),
-            dominant_label=_label(levels.j[i], levels.parity[i]),
-            degeneracy=1 if levels.j[i] == 0 else 2,
-        )
-        for i in range(num_states)
-    ]
-    return SpectrumReport(params=params, cutoff=int(cutoff), states=states, delta=delta)
+    labels = tuple(_label(j, parity) for j, parity in zip(levels.j, levels.parity))
+    return SpectrumReport(
+        params=params, cutoff=int(cutoff), levels=levels, labels=labels, delta=delta
+    )

@@ -112,7 +112,9 @@ def _resolve_params(args: argparse.Namespace) -> tuple[PjtParams, str]:
         return preset.params, f"preset:{preset.name}"
     with open(args.params, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return parse_params(text), f"file:{args.params}"
+    # A line break in the path would end the '# source=' line early.
+    path = args.params.replace("\n", "\\n").replace("\r", "\\r")
+    return parse_params(text), f"file:{path}"
 
 
 def _parse_cutoff_list(text: str) -> tuple[int, ...]:
@@ -205,12 +207,15 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
     with _open_output(args.output) as out:
         _write_provenance(out, args, source, f"cutoff={args.cutoff} states={args.states}")
         out.write("index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n")
-        for i, state in enumerate(report.states):
-            w = state.character
-            out.write(
-                f"{i},{state.energy:.6f},{state.dominant_label},"
-                f"{w[0]:.6f},{w[1]:.6f},{w[2] + w[3]:.6f},{state.distortion_r:.6f}\n"
-            )
+        levels = report.levels
+        rows = zip(
+            levels.energies.tolist(),
+            report.labels,
+            *levels.character.T.tolist(),
+            np.sqrt(levels.r_squared).tolist(),
+        )
+        for i, (energy, label, a2u, a1u, eu, r) in enumerate(rows):
+            out.write(f"{i},{energy:.6f},{label},{a2u:.6f},{a1u:.6f},{eu:.6f},{r:.6f}\n")
         out.write(f"delta_mev={report.delta:.6f}\n")
     return 0
 

@@ -303,13 +303,16 @@ def _sector_layout(cutoff: int) -> _Layout:
 class SectorLevels:
     """Lowest levels of the full space, collected from the J sectors.
 
+    The one record of a level: analysis.SpectrumReport carries it unchanged,
+    and the spectrum CSV is written from its arrays.
+
     Attributes:
         energies: Ascending energies, meV. A level of J > 0 appears twice,
             once for J and once for its mirror -J.
         j: Signed J of each level; the mirror copy carries -J.
         parity: +1 or -1 under Y -> -Y for a level of J = 0, 0 otherwise.
-        character: (k, 4) electronic weights (w_a2u, w_a1u, w_eux, w_euy);
-            the E+ and E- weight splits evenly onto Eux and Euy.
+        character: (k, 3) electronic weights (w_a2u, w_a1u, w_eu), the
+            column order of ApesPoint.characters; w_eu = w_e+ + w_e-.
         r_squared: <X^2 + Y^2> of the truncated position operators.
         top_shell_weight: Weight in the top two Fock shells.
         residuals: ||H v - E v|| in the sector, meV, each at most resolution.
@@ -472,12 +475,11 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
             energies=energies,
             residuals=residuals,
         )
-    doublet = 0.5 * (table[:, 3] + table[:, 4])
     return SectorLevels(
         energies=energies,
         j=j,
         parity=layout.parity[block],
-        character=np.column_stack([table[:, 1], table[:, 2], doublet, doublet]),
+        character=np.column_stack([table[:, 1], table[:, 2], table[:, 3] + table[:, 4]]),
         r_squared=table[:, 6],
         top_shell_weight=table[:, 5],
         residuals=residuals,

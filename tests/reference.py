@@ -606,14 +606,13 @@ def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> Sect
         r_squared[i] = weight @ moment + 2.0 * (
             (part[:-1] * part[1:]) @ layout.moment_off[block, :-1]
         )
-    doublet = 0.5 * (by_component[:, 2] + by_component[:, 3])
     size = stack.shape[-1]
     return SectorLevels(
         energies=energies,
         j=np.array([c[3] for c in picked], dtype=int),
         parity=layout.parity[[c[1] for c in picked]],
         character=np.column_stack(
-            [by_component[:, 0], by_component[:, 1], doublet, doublet]
+            [by_component[:, 0], by_component[:, 1], by_component[:, 2] + by_component[:, 3]]
         ),
         r_squared=r_squared,
         top_shell_weight=top,

@@ -49,26 +49,24 @@ def test_c1_delta_reproduction(reports):
 )
 def test_c2_level_ordering(reports):
     for name in PRESET_NAMES:
-        states = reports[name].states
-        assert states[0].degeneracy == 1, name
-        assert states[0].dominant_label == "A2u", name
-        assert states[0].character[0] > 0.45, name
-        assert states[1].energy - states[0].energy > 1e-6, name
-        assert states[2].energy - states[1].energy < 1e-6, name
-        assert states[1].degeneracy == 2, name
+        levels = reports[name].levels
+        assert levels.j[0] == 0, name
+        assert reports[name].labels[0] == "A2u", name
+        assert levels.character[0, 0] > 0.45, name
+        assert levels.energies[1] - levels.energies[0] > 1e-6, name
+        assert levels.energies[2] - levels.energies[1] < 1e-6, name
+        assert levels.j[1] != 0, name
 
 
 @pytest.mark.acceptance(
     num=3, title="SiV ground state mixes about half A2u with half E weight"
 )
 def test_c3_character_mixing(reports):
-    ground = reports["SiV"].states[0].character
-    assert 0.45 <= ground[0] <= 0.60
-    assert 0.40 <= ground[2] + ground[3] <= 0.55
-    doublet = 0.5 * (
-        reports["SiV"].states[1].character + reports["SiV"].states[2].character
-    )
-    assert doublet[2] + doublet[3] > 0.45
+    character = reports["SiV"].levels.character
+    assert 0.45 <= character[0, 0] <= 0.60
+    assert 0.40 <= character[0, 2] <= 0.55
+    doublet = 0.5 * (character[1] + character[2])
+    assert doublet[2] > 0.45
 
 
 @pytest.mark.acceptance(

@@ -249,17 +249,14 @@ def test_apes_scan_minimum_reaches_channel_depth():
 
 def test_spectrum_report_siv():
     report = spectrum_report(SIV, 15)
+    levels = report.levels
     assert report.cutoff == 15
-    assert len(report.states) == 8
-    assert report.states[0].dominant_label == "A2u"
-    assert report.states[0].degeneracy == 1
-    assert report.states[1].dominant_label == "Eu"
-    assert report.states[2].dominant_label == "Eu"
-    assert report.states[1].degeneracy == 2
+    assert len(report.labels) == levels.energies.size == 8
+    assert report.labels[:3] == ("A2u", "Eu", "Eu")
+    assert levels.j[:3].tolist() == [0, 1, -1]
     assert report.delta == pytest.approx(6.664543, abs=1e-4)
-    energies = [state.energy for state in report.states]
-    assert energies == sorted(energies)
-    assert all(state.distortion_r > 0.0 for state in report.states)
+    assert np.all(np.diff(levels.energies) >= 0.0)
+    assert np.all(levels.r_squared > 0.0)
 
 
 def test_spectrum_report_positive_delta_all_presets():
@@ -273,19 +270,17 @@ def test_spectrum_report_zero_coupling_pattern():
         hbar_omega=75.9, lambda_corr=78.3, xi_corr=45.0, f_g=0.0, f_u=0.0
     )
     report = spectrum_report(params, 6, num_states=14)
-    states = report.states
-    assert states[0].dominant_label == "A2u"
-    assert states[0].degeneracy == 1
-    assert states[1].dominant_label == "Eu"
-    assert states[2].dominant_label == "Eu"
+    levels = report.levels
+    assert report.labels[:3] == ("A2u", "Eu", "Eu")
+    assert levels.j[0] == 0
+    assert levels.j[1] != 0
     # without coupling the gap is the bare electronic one
     assert report.delta == pytest.approx(78.3 - 45.0, abs=1e-8)
     # The bare A1u level, 2 Lambda above the ground level, is the odd
     # J = 0 level of pure A1u character.
-    partners = [
-        state for state in states
-        if abs(state.energy - states[0].energy - 2.0 * 78.3) < 1e-8
-    ]
-    assert [state.dominant_label for state in partners] == ["A1u"]
-    assert partners[0].character[1] == pytest.approx(1.0, abs=1e-12)
-    assert partners[0].degeneracy == 1
+    partners = np.flatnonzero(
+        np.abs(levels.energies - levels.energies[0] - 2.0 * 78.3) < 1e-8
+    )
+    assert [report.labels[i] for i in partners] == ["A1u"]
+    assert levels.character[partners[0], 1] == pytest.approx(1.0, abs=1e-12)
+    assert levels.j[partners[0]] == 0

@@ -229,6 +229,23 @@ def test_params_file_accepted(tmp_path, capsys):
     assert 6.0 <= delta <= 7.4
 
 
+def test_line_breaks_in_a_params_path_stay_in_the_comment(tmp_path, capsys):
+    header = "index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless"
+    bodies = []
+    for name in ("siv.txt", "line\nbreak\r.txt"):
+        path = tmp_path / name
+        path.write_text(SIV_FILE)
+        code, out, err = run_cli(capsys, "spectrum", "--params", str(path))
+        assert (code, err) == (0, "")
+        assert "\r" not in out
+        lines = out.split("\n")
+        start = lines.index(header)
+        assert all(line.startswith("#") for line in lines[:start])
+        bodies.append(lines[start:])
+    assert f"# source=file:{tmp_path}/line\\nbreak\\r.txt" in lines
+    assert bodies[0] == bodies[1]
+
+
 def test_rejected_params_file_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(SIV_FILE + "e_jt1_mev=258\ne_jt2_mev=0.47\n")

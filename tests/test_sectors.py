@@ -1,6 +1,9 @@
 """Conserved-J sectors against the full product-space route."""
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import re
 import tracemalloc
 import warnings
@@ -20,6 +23,7 @@ from pjtdiag import (
     delta_splitting,
     spectrum_report,
 )
+from pjtdiag.cli import cmd_spectrum
 from pjtdiag.sectors import _fill, _sector_layout, lowest_levels
 from reference import (
     assemble,
@@ -56,14 +60,6 @@ def decoupled(hbar_omega, correlation):
 
 
 DECOUPLED = st.builds(decoupled, st.floats(20.0, 150.0), st.floats(0.0, 100.0))
-
-
-def printed(character):
-    """The weights the CLI prints: w_a2u, w_a1u and w_eux + w_euy. The split
-    between Eux and Euy is not compared: it moves at first order in the
-    tiny mixing a full-space solver leaves between close levels of
-    different J, and every other weight only at second order."""
-    return np.array([character[0], character[1], character[2] + character[3]])
 
 
 def sector_spectra(params, cutoff):
@@ -144,14 +140,17 @@ def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
             report = spectrum_report(params, cutoff, num_states)
 
     assert report.delta == pytest.approx(own[doublets].min() - energies[0], abs=TOL_MEV)
-    assert len(report.states) == num_states
-    reported = [state.energy for state in report.states]
-    assert np.abs(np.array(reported) - energies[:num_states]).max() < TOL_MEV
+    assert len(report.labels) == num_states
+    assert np.abs(report.levels.energies - energies[:num_states]).max() < TOL_MEV
     # Inside a multiplet the two routes order the levels differently, so
     # they are matched by symmetry. Weights and R^2 are compared as means
     # over the levels of one symmetry: the two of a pair +-J, which share
     # them in either route, or levels of one symmetry that tie exactly
-    # (with f_g = f_u, say, A1u decouples), which only the mean fixes.
+    # (with f_g = f_u, say, A1u decouples), which only the mean fixes. The
+    # full-space Eux and Euy weights are pooled into w_eu: their split moves
+    # at first order in the tiny mixing a full-space solver leaves between
+    # close levels of different J, and every other weight only at second
+    # order.
     for m in members:
         ours = by_symmetry(m, sector.j[m], sector.parity[m])
         theirs = by_symmetry(m, [levels[i].j for i in m], [levels[i].reflection for i in m])
@@ -160,13 +159,12 @@ def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
         }
         for key, a in ours.items():
             b = theirs[key]
-            states = [report.states[i] for i in a]
-            assert {state.dominant_label for state in states} == {levels[b[0]].label}
-            assert {state.degeneracy for state in states} == {1 if key[0] == 0 else 2}
-            character = np.mean([printed(state.character) for state in states], axis=0)
-            expected = np.mean([printed(levels[i].character) for i in b], axis=0)
+            assert {report.labels[i] for i in a} == {levels[b[0]].label}
+            character = report.levels.character[a].mean(axis=0)
+            expected = np.mean([levels[i].character for i in b], axis=0)
+            expected = np.add.reduceat(expected, [0, 1, 2])
             assert np.abs(character - expected).max() < vector_tol
-            r_squared = np.mean([state.distortion_r**2 for state in states])
+            r_squared = report.levels.r_squared[a].mean()
             expected_r = np.mean([levels[i].distortion_r**2 for i in b])
             assert r_squared == pytest.approx(expected_r, abs=vector_tol)
 
@@ -253,11 +251,35 @@ def test_halves_make_up_sector_zero(params, cutoff):
     assert np.abs(union - np.linalg.eigvalsh(whole[0])).max() < TOL_MEV
 
 
-def assert_same_levels(levels, reference):
+def assert_same_levels(levels, reference, tol=1e-12):
     for name in ("energies", "j", "parity", "resolution"):
         assert np.array_equal(getattr(levels, name), getattr(reference, name)), name
     for name in ("character", "r_squared", "top_shell_weight"):
-        assert np.abs(getattr(levels, name) - getattr(reference, name)).max() < 1e-12, name
+        assert np.abs(getattr(levels, name) - getattr(reference, name)).max() <= tol, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 12), data=st.data())
+def test_spectrum_report_carries_the_sector_levels(params, cutoff, data):
+    num_states = data.draw(st.integers(3, min(12, 2 * (cutoff + 1) * (cutoff + 2))))
+    levels = lowest_levels(params, cutoff, num_states)
+    args = argparse.Namespace(command="spectrum", cutoff=cutoff, states=num_states, output=None)
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore", TruncationWarning)
+        try:
+            report = spectrum_report(params, cutoff, num_states)
+        except StateOrderingError:
+            with pytest.raises(StateOrderingError):
+                delta_splitting(params, cutoff, num_states=num_states)
+            return
+        cmd_spectrum(args, params, "test")
+    assert_same_levels(report.levels, levels, tol=0.0)
+    assert np.array_equal(report.levels.residuals, levels.residuals)
+    assert len(report.labels) == num_states
+    # Three '#' lines and the column header come before the rows, delta after.
+    rows = [line.split(",") for line in out.getvalue().splitlines()[4:-1]]
+    assert [row[5] for row in rows] == [f"{w:.6f}" for w in levels.character[:, 2]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,6 +360,7 @@ def test_siv_levels_carry_j_and_labels():
 def test_residuals_and_weights_of_sector_levels():
     levels = lowest_levels(SIV, 15, 8)
     assert levels.residuals.max() < 1e-10
+    assert levels.character.shape == (8, 3)
     assert np.allclose(levels.character.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(levels.top_shell_weight < 0.01)
 

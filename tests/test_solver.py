@@ -34,11 +34,9 @@ def test_request_validation():
 
 
 def test_invalid_request_refused_before_any_cutoff():
-    # Refused once, so no converge_cutoff row carries them.
-    for kwargs in ({"num_states": 0}, {"num_states": 2, "ground_tolerance": 0.0},
-                   {"num_states": 2, "ground_tolerance": float("nan")}):
-        with pytest.raises(ValueError, match="num_states must be >= 1|ground_tolerance must be > 0"):
-            converge_cutoff(SIV, (1, 2), **kwargs)
+    # Refused once, so no converge_cutoff row carries it.
+    with pytest.raises(ValueError, match="num_states must be >= 1"):
+        converge_cutoff(SIV, (1, 2), num_states=0)
 
 
 def test_decoupled_ground_energy():
@@ -118,8 +116,8 @@ def test_converge_cutoff_ground_energy_monotone():
 def test_converge_cutoff_reports_convergence():
     study = converge_cutoff(SIV, (15, 20, 25), 1)
     assert study.converged
-    loose = converge_cutoff(SIV, (1, 3), 1, ground_tolerance=1e-6)
-    assert not loose.converged
+    coarse = converge_cutoff(SIV, (1, 3), 1)
+    assert not coarse.converged
 
 
 def test_converge_cutoff_runs_beyond_the_dense_limit():
@@ -140,8 +138,6 @@ def test_converge_cutoff_validation():
         converge_cutoff(SIV, (15,), 2)
     with pytest.raises(ValueError):
         converge_cutoff(SIV, (15, 10), 2)
-    with pytest.raises(ValueError):
-        converge_cutoff(SIV, (10, 15), 2, ground_tolerance=0.0)
 
 
 def test_converge_cutoff_error_capture():
