@@ -42,11 +42,36 @@ from .sectors import MAX_DENSE_BYTES, ConvergenceError, check_cutoff
 
 __all__ = ["cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 
-# Memory an apes scan holds per point before its first row is written: the
-# coordinate, the stacked ApesPoint, the row table and its Python floats,
-# from the tracemalloc peak of cmd_apes at 20000 to 80000 points (Python
-# 3.11, numpy 2.4).
-APES_BYTES_PER_POINT = 552
+# Memory an apes scan holds per point before its first row is written, from
+# the tracemalloc peak of cmd_apes at 20000 to 80000 points (Python 3.11,
+# numpy 2.4). The peak lies in classical_apes, while it sorts the sheets; the
+# table and the lowest sheet's weights come after it, and the floats of one
+# block of rows are a fixed amount on top.
+APES_BYTES_PER_POINT = 377
+
+# apes writes its rows in blocks of this many. One % over the row template
+# repeated for every row of a block formats the whole block, which costs far
+# less than one % per row, and every value still goes through CPython's own
+# %.6f, so the text is exactly that of a per-row format. Blocks rather than
+# the whole table keep at most one block of Python floats alive at a time.
+_APES_BLOCK_ROWS = 1024
+
+
+class _FloatToken:
+    """Stands in for argparse's pattern of negative numbers: a token that
+    float() accepts, such as -1e-3, -1E+2, -.5 or -inf, is an option value,
+    not an unknown option. The pattern argparse itself uses misses -inf in
+    every version, and -1e-3 in Python 3.10 and 3.11; argparse has no public
+    hook for it, and its parsers read the pattern from the
+    _negative_number_matcher attribute in Python 3.10 to 3.13."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
 
 
 # parse_args leaves the parser unchanged, so one parser serves every call of
@@ -103,6 +128,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     converge.add_argument("--states", type=int, default=8, help="levels per cutoff (default 8)")
     converge.add_argument("--output", default=None, help="write CSV here instead of stdout")
+    apes._negative_number_matcher = _FloatToken
     return parser
 
 
@@ -222,9 +248,14 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
 
 def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Classical sheet scan along X at Y = 0 as CSV. Returns exit status."""
-    xs = np.linspace(args.xmin, args.xmax, args.points)
-    sheets = apes_scan(params, xs, y=0.0)
-    table = np.column_stack([sheets.x, sheets.energies, sheets.characters[:, 0]])
+    sheets = apes_scan(params, np.linspace(args.xmin, args.xmax, args.points), y=0.0)
+    # The weights come first, so that their temporaries and the table are
+    # never alive together.
+    lowest = sheets.sheet_characters(0)
+    table = np.empty((args.points, 8))
+    table[:, 0] = sheets.x
+    table[:, 1:5] = sheets.energies
+    table[:, 5:] = lowest
     row = ",".join(["%.6f"] * table.shape[1]) + "\n"
     with _open_output(args.output) as out:
         _write_provenance(
@@ -234,8 +265,9 @@ def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
             f"xmin={args.xmin:g} xmax={args.xmax:g} points={args.points} y=0",
         )
         out.write("x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n")
-        for values in table.tolist():
-            out.write(row % tuple(values))
+        for start in range(0, len(table), _APES_BLOCK_ROWS):
+            block = table[start : start + _APES_BLOCK_ROWS]
+            out.write((row * len(block)) % tuple(block.ravel().tolist()))
     return 0
 
 

@@ -123,11 +123,21 @@ class ApesPoint:
         planes each row holds one plane's weights, with either w_a1u or
         w_a2u zero. Up to rounding they do not change when (x, y) turns
         about the origin."""
-        weights = (SYMMETRY_TRANSFORM @ self.vectors) ** 2
-        return np.stack(
-            [weights[..., 0, :], weights[..., 1, :], weights[..., 2, :] + weights[..., 3, :]],
-            axis=-1,
-        )
+        return _pooled((SYMMETRY_TRANSFORM @ self.vectors).swapaxes(-1, -2))
+
+    def sheet_characters(self, sheet: int) -> np.ndarray:
+        """characters[..., sheet, :] alone, shape S + (3,), bit for bit,
+        without pooling the other sheets' weights."""
+        return _pooled((SYMMETRY_TRANSFORM @ self.vectors)[..., sheet])
+
+
+def _pooled(amplitudes: np.ndarray) -> np.ndarray:
+    """(w_a2u, w_a1u, w_eu) along a new last axis, from the A2u, A1u, Eux
+    and Euy amplitudes along the last axis."""
+    weights = amplitudes**2
+    return np.stack(
+        [weights[..., 0], weights[..., 1], weights[..., 2] + weights[..., 3]], axis=-1
+    )
 
 
 def _half_angles(half_gap: float, off, gap):

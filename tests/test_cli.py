@@ -1,15 +1,21 @@
 """Command-line interface: flags, CSV layout, determinism, exit codes."""
 
+import argparse
+import contextlib
+import io
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pjtdiag
-from pjtdiag import cli
+from pjtdiag import PRESETS, PjtParams, apes_scan, cli
 from pjtdiag.cli import APES_BYTES_PER_POINT, main
 
 SIV_FILE = (
@@ -168,6 +174,65 @@ def test_apes_custom_grid(capsys):
     assert code == 0
     _, rows, _ = split_csv(out)
     assert [float(row[0]) for row in rows] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "xmin, xmax", [("-1e-3", "1"), ("-1E+2", "-1e0"), ("-.5", "0"), ("-4", "-1e-1")]
+)
+def test_apes_accepts_negative_float_spellings(capsys, xmin, xmax):
+    code, out, err = run_cli(
+        capsys, "apes", "--preset", "SiV", "--points", "3", "--xmin", xmin, "--xmax", xmax
+    )
+    assert (code, err) == (0, "")
+    _, rows, _ = split_csv(out)
+    assert [row[0] for row in rows[::2]] == ["%.6f" % float(xmin), "%.6f" % float(xmax)]
+    assert run_cli(
+        capsys, "apes", "--preset", "SiV", "--points", "3", f"--xmin={xmin}", f"--xmax={xmax}"
+    ) == (0, out, "")
+
+
+BLOCK = cli._APES_BLOCK_ROWS
+
+
+def apes_body(params, xmin, xmax, points):
+    """(CSV body of cmd_apes, apes_scan's rows formatted one value at a time)."""
+    args = argparse.Namespace(
+        command="apes", xmin=xmin, xmax=xmax, points=points, output=None
+    )
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.cmd_apes(args, params, "preset:test") == 0
+    header = "x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n"
+    body = out.getvalue().split(header, 1)[1]
+    xs = np.linspace(xmin, xmax, points)
+    sheets = apes_scan(params, xs)
+    rows = np.column_stack([xs, sheets.energies, sheets.characters[:, 0]]).tolist()
+    expected = "".join(",".join("%.6f" % value for value in row) + "\n" for row in rows)
+    return body, expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.builds(
+        PjtParams,
+        hbar_omega=st.floats(20.0, 150.0),
+        lambda_corr=st.floats(0.0, 150.0),
+        xi_corr=st.floats(0.0, 100.0),
+        f_g=st.floats(0.0, 150.0),
+        f_u=st.floats(0.0, 150.0),
+    ),
+    xmin=st.floats(-6.0, 6.0),
+    width=st.floats(1e-3, 12.0),
+    points=st.sampled_from([2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+)
+def test_apes_rows_match_a_per_row_format(params, xmin, width, points):
+    body, expected = apes_body(params, xmin, xmin + width, points)
+    assert body == expected
+
+
+def test_apes_prints_negative_zero_as_a_per_row_format_does():
+    body, expected = apes_body(PRESETS["SiV"].params, -4e-7, 1.0, BLOCK + 1)
+    assert body == expected
+    assert body.startswith("-0.000000,")
 
 
 def test_converge_table(capsys):
@@ -505,17 +570,19 @@ def test_cutoff_beyond_memory_limit_rejected(capsys):
 
 def test_apes_footprint_per_point(tmp_path):
     # The --points refusal assumes APES_BYTES_PER_POINT held until the first row.
+    # Both counts exceed one block of written rows, whose floats would
+    # otherwise grow with the count too, and the scan sets the peak at both.
     target = str(tmp_path / "apes.csv")
     main(["apes", "--preset", "SiV", "--points", "10", "--output", target])
     peaks = []
-    for points in (400, 1200):
+    for points in (4096, 12288):
         tracemalloc.start()
         try:
             main(["apes", "--preset", "SiV", "--points", str(points), "--output", target])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    per_point = (peaks[1] - peaks[0]) / 800
+    per_point = (peaks[1] - peaks[0]) / 8192
     assert 0.5 * APES_BYTES_PER_POINT < per_point < 1.5 * APES_BYTES_PER_POINT
 
 
@@ -546,9 +613,11 @@ def test_unwritable_output_rejected(tmp_path, capsys):
         (("converge", "--states", "2"), "--states must be >= 3"),
         (("converge", "--cutoffs", "0,5"), "--cutoffs values must be >= 1, got '0,5'"),
         (("apes", "--points", "100000000"),
-         "--points 100000000 needs 52643 MiB of scan points, beyond the 256 MiB limit"),
+         "--points 100000000 needs 35954 MiB of scan points, beyond the 256 MiB limit"),
         (("converge", "--cutoffs", "1,2", "--states", "200000"),
          "num_states 200000 exceeds matrix dimension 24"),
+        (("apes", "--xmin", "-inf"), "scan range must be finite"),
+        (("apes", "--xmin", "-nan"), "scan range must be finite"),
     ],
 )
 def test_refusals_exit_before_output(capsys, argv, message):

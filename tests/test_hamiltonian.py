@@ -237,6 +237,8 @@ def test_stacked_sheets_equal_scalar_calls_bitwise(params, points, scalar_y):
         assert same_bits(stacked.energies[k], single.energies)
         assert same_bits(stacked.vectors[k], single.vectors)
         assert same_bits(characters[k], single.characters)
+    for sheet in range(4):
+        assert same_bits(stacked.sheet_characters(sheet), characters[:, sheet])
 
 
 def test_classical_apes_grid_keeps_coordinate_shape():
