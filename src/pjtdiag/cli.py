@@ -136,7 +136,8 @@ def _resolve_params(args: argparse.Namespace) -> tuple[PjtParams, str]:
     if args.preset is not None:
         preset = get_preset(args.preset)
         return preset.params, f"preset:{preset.name}"
-    with open(args.params, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark some editors write before the first key.
+    with open(args.params, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     # A line break in the path would end the '# source=' line early.
     path = args.params.replace("\n", "\\n").replace("\r", "\\r")

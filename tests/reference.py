@@ -1,13 +1,15 @@
 """Full product-space reference for the conserved-J sectors.
 
 The package diagonalizes the vibronic matrix sector by sector. This module
-builds the same truncated model the direct way, as one scipy.sparse matrix
-over electronic x Fock space, solves it with one dense LAPACK call and
-classifies the eigenvectors by the symmetry operators built here on the same
-Fock space: the generator of J = L_z + S, a geometric C3 turn and the
-reflection Y -> -Y. The tests compare the sectors against it. It also holds
-the 4x4 electronic blocks of the product-space matrix and
-``sector_matrices``, which builds whole sectors of any J.
+builds the same truncated model the direct way, as one dense matrix over
+electronic x Fock space (a sum of np.kron products), solves it with
+np.linalg.eigh and classifies the eigenvectors by the symmetry operators,
+also dense, built here on the same Fock space: the generator of
+J = L_z + S, a geometric C3 turn and the reflection Y -> -Y. The tests
+compare the sectors against it; every product-space call they make is at a
+cutoff of 15 or less (dimension 544 or less). It also holds the 4x4
+electronic blocks of the product-space matrix and ``sector_matrices``,
+which builds whole sectors of any J.
 ``every_sector_levels`` is the sector route without its pruning: one eigh of
 both halves of sector 0 and of all sectors J = 1 .. N + 1, and a loop over
 them.
@@ -30,22 +32,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
 
 from pjtdiag.analysis import _warn_if_truncated
 from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM, PjtParams
 from pjtdiag.sectors import (
     MAX_DENSE_BYTES,
-    ConvergenceError,
     SectorLevels,
     _fill,
     _layout,
     check_cutoff,
 )
-
-# Largest matrix dimension representable by 32-bit sparse indices.
-_MAX_DIMENSION = 2**31 - 1
 
 _NORMALIZATION_TOL = 1e-8
 
@@ -181,7 +177,7 @@ def build_basis(cutoff: int) -> FockBasis:
     return FockBasis(cutoff=int(cutoff), states=tuple(states), index=index)
 
 
-def position_operator(basis: FockBasis, mode: str) -> sparse.csr_matrix:
+def position_operator(basis: FockBasis, mode: str) -> np.ndarray:
     """Dimensionless position matrix (a_dag + a) / sqrt(2) for one component.
 
     Matrix elements follow the ladder algebra: <n+1, m|X|n, m> = sqrt((n+1)/2)
@@ -194,51 +190,43 @@ def position_operator(basis: FockBasis, mode: str) -> sparse.csr_matrix:
         mode: "X" or "Y" (case-insensitive).
 
     Returns:
-        Real symmetric CSR matrix with zero diagonal.
+        Real symmetric array with zero diagonal.
     """
     which = str(mode).upper()
     if which not in ("X", "Y"):
         raise ValueError(f"mode must be 'X' or 'Y', got {mode!r}")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
+    op = np.zeros((basis.size, basis.size))
     for k, (n, m) in enumerate(basis.states):
         raised = (n + 1, m) if which == "X" else (n, m + 1)
         if raised[0] + raised[1] > basis.cutoff:
             continue
         j = basis.index[raised]
-        amp = math.sqrt((raised[0] if which == "X" else raised[1]) / 2.0)
-        rows.extend((j, k))
-        cols.extend((k, j))
-        vals.extend((amp, amp))
-    op = sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
-    op.sort_indices()
+        op[j, k] = op[k, j] = math.sqrt((raised[0] if which == "X" else raised[1]) / 2.0)
     return op
 
 
-def number_operator(basis: FockBasis) -> sparse.csr_matrix:
+def number_operator(basis: FockBasis) -> np.ndarray:
     """Diagonal matrix n + m + 1 (total quanta plus both zero points).
 
     Multiplying by the vibrational quantum gives the harmonic part of the
     Hamiltonian: H_osc = hbar_omega * number_operator(basis).
     """
-    diag = np.array([n + m + 1.0 for (n, m) in basis.states])
-    return sparse.diags(diag, 0, format="csr")
+    return np.diag([n + m + 1.0 for (n, m) in basis.states])
 
 
 @dataclass(frozen=True, eq=False)
 class VibronicHamiltonian:
-    """Assembled sparse vibronic matrix over electronic x Fock space.
+    """Assembled dense vibronic matrix over electronic x Fock space.
 
     Attributes:
         params: Parameters the matrix was built from.
         basis: Phonon basis; the matrix dimension is 4 * basis.size.
-        matrix: Real symmetric CSR matrix, electronic index slowest.
+        matrix: Real symmetric array, electronic index slowest.
     """
 
     params: PjtParams
     basis: FockBasis
-    matrix: sparse.csr_matrix = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -246,10 +234,11 @@ class VibronicHamiltonian:
 
 
 def assemble(params: PjtParams, basis: FockBasis) -> VibronicHamiltonian:
-    """Build the sparse vibronic matrix over the product space.
+    """Build the dense vibronic matrix over the product space.
 
     The Kronecker ordering puts the electronic index on the slow axis, so
-    rows [e * D_ph, (e + 1) * D_ph) belong to determinant e.
+    rows [e * D_ph, (e + 1) * D_ph) belong to determinant e. No entry gets
+    more than two nonzero terms, so the sum is exactly symmetric.
 
     Args:
         params: Model parameters.
@@ -259,26 +248,23 @@ def assemble(params: PjtParams, basis: FockBasis) -> VibronicHamiltonian:
         VibronicHamiltonian of dimension 4 * basis.size.
 
     Raises:
-        ValueError: if the dimension would overflow 32-bit sparse indices.
+        ValueError: if the matrix would be larger than MAX_DENSE_BYTES
+            (checked before anything is allocated).
     """
-    dim = 4 * basis.size
-    if dim > _MAX_DIMENSION:
+    dimension = 4 * basis.size
+    needed = dimension * dimension * 8
+    if needed > MAX_DENSE_BYTES:
         raise ValueError(
-            f"cutoff {basis.cutoff} gives dimension {dim}, beyond 32-bit indexing"
+            f"cutoff {basis.cutoff} needs {needed / 2**20:.0f} MiB for the dense "
+            f"product-space matrix, beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
         )
-    x_op = position_operator(basis, "X")
-    y_op = position_operator(basis, "Y")
-    n_op = number_operator(basis)
-    identity4 = sparse.identity(4, format="csr")
-    identity_ph = sparse.identity(basis.size, format="csr")
-    matrix = (
-        params.hbar_omega * sparse.kron(identity4, n_op)
-        + sparse.kron(sparse.csr_matrix(pjt_coupling_block(params, "X")), x_op)
-        + sparse.kron(sparse.csr_matrix(pjt_coupling_block(params, "Y")), y_op)
-        + sparse.kron(sparse.csr_matrix(w_matrix(params)), identity_ph)
-    ).tocsr()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+    terms = (
+        (params.hbar_omega * np.eye(4), number_operator(basis)),
+        (pjt_coupling_block(params, "X"), position_operator(basis, "X")),
+        (pjt_coupling_block(params, "Y"), position_operator(basis, "Y")),
+        (w_matrix(params), np.eye(basis.size)),
+    )
+    matrix = sum(np.kron(electronic, phonon) for electronic, phonon in terms)
     return VibronicHamiltonian(params=params, basis=basis, matrix=matrix)
 
 
@@ -297,52 +283,27 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def solve(
-    h: VibronicHamiltonian, num_states: int, *, tolerance: float = 1e-8
-) -> EigenResult:
-    """Compute the lowest num_states eigenpairs of h with one dense eigh.
+def solve(h: VibronicHamiltonian, num_states: int) -> EigenResult:
+    """Lowest num_states eigenpairs of h, from one eigh of the whole matrix.
 
     Args:
         h: Assembled vibronic Hamiltonian.
         num_states: Number k of lowest eigenpairs wanted, 1 .. dimension.
-        tolerance: Residual bound ||H v - E v|| in meV for every pair.
 
     Returns:
         EigenResult with ascending energies and orthonormal vectors.
 
     Raises:
-        ValueError: num_states below 1 or above the matrix dimension, a
-            tolerance that is not > 0, or a dense copy of the matrix larger
-            than MAX_DENSE_BYTES (checked before it is allocated).
-        ConvergenceError: when a residual exceeds the tolerance; the
-            exception carries the energies and residuals.
+        ValueError: num_states below 1 or above the matrix dimension.
     """
-    matrix = h.matrix
-    dimension = matrix.shape[0]
     k = num_states
     if k < 1:
         raise ValueError(f"num_states must be >= 1, got {k}")
-    if not tolerance > 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    if k > dimension:
-        raise ValueError(f"num_states {k} exceeds matrix dimension {dimension}")
-    needed = dimension * dimension * 8
-    if needed > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"dense solve at dimension {dimension} needs {needed / 2**20:.0f} MiB, "
-            f"beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
-        )
-    energies, vectors = scipy.linalg.eigh(
-        matrix.toarray(), subset_by_index=(0, k - 1)
-    )
-    residuals = np.linalg.norm(matrix @ vectors - vectors * energies, axis=0)
-    if np.any(residuals > tolerance):
-        raise ConvergenceError(
-            f"dense solve residuals up to {residuals.max():.3e} meV exceed "
-            f"tolerance {tolerance:.3e}",
-            energies=energies,
-            residuals=residuals,
-        )
+    if k > h.dimension:
+        raise ValueError(f"num_states {k} exceeds matrix dimension {h.dimension}")
+    energies, vectors = np.linalg.eigh(h.matrix)
+    energies, vectors = energies[:k], vectors[:, :k]
+    residuals = np.linalg.norm(h.matrix @ vectors - vectors * energies, axis=0)
     return EigenResult(energies=energies, vectors=vectors, residuals=residuals)
 
 
@@ -405,7 +366,7 @@ def distortion_expectation(state_vector, basis: FockBasis) -> float:
     return math.sqrt(second_moment)
 
 
-def rotation_generator(basis: FockBasis) -> sparse.csr_matrix:
+def rotation_generator(basis: FockBasis) -> np.ndarray:
     """Real antisymmetric K over electronic x Fock space with J = L_z + S = iK.
 
     L_z = i (a_y^dag a_x - a_x^dag a_y) is the phonon angular momentum and
@@ -413,26 +374,18 @@ def rotation_generator(basis: FockBasis) -> sparse.csr_matrix:
     -1 on E- = (Eux + i Euy) / sqrt(2). <J^2> of a real vector v is
     ||K v||^2.
     """
-    rows, cols, vals = [], [], []
+    phonon = np.zeros((basis.size, basis.size))
     for k, (n, m) in enumerate(basis.states):
         if n >= 1:
             # a_y^dag a_x |n, m> = sqrt(n (m + 1)) |n - 1, m + 1>
-            rows.append(basis.index[(n - 1, m + 1)])
-            cols.append(k)
-            vals.append(math.sqrt(n * (m + 1.0)))
+            phonon[basis.index[(n - 1, m + 1)], k] = math.sqrt(n * (m + 1.0))
         if m >= 1:
             # -a_x^dag a_y |n, m> = -sqrt((n + 1) m) |n + 1, m - 1>
-            rows.append(basis.index[(n + 1, m - 1)])
-            cols.append(k)
-            vals.append(-math.sqrt((n + 1.0) * m))
-    phonon = sparse.csr_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
+            phonon[basis.index[(n + 1, m - 1)], k] = -math.sqrt((n + 1.0) * m)
     electronic = np.zeros((4, 4))
     electronic[2, 3], electronic[3, 2] = 1.0, -1.0
     electronic = SYMMETRY_TRANSFORM.T @ electronic @ SYMMETRY_TRANSFORM
-    return (
-        sparse.kron(sparse.csr_matrix(electronic), sparse.identity(basis.size))
-        + sparse.kron(sparse.identity(4), phonon)
-    ).tocsr()
+    return np.kron(electronic, np.eye(basis.size)) + np.kron(np.eye(4), phonon)
 
 
 def c3_rotation(basis: FockBasis) -> np.ndarray:
@@ -462,10 +415,10 @@ def c3_rotation(basis: FockBasis) -> np.ndarray:
     return np.kron(np.kron(doublet, doublet), phonon)
 
 
-def reflection(basis: FockBasis) -> sparse.csr_matrix:
+def reflection(basis: FockBasis) -> np.ndarray:
     """Y -> -Y: diag(1, -1, -1, 1) over the determinants times (-1)^m."""
     signs = np.array([(-1.0) ** m for (_, m) in basis.states])
-    return sparse.diags(np.kron([1.0, -1.0, -1.0, 1.0], signs), format="csr")
+    return np.diag(np.kron([1.0, -1.0, -1.0, 1.0], signs))
 
 
 # Levels closer than this form one multiplet, in which a full-space solver

@@ -153,7 +153,7 @@ def test_c7_property_suite():
     bare = PjtParams(
         hbar_omega=quantum, lambda_corr=0.0, xi_corr=0.0, f_g=0.0, f_u=0.0
     )
-    energies = np.linalg.eigvalsh(assemble(bare, build_basis(5)).matrix.toarray())
+    energies = np.linalg.eigvalsh(assemble(bare, build_basis(5)).matrix)
     shells = np.round(energies / quantum).astype(int)
     assert np.allclose(energies, shells * quantum, atol=1e-9)
     values, counts = np.unique(shells, return_counts=True)

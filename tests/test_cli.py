@@ -311,6 +311,19 @@ def test_line_breaks_in_a_params_path_stay_in_the_comment(tmp_path, capsys):
     assert bodies[0] == bodies[1]
 
 
+def test_params_file_with_a_byte_order_mark(tmp_path, capsys):
+    # Editors on Windows may save UTF-8 with a leading U+FEFF.
+    path = tmp_path / "siv.txt"
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path.write_text(SIV_FILE, encoding=encoding)
+        code, out, err = run_cli(capsys, "spectrum", "--params", str(path))
+        assert (code, err) == (0, ""), encoding
+        outputs.append(out)
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+
+
 def test_rejected_params_file_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(SIV_FILE + "e_jt1_mev=258\ne_jt2_mev=0.47\n")
@@ -477,14 +490,17 @@ def test_preset_and_file_mutually_exclusive(capsys):
     assert excinfo.value.code == 2
 
 
-# Runs in a fresh interpreter with scipy blocked, so that any import of it
-# from the package fails: every module loads, and the three subcommands and
-# the high-level functions run, on numpy alone.
-_NO_SCIPY_SCRIPT = """
-import contextlib, importlib, io, pkgutil, sys
-sys.modules["scipy"] = None
+# Runs in a fresh interpreter. The modules loaded before pjtdiag are set
+# aside, because site may load _distutils_hack or certifi through .pth files.
+# Every module, the three subcommands and the high-level functions then run,
+# and every top-level module they load must be in the standard library or be
+# numpy.
+_IMPORT_SCRIPT = """
+import sys
+before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 
+import contextlib, importlib, io, pkgutil
 import pjtdiag
 for module in pkgutil.iter_modules(pjtdiag.__path__):
     importlib.import_module(f"pjtdiag.{module.name}")
@@ -502,14 +518,17 @@ for argv in (
 assert delta_splitting(params, 6) > 0
 assert apes_scan(params, [0.0, 1.0]).energies.shape == (2, 4)
 assert [row.error for row in converge_cutoff(params, (4, 6), 3).rows] == [None, None]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+outside = loaded - set(sys.stdlib_module_names) - {"numpy", "pjtdiag"}
+assert not outside, sorted(outside)
 print("ok")
 """
 
 
-def test_cli_path_does_not_import_scipy():
+def test_cli_path_imports_only_stdlib_and_numpy():
     src = str(Path(pjtdiag.__file__).resolve().parents[1])
     completed = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", _NO_SCIPY_SCRIPT, src],
+        [sys.executable, "-W", "ignore", "-c", _IMPORT_SCRIPT, src],
         capture_output=True,
         text=True,
     )

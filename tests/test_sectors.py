@@ -74,7 +74,7 @@ def sector_spectra(params, cutoff):
 @settings(max_examples=60, deadline=None)
 @given(params=PARAMS, cutoff=CUTOFFS)
 def test_sector_spectra_make_up_the_full_spectrum(params, cutoff):
-    full = np.linalg.eigvalsh(assemble(params, build_basis(cutoff)).matrix.toarray())
+    full = np.linalg.eigvalsh(assemble(params, build_basis(cutoff)).matrix)
     spectra = sector_spectra(params, cutoff)
     union = np.sort(np.concatenate(list(spectra.values())))
     assert union.shape == full.shape
@@ -97,7 +97,7 @@ def by_symmetry(indices, j, parity):
 def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
     basis = build_basis(cutoff)
     h = assemble(params, basis).matrix
-    energies, vectors = np.linalg.eigh(h.toarray())
+    energies, vectors = np.linalg.eigh(h)
     # A level count that cuts no multiplet, so that both routes report the
     # same multiplets whole.
     counts = [k for k in range(3, 9) if energies[k] - energies[k - 1] >= 1e-6]
@@ -172,7 +172,7 @@ def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
 def full_space_symmetry(params, cutoff):
     """(basis, energies, symmetry_vectors, |J|) of every full-space level."""
     basis = build_basis(cutoff)
-    energies, vectors = np.linalg.eigh(assemble(params, basis).matrix.toarray())
+    energies, vectors = np.linalg.eigh(assemble(params, basis).matrix)
     vectors = symmetry_vectors(energies, vectors, basis)
     j = np.rint(np.linalg.norm(rotation_generator(basis) @ vectors, axis=0)).astype(int)
     return basis, energies, vectors, j
@@ -249,6 +249,27 @@ def test_halves_make_up_sector_zero(params, cutoff):
     assert dims[0] == 2 * cutoff + 2
     union = np.sort(np.linalg.eigvalsh(halves).ravel())
     assert np.abs(union - np.linalg.eigvalsh(whole[0])).max() < TOL_MEV
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(1, 20), data=st.data())
+def test_variational_ladder(params, cutoff, data):
+    # H at cutoff N is H at N + 1 compressed to the shells up to N, in the
+    # whole space and in every sector, so by Cauchy interlacing the k-th
+    # lowest level does not rise from N to N + 1.
+    num_states = data.draw(st.integers(1, 2 * (cutoff + 1) * (cutoff + 2)), label="num_states")
+    coarse = lowest_levels(params, cutoff, num_states)
+    fine = lowest_levels(params, cutoff + 1, num_states)
+    resolution = max(coarse.resolution, fine.resolution)
+    assert np.all(fine.energies <= coarse.energies + resolution)
+    # The padding of each sector matrix lies above its levels, so the
+    # lowest dims[j] eigenvalues of block j are the levels of sector J = j.
+    js = range(cutoff + 2)
+    _, dims, coarse_stack = sector_matrices(params, cutoff, js)
+    fine_values = np.linalg.eigvalsh(sector_matrices(params, cutoff + 1, js)[2])
+    coarse_values = np.linalg.eigvalsh(coarse_stack)
+    for j, dim in zip(js, dims):
+        assert np.all(fine_values[j, :dim] <= coarse_values[j, :dim] + resolution), j
 
 
 def assert_same_levels(levels, reference, tol=1e-12):

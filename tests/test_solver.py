@@ -4,17 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from pjtdiag import (
-    ConvergenceError,
     PRESETS,
     PjtParams,
     converge_cutoff,
     delta_splitting,
 )
 from pjtdiag.sectors import lowest_levels
-from reference import VibronicHamiltonian, assemble, build_basis, solve
+from reference import assemble, build_basis, solve
 
 SIV = PRESETS["SiV"].params
 
@@ -29,8 +27,6 @@ def test_request_validation():
         solve(h, 0)
     with pytest.raises(ValueError, match="num_states"):
         solve(h, 13)
-    with pytest.raises(ValueError, match="tolerance"):
-        solve(h, 2, tolerance=0.0)
 
 
 def test_invalid_request_refused_before_any_cutoff():
@@ -69,16 +65,8 @@ def test_dense_matches_iterative():
     assert np.abs(dense.energies - sectors.energies).max() < 1e-8
 
 
-def test_result_invariants_both_methods():
-    result = solve(siv_hamiltonian(), 6)
-    assert np.all(np.diff(result.energies) >= 0.0)
-    gram = result.vectors.T @ result.vectors
-    assert np.abs(gram - np.eye(6)).max() < 1e-10
-    assert result.residuals.shape == (6,)
-    assert np.all(result.residuals <= 1e-8)
-
-
 def test_iterative_matches_full_diagonalization():
+    # The sector route against every eigenvalue of the product-space matrix.
     rng = np.random.default_rng(7)
     params = PjtParams(
         hbar_omega=float(rng.uniform(40.0, 110.0)),
@@ -88,19 +76,18 @@ def test_iterative_matches_full_diagonalization():
         f_u=float(rng.uniform(10.0, 120.0)),
     )
     h = assemble(params, build_basis(5))
-    full = np.linalg.eigvalsh(h.matrix.toarray())
-    result = solve(h, 5)
-    assert np.abs(result.energies - full[:5]).max() < 1e-8
+    full = np.linalg.eigvalsh(h.matrix)
+    assert np.abs(lowest_levels(params, 5, 5).energies - full[:5]).max() < 1e-8
+    assert np.abs(solve(h, 5).energies - full[:5]).max() < 1e-8
 
 
-def test_nonconvergence_reports_diagnostics():
-    with pytest.raises(ConvergenceError) as excinfo:
-        solve(siv_hamiltonian(), 4, tolerance=1e-300)
-    error = excinfo.value
-    assert error.energies is not None
-    assert error.energies.shape == (4,)
-    assert error.residuals is not None
-    assert error.residuals.max() > 1e-300
+def test_result_invariants():
+    result = solve(siv_hamiltonian(), 6)
+    assert np.all(np.diff(result.energies) >= 0.0)
+    gram = result.vectors.T @ result.vectors
+    assert np.abs(gram - np.eye(6)).max() < 1e-10
+    assert result.residuals.shape == (6,)
+    assert np.all(result.residuals <= 1e-8)
 
 
 def test_converge_cutoff_ground_energy_monotone():
@@ -165,17 +152,12 @@ def test_converge_cutoff_keeps_energies_when_delta_is_undefined():
 
 
 def test_dense_route_refuses_oversized_matrix_before_allocating():
-    # Dimension of cutoff 100; a dense copy would take 3.4 GB.
-    dimension = 20604
-    empty = VibronicHamiltonian(
-        params=SIV,
-        basis=build_basis(0),
-        matrix=sparse.csr_matrix((dimension, dimension)),
-    )
+    # Dimension 20604 at cutoff 100; the dense matrix would take 3.4 GB.
+    basis = build_basis(100)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="MiB"):
-            solve(empty, 1)
+            assemble(SIV, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
