@@ -26,12 +26,12 @@ and -l, and changes the sign of A1u, so it splits sector 0 into two halves
 of N + 1 states: the even one holds A2u and (E+ + E-) / sqrt(2), the odd one
 i * A1u and (E+ - E-) / sqrt(2), each coupled sqrt(2) times as strongly as
 A2u or i * A1u is to E+ alone. lowest_levels diagonalizes the halves in
-place of sector 0, each padded to 2N + 2 like the other sectors, and
-returns each level's signed J and, at J = 0, its parity. The lowest k
-levels need only the blocks that can hold one: the halves and J = 1 ..
-k // 2 hold at least k levels, and the rest are certified with a Cholesky
-test against the k-th of their levels and diagonalized only when the test
-fails.
+place of sector 0 and returns each level's signed J and, at J = 0, its
+parity. The lowest k levels need only the blocks that can hold one: the
+halves and J = 1 .. k // 2, the head, hold at least k levels and are
+diagonalized padded to 2N + 2. The rest are certified with a Cholesky test
+against the k-th of the head's levels, factored at their own largest
+dimension, and diagonalized, padded to 2N + 2, only when the test fails.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -235,43 +235,9 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
     )
 
 
-@np.errstate(over="ignore")
-def _fill(params: PjtParams, layout: _Layout) -> np.ndarray:
-    """Padded stack of block matrices; padding sits above every level.
-
-    An element or row sum beyond the float range makes the padding inf,
-    without a warning.
-    """
-    blocks, size = layout.component.shape
-    f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g
-    # 1/2 <target|B-|source> of the _COUPLED pairs.
-    elements = np.array([-f_sum, f_diff, -f_sum, -f_diff]) / math.sqrt(2.0)
-    w_diag = np.array(
-        [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr]
-    )
-    stack = np.zeros((blocks, size, size))
-    sec, row, col, pair, amp = layout.coupling
-    values = elements[pair] * amp
-    stack[sec, row, col] = values
-    stack[sec, col, row] = values
-    real = layout.component >= 0
-    diagonal = np.where(
-        real,
-        params.hbar_omega * (layout.shell + 1.0) + w_diag[layout.component],
-        0.0,
-    )
-    # Gershgorin: every eigenvalue is at most the largest absolute row sum,
-    # summed from the coupling list so that no copy of the stack is made.
-    # That sum is positive (hbar_omega > 0), so twice it lies strictly above
-    # every level and scales with H.
-    row_sums = np.abs(diagonal)
-    magnitudes = np.abs(values)
-    np.add.at(row_sums, (sec, row), magnitudes)
-    np.add.at(row_sums, (sec, col), magnitudes)
-    ceiling = 2.0 * row_sums.max()
-    index = np.arange(size)
-    stack[:, index, index] = np.where(real, diagonal, ceiling)
-    return stack
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=1)
@@ -285,7 +251,7 @@ def _sector_layout(cutoff: int) -> _Layout:
     """
     blocks = np.arange(cutoff + 3)
     layout = _layout(cutoff, np.maximum(blocks - 1, 0), np.where(blocks < 2, 1 - 2 * blocks, 0))
-    for array in (
+    _read_only(
         layout.j_values,
         layout.parity,
         layout.dims,
@@ -294,9 +260,107 @@ def _sector_layout(cutoff: int) -> _Layout:
         layout.observed,
         layout.moment_off,
         *layout.coupling,
-    ):
-        array.setflags(write=False)
+    )
     return layout
+
+
+@dataclass(frozen=True, eq=False)
+class _FillPlan:
+    """Where _fill writes each element of the _sector_layout blocks.
+
+    The first ``head`` blocks form an array of shape (head, 2N + 2, 2N + 2),
+    the others one of shape (blocks - head, width, width), width being
+    their largest dimension; both are views of one buffer. An entry is a
+    state's diagonal element or a coupling, the couplings once as (row,
+    column) and once transposed: ``positions`` is its flat place in the
+    buffer and ``slots`` the (block, row) whose Gershgorin row sum it joins,
+    in the order the sums are taken: diagonal, then row, then column
+    entries. A state's diagonal element is hbar_omega * ``quanta`` plus W
+    on its ``component``. ``padding`` holds the flat places of the padding
+    diagonal, and ``candidates`` is _candidates of the head.
+    """
+
+    layout: _Layout
+    head: int
+    width: int
+    quanta: np.ndarray
+    component: np.ndarray
+    slots: np.ndarray
+    positions: np.ndarray
+    padding: np.ndarray
+    candidates: tuple[np.ndarray, ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _fill_plan(cutoff: int, head: int) -> _FillPlan:
+    """_FillPlan of the head of `head` blocks at one cutoff, kept for the
+    most recent pair; its arrays are read-only like the layout's."""
+    layout = _sector_layout(cutoff)
+    size = 2 * cutoff + 2
+    width = int(layout.dims[head:].max(initial=0))
+    stride = np.where(np.arange(len(layout.dims)) < head, size, width)
+    start = np.concatenate([[0], np.cumsum(stride * stride)[:-1]])
+    real = layout.component >= 0
+    block, slot = np.nonzero(real)
+    sec, row, col, _, _ = layout.coupling
+    pad_block, pad_slot = np.nonzero(~real & (np.arange(size) < stride[:, None]))
+    plan = _FillPlan(
+        layout=layout,
+        head=head,
+        width=width,
+        quanta=layout.shell[block, slot] + 1.0,
+        component=layout.component[block, slot],
+        slots=np.concatenate([block * size + slot, sec * size + row, sec * size + col]),
+        positions=np.concatenate(
+            [
+                start[block] + slot * (stride[block] + 1),
+                start[sec] + row * stride[sec] + col,
+                start[sec] + col * stride[sec] + row,
+            ]
+        ),
+        padding=start[pad_block] + pad_slot * (stride[pad_block] + 1),
+        candidates=_candidates(layout, head),
+    )
+    _read_only(
+        plan.quanta, plan.component, plan.slots, plan.positions, plan.padding, *plan.candidates
+    )
+    return plan
+
+
+@np.errstate(over="ignore")
+def _fill(params: PjtParams, plan: _FillPlan) -> tuple[np.ndarray, np.ndarray, float]:
+    """(head, certified, ceiling): the planned arrays of block matrices and
+    their Gershgorin ceiling, which pads every diagonal above every level.
+
+    An element or row sum beyond the float range makes the ceiling inf,
+    without a warning.
+    """
+    size = plan.layout.component.shape[1]
+    f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g
+    # 1/2 <target|B-|source> of the _COUPLED pairs.
+    elements = np.array([-f_sum, f_diff, -f_sum, -f_diff]) / math.sqrt(2.0)
+    w_diag = np.array(
+        [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr]
+    )
+    _, _, _, pair, amp = plan.layout.coupling
+    values = elements[pair] * amp
+    entries = np.concatenate(
+        [params.hbar_omega * plan.quanta + w_diag[plan.component], values, values]
+    )
+    # Gershgorin: every eigenvalue is at most the largest absolute row sum.
+    # That sum is positive (hbar_omega > 0), so twice it lies strictly above
+    # every level and scales with H.
+    ceiling = 2.0 * np.bincount(plan.slots, np.abs(entries)).max()
+    split = plan.head * size * size
+    rest = len(plan.layout.dims) - plan.head
+    buffer = np.zeros(split + rest * plan.width * plan.width)
+    buffer[plan.positions] = entries
+    buffer[plan.padding] = ceiling
+    return (
+        buffer[:split].reshape(plan.head, size, size),
+        buffer[split:].reshape(rest, plan.width, plan.width),
+        ceiling,
+    )
 
 
 @dataclass(eq=False)
@@ -336,53 +400,64 @@ class SectorLevels:
     resolution: float
 
 
-def _lowest(values: np.ndarray, layout: _Layout, num_states: int) -> tuple[np.ndarray, ...]:
-    """(energy, block, column, signed J) of the num_states lowest levels
-    among the first len(values) blocks of layout.
-
-    Levels of J > 0 count twice, once for the mirror -J. Ties keep the order
-    block by block, then the mirrors, so they resolve as they would over
-    every block.
-    """
-    block, col = np.nonzero(np.arange(values.shape[1]) < layout.dims[: len(values), None])
-    energy, j = values[block, col], layout.j_values[block]
+def _candidates(layout: _Layout, blocks: int) -> tuple[np.ndarray, ...]:
+    """(flat, block, column, signed J) of every level of the first `blocks`
+    blocks of layout, block by block, then the mirrors -J of the levels of J
+    > 0; flat indexes the (blocks, 2N + 2) eigenvalues of those blocks."""
+    size = layout.component.shape[1]
+    block, col = np.nonzero(np.arange(size) < layout.dims[:blocks, None])
+    j = layout.j_values[block]
     mirror = j > 0
-    energy = np.concatenate([energy, energy[mirror]])
     block = np.concatenate([block, block[mirror]])
     col = np.concatenate([col, col[mirror]])
     j = np.concatenate([j, -j[mirror]])
+    return block * size + col, block, col, j
+
+
+def _lowest(
+    values: np.ndarray, candidates: tuple[np.ndarray, ...], num_states: int
+) -> tuple[np.ndarray, ...]:
+    """(energy, block, column, signed J) of the num_states lowest levels
+    among the _candidates of the blocks whose eigenvalues are values.
+
+    Levels of J > 0 count twice, once for the mirror -J. Ties keep the order
+    of the candidates, so they resolve as they would over every block.
+    """
+    flat, block, col, j = candidates
+    energy = np.take(values, flat)
     order = np.argsort(energy, kind="stable")[:num_states]
     return energy[order], block[order], col[order], j[order]
 
 
-def _all_above(stack: np.ndarray, level: float, ceiling: float) -> bool:
-    """Whether every level of every matrix in a padded sector stack lies above level.
+def _all_above(stack: np.ndarray, level: float, ceiling: float, size: int) -> bool:
+    """Whether every level of every matrix in a stack of sectors lies above level.
 
-    ceiling is _fill's Gershgorin ceiling, finite and above |every level|. By
-    Sylvester's law of inertia, H - s I has a Cholesky factorization exactly
-    when H has no eigenvalue at or below s. In floating point, a
-    factorization that succeeds is exact for H - s I + E, where ||E|| is
-    typically about size * eps * ||H - s I|| and at most about size**2 * eps
-    * ||H - s I|| (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 10); here ||H - s I|| is at most twice the ceiling. The shift s lies
-    above level by several times that worst case, so a sector passes only if
-    its levels, and eigh's values of them, lie strictly above level; skipping
-    it cannot change which levels tie at level. A larger margin costs only
-    speed, through more fallbacks.
+    The matrices are those of sectors of cutoff N, padded to a common
+    dimension of at most size = 2N + 2, and ceiling is _fill's Gershgorin
+    ceiling, finite and above |every level|. By Sylvester's law of inertia,
+    H - s I has a Cholesky factorization exactly when H has no eigenvalue at
+    or below s. In floating point, a factorization that succeeds is exact
+    for H - s I + E, where ||E|| is typically about n * eps * ||H - s I||
+    and at most about n**2 * eps * ||H - s I|| for dimension n <= size
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10); here
+    ||H - s I|| is at most twice the ceiling. The shift s lies above level
+    by several times that worst case at n = size, so a sector passes only if
+    its levels, and eigh's values of them, lie strictly above level;
+    skipping it cannot change which levels tie at level. A larger margin
+    costs only speed, through more fallbacks.
     """
-    size = stack.shape[-1]
     shift = level + 8.0 * size * size * np.finfo(float).eps * ceiling
     # Shifted in place, and restored exactly, so that no copy of the stack
     # sits beside the factor.
-    index = np.arange(size)
-    diagonal = stack[:, index, index]
-    stack[:, index, index] -= shift
+    diagonal = stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
+    saved = diagonal.copy()
+    diagonal -= shift
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return False
     finally:
-        stack[:, index, index] = diagonal
+        diagonal[...] = saved
     return True
 
 
@@ -427,13 +502,16 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     The two halves of sector 0 and the sectors J = 1 .. num_states // 2
     hold at least num_states levels counting mirrors, so the num_states-th
     lowest of their levels, U, is an upper bound on the wanted ones; they go
-    through one batched eigh. The remaining sectors go through one batched
-    Cholesky factorization of H_J - (U + margin): by Sylvester's law of
+    through one batched eigh, padded to 2N + 2. The remaining sectors go
+    through one batched Cholesky factorization of H_J - (U + margin),
+    padded only to the largest of their dimensions: by Sylvester's law of
     inertia it succeeds only if every level of sector J lies above U +
     margin, and those sectors are then skipped. If it fails they are
-    diagonalized too. Either way the levels, and the choice among levels
-    tied at U, are those of a diagonalization of every sector. A level is
-    accepted only if its residual is at most SectorLevels.resolution.
+    padded to 2N + 2 and diagonalized too, so that every eigh sees the
+    matrices a diagonalization of every sector would. Either way the
+    levels, and the choice among levels tied at U, are those of such a
+    diagonalization. A level is accepted only if its residual is at most
+    SectorLevels.resolution.
 
     Args:
         params: Model parameters.
@@ -449,25 +527,30 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         ConvergenceError: a residual exceeds the resolution or is not finite.
     """
     check_cutoff(cutoff, num_states)
-    layout = _sector_layout(cutoff)
-    stack = _fill(params, layout)
-    # Every block holds fewer than 2N + 2 states, so it carries padding,
-    # whose diagonal is _fill's Gershgorin ceiling: above |every level|.
-    ceiling = stack.diagonal(axis1=1, axis2=2).max()
+    size = 2 * cutoff + 2
+    plan = _fill_plan(cutoff, min(cutoff + 3, 2 + num_states // 2))
+    layout = plan.layout
+    stack, certified, ceiling = _fill(params, plan)
     if not np.isfinite(ceiling):
         raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
-    head = min(len(stack), 2 + num_states // 2)
-    values, vectors = np.linalg.eigh(stack[:head])
-    energies, block, col, j = _lowest(values, layout, num_states)
-    if head < len(stack) and not _all_above(stack[head:], energies[-1], ceiling):
-        rest_values, rest_vectors = np.linalg.eigh(stack[head:])
+    values, vectors = np.linalg.eigh(stack)
+    energies, block, col, j = _lowest(values, plan.candidates, num_states)
+    if len(certified) and not _all_above(certified, energies[-1], ceiling, size):
+        # The certified blocks padded to 2N + 2 like the head, with the ceiling.
+        padded = np.zeros((len(layout.dims), size, size))
+        padded[: plan.head] = stack
+        padded[plan.head :, : plan.width, : plan.width] = certified
+        diagonal = padded.reshape(len(padded), -1)[plan.head :, :: size + 1]
+        diagonal[:, plan.width :] = ceiling
+        stack = padded
+        rest_values, rest_vectors = np.linalg.eigh(stack[plan.head :])
         values = np.concatenate([values, rest_values])
         vectors = np.concatenate([vectors, rest_vectors])
-        energies, block, col, j = _lowest(values, layout, num_states)
+        energies, block, col, j = _lowest(values, _candidates(layout, len(stack)), num_states)
 
     table = _observables(stack, values, vectors, layout, block, col, ceiling)
     residuals = table[:, 0]
-    resolution = 8.0 * stack.shape[-1] * np.finfo(float).eps * ceiling
+    resolution = 8.0 * size * np.finfo(float).eps * ceiling
     if not np.all(residuals <= resolution):
         raise ConvergenceError(
             f"sector residuals up to {residuals.max():.3e} meV exceed "

@@ -8,8 +8,9 @@ also dense, built here on the same Fock space: the generator of
 J = L_z + S, a geometric C3 turn and the reflection Y -> -Y. The tests
 compare the sectors against it; every product-space call they make is at a
 cutoff of 15 or less (dimension 544 or less). It also holds the 4x4
-electronic blocks of the product-space matrix and ``sector_matrices``,
-which builds whole sectors of any J.
+electronic blocks of the product-space matrix, ``fill``, the generic fill
+of a sector layout that the package's planned fill must match bit for bit,
+and ``sector_matrices``, which builds whole sectors of any J with it.
 ``every_sector_levels`` is the sector route without its pruning: one eigh of
 both halves of sector 0 and of all sectors J = 1 .. N + 1, and a loop over
 them.
@@ -38,7 +39,7 @@ from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM, PjtParams
 from pjtdiag.sectors import (
     MAX_DENSE_BYTES,
     SectorLevels,
-    _fill,
+    _Layout,
     _layout,
     check_cutoff,
 )
@@ -55,6 +56,46 @@ DETERMINANTS: tuple[str, str, str, str] = (
 )
 
 SYMMETRY_LABELS: tuple[str, str, str, str] = ("A2u", "A1u", "Eux", "Euy")
+
+
+@np.errstate(over="ignore")
+def fill(params: PjtParams, layout: _Layout) -> np.ndarray:
+    """Stack of the blocks of a sector layout, each padded to 2N + 2; the
+    padding diagonal is the Gershgorin ceiling, above every level.
+
+    The package fills only the blocks lowest_levels needs, from a cached
+    plan; this is the generic fill it must match bit for bit. An element or
+    row sum beyond the float range makes the padding inf, without a warning.
+    """
+    blocks, size = layout.component.shape
+    f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g
+    # 1/2 <target|B-|source> of the _COUPLED pairs.
+    elements = np.array([-f_sum, f_diff, -f_sum, -f_diff]) / math.sqrt(2.0)
+    w_diag = np.array(
+        [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr]
+    )
+    stack = np.zeros((blocks, size, size))
+    sec, row, col, pair, amp = layout.coupling
+    values = elements[pair] * amp
+    stack[sec, row, col] = values
+    stack[sec, col, row] = values
+    real = layout.component >= 0
+    diagonal = np.where(
+        real,
+        params.hbar_omega * (layout.shell + 1.0) + w_diag[layout.component],
+        0.0,
+    )
+    # Gershgorin: every eigenvalue is at most the largest absolute row sum.
+    # That sum is positive (hbar_omega > 0), so twice it lies strictly above
+    # every level and scales with H.
+    row_sums = np.abs(diagonal)
+    magnitudes = np.abs(values)
+    np.add.at(row_sums, (sec, row), magnitudes)
+    np.add.at(row_sums, (sec, col), magnitudes)
+    ceiling = 2.0 * row_sums.max()
+    index = np.arange(size)
+    stack[:, index, index] = np.where(real, diagonal, ceiling)
+    return stack
 
 
 def w_matrix(params: PjtParams) -> np.ndarray:
@@ -134,7 +175,7 @@ def sector_matrices(
     check_cutoff(cutoff)
     js = np.arange(cutoff + 2) if j_values is None else np.asarray(j_values, dtype=int)
     layout = _layout(cutoff, js)
-    return layout.j_values, layout.dims, _fill(params, layout)
+    return layout.j_values, layout.dims, fill(params, layout)
 
 
 @dataclass(frozen=True)
@@ -529,7 +570,7 @@ def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> Sect
     layout = _layout(
         cutoff, np.array([0, 0, *range(1, cutoff + 2)]), np.array([1, -1] + [0] * (cutoff + 1))
     )
-    stack = _fill(params, layout)
+    stack = fill(params, layout)
     solved = [np.linalg.eigh(matrix) for matrix in stack]
     # (energy, block, column, signed J), the mirrors last.
     candidates, mirrors = [], []

@@ -24,13 +24,14 @@ from pjtdiag import (
     spectrum_report,
 )
 from pjtdiag.cli import cmd_spectrum
-from pjtdiag.sectors import _fill, _sector_layout, lowest_levels
+from pjtdiag.sectors import _fill, _fill_plan, _sector_layout, lowest_levels
 from reference import (
     assemble,
     build_basis,
     c3_rotation,
     classify_levels,
     every_sector_levels,
+    fill,
     multiplets,
     reflection,
     rotation_generator,
@@ -244,7 +245,7 @@ def test_halves_make_up_sector_zero(params, cutoff):
     layout = _sector_layout(cutoff)
     assert layout.parity[:2].tolist() == [1, -1]
     assert layout.dims[:2].tolist() == [cutoff + 1, cutoff + 1]
-    halves = _fill(params, layout)[:2, : cutoff + 1, : cutoff + 1]
+    halves = _fill(params, _fill_plan(cutoff, 2))[0][:, : cutoff + 1, : cutoff + 1]
     _, dims, whole = sector_matrices(params, cutoff, [0])
     assert dims[0] == 2 * cutoff + 2
     union = np.sort(np.linalg.eigvalsh(halves).ravel())
@@ -270,6 +271,31 @@ def test_variational_ladder(params, cutoff, data):
     coarse_values = np.linalg.eigvalsh(coarse_stack)
     for j, dim in zip(js, dims):
         assert np.all(fine_values[j, :dim] <= coarse_values[j, :dim] + resolution), j
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=PARAMS | DECOUPLED,
+    cutoff=st.integers(0, 30),
+    exponent=st.floats(-300.0, 300.0),
+    head=st.integers(2, 33),
+)
+@example(params=SIV, cutoff=15, exponent=0.0, head=6)
+@example(params=SIV, cutoff=15, exponent=300.0, head=6)
+def test_planned_fill_matches_the_generic_fill(params, cutoff, exponent, head):
+    # The head and the certified blocks, the latter cut to the largest of
+    # their dimensions, are the padded stack of the reference fill bit for
+    # bit, and the ceiling is its padding diagonal, inf included.
+    params = scaled(params, 10.0**exponent)
+    head = min(head, cutoff + 3)
+    plan = _fill_plan(cutoff, head)
+    stack, certified, ceiling = _fill(params, plan)
+    reference = fill(params, _sector_layout(cutoff))
+    width = plan.width
+    assert width == _sector_layout(cutoff).dims[head:].max(initial=0)
+    assert stack.tobytes() == reference[:head].tobytes()
+    assert certified.tobytes() == reference[head:, :width, :width].tobytes()
+    assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
 
 
 def assert_same_levels(levels, reference, tol=1e-12):
@@ -312,12 +338,12 @@ def test_pruned_sectors_match_every_sector(params, cutoff, data):
 
 
 def recorded_eigh_batches(monkeypatch):
-    """Sector counts of every np.linalg.eigh call from now on."""
+    """Shapes of the stacks of every np.linalg.eigh call from now on."""
     batches = []
     eigh = np.linalg.eigh
 
     def recording(stack):
-        batches.append(len(stack))
+        batches.append(stack.shape)
         return eigh(stack)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
@@ -328,40 +354,60 @@ def test_only_sectors_that_can_hold_a_wanted_level_are_diagonalized(monkeypatch)
     # The two halves of sector 0 and sectors 1 .. 4.
     batches = recorded_eigh_batches(monkeypatch)
     levels = lowest_levels(SIV, 60, 8)
-    assert batches == [6]
+    assert batches == [(6, 122, 122)]
     monkeypatch.undo()
     assert_same_levels(levels, every_sector_levels(SIV, 60, 8))
 
 
 def test_failed_certification_diagonalizes_the_rest(monkeypatch):
     # The ground level of J = 0 ties with the lowest of J = 1, so sector 1
-    # fails the Cholesky test and sectors 1 .. 16 are diagonalized after
-    # the halves.
+    # fails the Cholesky test and sectors 1 .. N + 1 are diagonalized after
+    # the halves, padded back to 2N + 2 from their certified width.
     params = decoupled(80.0, 10.0)
-    batches = recorded_eigh_batches(monkeypatch)
-    levels = lowest_levels(params, 15, 1)
-    assert batches == [2, 16]
-    monkeypatch.undo()
-    assert_same_levels(levels, every_sector_levels(params, 15, 1))
+    for cutoff in (15, 40):
+        size = 2 * cutoff + 2
+        assert _fill_plan(cutoff, 2).width < size
+        batches = recorded_eigh_batches(monkeypatch)
+        levels = lowest_levels(params, cutoff, 1)
+        assert batches == [(2, size, size), (cutoff + 1, size, size)]
+        monkeypatch.undo()
+        assert_same_levels(levels, every_sector_levels(params, cutoff, 1))
 
 
 def test_cached_layout_is_read_only():
     layout = _sector_layout(15)
     assert _sector_layout(15) is layout
+    plan = _fill_plan(15, 6)
+    assert _fill_plan(15, 6) is plan and plan.layout is layout
     names = ("j_values", "parity", "dims", "component", "shell", "observed", "moment_off")
     arrays = [getattr(layout, name) for name in names] + list(layout.coupling)
+    names = ("quanta", "component", "slots", "positions", "padding")
+    arrays += [getattr(plan, name) for name in names] + list(plan.candidates)
     assert not any(array.flags.writeable for array in arrays)
 
 
 def test_fill_makes_no_second_stack():
-    layout = _sector_layout(80)
+    plan = _fill_plan(80, 6)
     tracemalloc.start()
     try:
-        stack = _fill(SIV, layout)
+        stack, certified, _ = _fill(SIV, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * stack.nbytes
+    assert peak < 1.25 * (stack.nbytes + certified.nbytes)
+
+
+def test_lowest_levels_memory_at_the_fitting_cutoff():
+    # The padded head, the certified blocks at their own width and eigh's
+    # vectors; the plan is cached by the first call, as in a fit.
+    lowest_levels(SIV, 15, 8)
+    tracemalloc.start()
+    try:
+        lowest_levels(SIV, 15, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 240 * 2**10
 
 
 def test_siv_levels_carry_j_and_labels():
