@@ -288,19 +288,17 @@ def couplings_from_ejt(
     e_jt1: float,
     e_jt2: float,
     hbar_omega: float,
-    u_dominant: bool = True,
 ) -> tuple[float, float]:
     """Invert the channel relaxation energies back to (f_g, f_u).
 
     Only the sum and the magnitude of the difference of the couplings are
-    determined; ``u_dominant`` picks which orbital carries the larger one
-    (default f_u >= f_g, the ordering of all built-in presets).
+    determined; by convention the u orbital carries the larger one, f_u >=
+    f_g, the ordering of all built-in presets.
 
     Args:
         e_jt1: Constructive-channel energy, meV. Must dominate e_jt2.
         e_jt2: Destructive-channel energy, meV, >= 0.
         hbar_omega: Vibrational quantum, meV, > 0.
-        u_dominant: If True return f_u >= f_g, otherwise f_g >= f_u.
 
     Returns:
         (f_g, f_u) in meV.
@@ -315,6 +313,4 @@ def couplings_from_ejt(
         )
     f_sum = math.sqrt(2.0 * hbar_omega * e_jt1)
     f_diff = math.sqrt(2.0 * hbar_omega * e_jt2)
-    small = 0.5 * (f_sum - f_diff)
-    large = 0.5 * (f_sum + f_diff)
-    return (small, large) if u_dominant else (large, small)
+    return 0.5 * (f_sum - f_diff), 0.5 * (f_sum + f_diff)

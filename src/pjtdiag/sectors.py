@@ -31,7 +31,8 @@ parity. The lowest k levels need only the blocks that can hold one: the
 halves and J = 1 .. k // 2, the head, hold at least k levels and are
 diagonalized padded to 2N + 2. The rest are certified with a Cholesky test
 against the k-th of the head's levels, factored at their own largest
-dimension, and diagonalized, padded to 2N + 2, only when the test fails.
+dimension. Only when the test fails is every block taken as the head and
+diagonalized, padded to 2N + 2, in one call.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -59,7 +60,9 @@ __all__ = [
 ]
 
 # Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
-# a large cutoff from exhausting memory; the peak is a few times this.
+# a large cutoff from exhausting memory. The tracemalloc peak of lowest_levels
+# was 2.03 times the stack of all N + 3 blocks that check_cutoff bounds
+# (cutoff 60, one level, a failed certificate).
 MAX_DENSE_BYTES = 2**28
 
 # Electronic components of every sector: A2u, i * A1u, E+, E-.
@@ -235,49 +238,30 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
     )
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.setflags(write=False)
-
-
-@functools.lru_cache(maxsize=1)
-def _sector_layout(cutoff: int) -> _Layout:
-    """_layout of the even and odd halves of sector 0 and the sectors J = 1
-    .. N + 1, in that order, kept for the most recent cutoff.
-
-    A fit calls lowest_levels many times at one cutoff, and the layout
-    depends on the cutoff alone. Its arrays are read-only because every
-    such call shares them.
-    """
-    blocks = np.arange(cutoff + 3)
-    layout = _layout(cutoff, np.maximum(blocks - 1, 0), np.where(blocks < 2, 1 - 2 * blocks, 0))
-    _read_only(
-        layout.j_values,
-        layout.parity,
-        layout.dims,
-        layout.component,
-        layout.shell,
-        layout.observed,
-        layout.moment_off,
-        *layout.coupling,
-    )
-    return layout
+def _read_only(*records) -> None:
+    """Make every array of the records' fields, tuples included, read-only."""
+    for record in records:
+        for value in vars(record).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
 class _FillPlan:
-    """Where _fill writes each element of the _sector_layout blocks.
+    """Where _fill writes each element of the blocks of one cutoff.
 
-    The first ``head`` blocks form an array of shape (head, 2N + 2, 2N + 2),
-    the others one of shape (blocks - head, width, width), width being
-    their largest dimension; both are views of one buffer. An entry is a
-    state's diagonal element or a coupling, the couplings once as (row,
-    column) and once transposed: ``positions`` is its flat place in the
-    buffer and ``slots`` the (block, row) whose Gershgorin row sum it joins,
-    in the order the sums are taken: diagonal, then row, then column
-    entries. A state's diagonal element is hbar_omega * ``quanta`` plus W
-    on its ``component``. ``padding`` holds the flat places of the padding
-    diagonal, and ``candidates`` is _candidates of the head.
+    ``layout`` is the _layout of the even and odd halves of sector 0 and the
+    sectors J = 1 .. N + 1, in that order. Its first ``head`` blocks form an
+    array of shape (head, 2N + 2, 2N + 2), the others one of shape (blocks -
+    head, width, width), width being their largest dimension; both are views
+    of one buffer. An entry is a state's diagonal element or a coupling, the
+    couplings once as (row, column) and once transposed: ``positions`` is its
+    flat place in the buffer and ``slots`` the (block, row) whose Gershgorin
+    row sum it joins, in the order the sums are taken: diagonal, then row,
+    then column entries. A state's diagonal element is hbar_omega *
+    ``quanta`` plus W on its ``component``. ``padding`` holds the flat places
+    of the padding diagonal, and ``candidates`` is _candidates of the head.
     """
 
     layout: _Layout
@@ -291,14 +275,21 @@ class _FillPlan:
     candidates: tuple[np.ndarray, ...]
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _fill_plan(cutoff: int, head: int) -> _FillPlan:
-    """_FillPlan of the head of `head` blocks at one cutoff, kept for the
-    most recent pair; its arrays are read-only like the layout's."""
-    layout = _sector_layout(cutoff)
+    """_FillPlan of the head of `head` blocks at one cutoff.
+
+    A fit calls lowest_levels many times at one cutoff, and the plan depends
+    on the cutoff and the head alone, so the two most recent plans are kept:
+    the head of the levels wanted, and every block after a failed
+    certificate. Their arrays are read-only because every such call shares
+    them.
+    """
+    blocks = np.arange(cutoff + 3)
+    layout = _layout(cutoff, np.maximum(blocks - 1, 0), np.where(blocks < 2, 1 - 2 * blocks, 0))
     size = 2 * cutoff + 2
     width = int(layout.dims[head:].max(initial=0))
-    stride = np.where(np.arange(len(layout.dims)) < head, size, width)
+    stride = np.where(blocks < head, size, width)
     start = np.concatenate([[0], np.cumsum(stride * stride)[:-1]])
     real = layout.component >= 0
     block, slot = np.nonzero(real)
@@ -321,9 +312,7 @@ def _fill_plan(cutoff: int, head: int) -> _FillPlan:
         padding=start[pad_block] + pad_slot * (stride[pad_block] + 1),
         candidates=_candidates(layout, head),
     )
-    _read_only(
-        plan.quanta, plan.component, plan.slots, plan.positions, plan.padding, *plan.candidates
-    )
+    _read_only(layout, plan)
     return plan
 
 
@@ -506,12 +495,13 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     through one batched Cholesky factorization of H_J - (U + margin),
     padded only to the largest of their dimensions: by Sylvester's law of
     inertia it succeeds only if every level of sector J lies above U +
-    margin, and those sectors are then skipped. If it fails they are
-    padded to 2N + 2 and diagonalized too, so that every eigh sees the
-    matrices a diagonalization of every sector would. Either way the
-    levels, and the choice among levels tied at U, are those of such a
-    diagonalization. A level is accepted only if its residual is at most
-    SectorLevels.resolution.
+    margin, and those sectors are then skipped. If it fails, the head
+    stack is freed and the levels are taken again with every block as the
+    head: one batched eigh of all N + 3 blocks, padded to 2N + 2. So every
+    eigh sees the matrices a diagonalization of every sector would, and
+    either way the levels, and the choice among levels tied at U, are
+    those of such a diagonalization. A level is accepted only if its
+    residual is at most SectorLevels.resolution.
 
     Args:
         params: Model parameters.
@@ -528,27 +518,20 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     """
     check_cutoff(cutoff, num_states)
     size = 2 * cutoff + 2
-    plan = _fill_plan(cutoff, min(cutoff + 3, 2 + num_states // 2))
-    layout = plan.layout
-    stack, certified, ceiling = _fill(params, plan)
-    if not np.isfinite(ceiling):
-        raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
-    values, vectors = np.linalg.eigh(stack)
-    energies, block, col, j = _lowest(values, plan.candidates, num_states)
-    if len(certified) and not _all_above(certified, energies[-1], ceiling, size):
-        # The certified blocks padded to 2N + 2 like the head, with the ceiling.
-        padded = np.zeros((len(layout.dims), size, size))
-        padded[: plan.head] = stack
-        padded[plan.head :, : plan.width, : plan.width] = certified
-        diagonal = padded.reshape(len(padded), -1)[plan.head :, :: size + 1]
-        diagonal[:, plan.width :] = ceiling
-        stack = padded
-        rest_values, rest_vectors = np.linalg.eigh(stack[plan.head :])
-        values = np.concatenate([values, rest_values])
-        vectors = np.concatenate([vectors, rest_vectors])
-        energies, block, col, j = _lowest(values, _candidates(layout, len(stack)), num_states)
+    for head in (min(cutoff + 3, 2 + num_states // 2), cutoff + 3):
+        plan = _fill_plan(cutoff, head)
+        stack, certified, ceiling = _fill(params, plan)
+        if not np.isfinite(ceiling):
+            raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
+        values, vectors = np.linalg.eigh(stack)
+        energies, block, col, j = _lowest(values, plan.candidates, num_states)
+        if not len(certified) or _all_above(certified, energies[-1], ceiling, size):
+            break
+        # Freed before every block is filled, so that only one stack and its
+        # eigenvectors are live at a time.
+        del stack, certified, values, vectors
 
-    table = _observables(stack, values, vectors, layout, block, col, ceiling)
+    table = _observables(stack, values, vectors, plan.layout, block, col, ceiling)
     residuals = table[:, 0]
     resolution = 8.0 * size * np.finfo(float).eps * ceiling
     if not np.all(residuals <= resolution):
@@ -561,7 +544,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     return SectorLevels(
         energies=energies,
         j=j,
-        parity=layout.parity[block],
+        parity=plan.layout.parity[block],
         character=np.column_stack([table[:, 1], table[:, 2], table[:, 3] + table[:, 4]]),
         r_squared=table[:, 6],
         top_shell_weight=table[:, 5],

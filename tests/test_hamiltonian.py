@@ -440,9 +440,6 @@ def test_couplings_from_ejt_dominance_flag():
     f_g, f_u = couplings_from_ejt(258.0, 0.47, 75.9)
     assert f_g == pytest.approx(94.7266592958, abs=1e-9)
     assert f_u == pytest.approx(103.1733154389, abs=1e-9)
-    g_first, u_first = couplings_from_ejt(258.0, 0.47, 75.9, u_dominant=False)
-    assert g_first == pytest.approx(f_u, abs=1e-12)
-    assert u_first == pytest.approx(f_g, abs=1e-12)
 
 
 def test_couplings_from_ejt_validation():

@@ -1,4 +1,5 @@
-"""The test configuration itself: a failing property test is reported."""
+"""The test configuration itself: a failing property test is reported, and a
+mistyped marker is an error."""
 
 import os
 import subprocess
@@ -18,16 +19,25 @@ def test_fails(n):
     assert n < 5
 """
 
+MISTYPED_MARKER = """\
+import pytest
 
-def test_failing_property_test_reports_its_example(tmp_path):
-    # Runs under the warning filters of pyproject.toml. Where libcst is
-    # installed, Hypothesis imports it to write a patch file for the failure.
-    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+
+@pytest.mark.acceptence(1, "a mistyped acceptance marker")
+def test_marked():
+    pass
+"""
+
+
+def run_pytest(tmp_path, name, source):
+    """Combined output and exit status of pytest on one test file, written to
+    tmp_path, under the configuration of pyproject.toml."""
+    (tmp_path / name).write_text(source)
     env = dict(os.environ, PYTHONPATH=str(Path(pjtdiag.__file__).parents[1]))
     result = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_fails.py",
+            "-c", str(PYPROJECT), "--rootdir", str(tmp_path), name,
         ],
         cwd=tmp_path,
         env=env,
@@ -35,7 +45,22 @@ def test_failing_property_test_reports_its_example(tmp_path):
         text=True,
         timeout=120,
     )
-    output = result.stdout + result.stderr
-    assert result.returncode == 1, output
+    return result.stdout + result.stderr, result.returncode
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # Runs under the warning filters of pyproject.toml. Where libcst is
+    # installed, Hypothesis imports it to write a patch file for the failure.
+    output, status = run_pytest(tmp_path, "test_fails.py", FAILING_PROPERTY)
+    assert status == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+def test_mistyped_marker_is_a_collection_error(tmp_path):
+    # Without --strict-markers the test passes with a warning, and its line
+    # drops out of the acceptance summary.
+    output, status = run_pytest(tmp_path, "test_marked.py", MISTYPED_MARKER)
+    assert status == 2, output
+    assert "'acceptence' not found in `markers` configuration option" in output
+    assert "1 error" in output

@@ -24,7 +24,7 @@ from pjtdiag import (
     spectrum_report,
 )
 from pjtdiag.cli import cmd_spectrum
-from pjtdiag.sectors import _fill, _fill_plan, _sector_layout, lowest_levels
+from pjtdiag.sectors import _fill, _fill_plan, lowest_levels
 from reference import (
     assemble,
     build_basis,
@@ -242,10 +242,10 @@ def test_reflection_parity_of_the_j0_labels(params, cutoff):
 @settings(max_examples=100, deadline=None)
 @given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20))
 def test_halves_make_up_sector_zero(params, cutoff):
-    layout = _sector_layout(cutoff)
-    assert layout.parity[:2].tolist() == [1, -1]
-    assert layout.dims[:2].tolist() == [cutoff + 1, cutoff + 1]
-    halves = _fill(params, _fill_plan(cutoff, 2))[0][:, : cutoff + 1, : cutoff + 1]
+    plan = _fill_plan(cutoff, 2)
+    assert plan.layout.parity[:2].tolist() == [1, -1]
+    assert plan.layout.dims[:2].tolist() == [cutoff + 1, cutoff + 1]
+    halves = _fill(params, plan)[0][:, : cutoff + 1, : cutoff + 1]
     _, dims, whole = sector_matrices(params, cutoff, [0])
     assert dims[0] == 2 * cutoff + 2
     union = np.sort(np.linalg.eigvalsh(halves).ravel())
@@ -290,9 +290,9 @@ def test_planned_fill_matches_the_generic_fill(params, cutoff, exponent, head):
     head = min(head, cutoff + 3)
     plan = _fill_plan(cutoff, head)
     stack, certified, ceiling = _fill(params, plan)
-    reference = fill(params, _sector_layout(cutoff))
+    reference = fill(params, plan.layout)
     width = plan.width
-    assert width == _sector_layout(cutoff).dims[head:].max(initial=0)
+    assert width == plan.layout.dims[head:].max(initial=0)
     assert stack.tobytes() == reference[:head].tobytes()
     assert certified.tobytes() == reference[head:, :width, :width].tobytes()
     assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
@@ -361,24 +361,28 @@ def test_only_sectors_that_can_hold_a_wanted_level_are_diagonalized(monkeypatch)
 
 def test_failed_certification_diagonalizes_the_rest(monkeypatch):
     # The ground level of J = 0 ties with the lowest of J = 1, so sector 1
-    # fails the Cholesky test and sectors 1 .. N + 1 are diagonalized after
-    # the halves, padded back to 2N + 2 from their certified width.
+    # fails the Cholesky test and every block is diagonalized after the
+    # halves, all as the head, padded to 2N + 2 from the start.
     params = decoupled(80.0, 10.0)
     for cutoff in (15, 40):
         size = 2 * cutoff + 2
         assert _fill_plan(cutoff, 2).width < size
         batches = recorded_eigh_batches(monkeypatch)
         levels = lowest_levels(params, cutoff, 1)
-        assert batches == [(2, size, size), (cutoff + 1, size, size)]
+        assert batches == [(2, size, size), (cutoff + 3, size, size)]
+        # Both plans stay cached, so a fit that keeps failing builds none.
+        misses = _fill_plan.cache_info().misses
+        again = lowest_levels(params, cutoff, 1)
+        assert _fill_plan.cache_info().misses == misses
         monkeypatch.undo()
         assert_same_levels(levels, every_sector_levels(params, cutoff, 1))
+        assert_same_levels(again, levels, tol=0.0)
 
 
 def test_cached_layout_is_read_only():
-    layout = _sector_layout(15)
-    assert _sector_layout(15) is layout
     plan = _fill_plan(15, 6)
-    assert _fill_plan(15, 6) is plan and plan.layout is layout
+    assert _fill_plan(15, 6) is plan
+    layout = plan.layout
     names = ("j_values", "parity", "dims", "component", "shell", "observed", "moment_off")
     arrays = [getattr(layout, name) for name in names] + list(layout.coupling)
     names = ("quanta", "component", "slots", "positions", "padding")
@@ -408,6 +412,23 @@ def test_lowest_levels_memory_at_the_fitting_cutoff():
     finally:
         tracemalloc.stop()
     assert peak < 240 * 2**10
+
+
+def test_failed_certification_memory():
+    # After the head, every block padded to 2N + 2 and eigh's vectors of it;
+    # the head's stack is freed first. Both plans are cached by the first
+    # call, as in a fit.
+    cutoff = 60
+    stack_bytes = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
+    params = decoupled(80.0, 10.0)
+    lowest_levels(params, cutoff, 1)
+    tracemalloc.start()
+    try:
+        lowest_levels(params, cutoff, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stack_bytes
 
 
 def test_siv_levels_carry_j_and_labels():
