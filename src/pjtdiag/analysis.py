@@ -9,9 +9,9 @@ the odd ones A1u, a pair of |J| a nonzero multiple of 3 is A1u + A2u
 splitting delta runs from the ground level, which must be even J = 0, to
 the lowest Eu-type level; a ground level that ties with another to
 rounding is refused. The module also holds the cutoff convergence
-ladder and classical sheet scans along a line of X (one stacked
-hamiltonian.ApesPoint whose arrays lead with the grid axis and which
-carries the per-sheet characters).
+ladder and classical sheet scans along a line of X: one stacked
+hamiltonian.ApesPoint, whose arrays lead with the grid axis, of the sheet
+energies and their symmetry weights, both in closed form.
 """
 
 from __future__ import annotations
@@ -117,11 +117,12 @@ def delta_splitting(params: PjtParams, cutoff: int, *, num_states: int = 8) -> f
         delta in meV (positive in the expected regime).
 
     Raises:
+        TypeError: a cutoff or num_states that is not an integer.
         ValueError: invalid request, or matrix elements beyond the float range.
         ConvergenceError: a residual exceeds the resolution.
         StateOrderingError: expected level pattern absent.
     """
-    if num_states < 3:
+    if as_index(num_states, "num_states") < 3:
         raise ValueError(f"num_states must be >= 3 to resolve the doublet, got {num_states}")
     return _delta(lowest_levels(params, cutoff, num_states))
 
@@ -257,13 +258,14 @@ def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> Spec
         ascending order, their labels, and delta > 0 in the expected regime.
 
     Raises:
+        TypeError: a cutoff or num_states that is not an integer.
         ValueError: invalid request, or matrix elements beyond the float range.
         ConvergenceError: a residual exceeds the resolution.
         StateOrderingError: the level pattern needed to define delta is
             absent: the ground level is degenerate or not A2u-type, or no
             Eu-type level was computed.
     """
-    if num_states < 3:
+    if as_index(num_states, "num_states") < 3:
         raise ValueError(f"num_states must be >= 3, got {num_states}")
     levels = lowest_levels(params, cutoff, num_states)
     for top_weight in levels.top_shell_weight:

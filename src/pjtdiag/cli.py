@@ -44,10 +44,10 @@ __all__ = ["cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 
 # Memory an apes scan holds per point before its first row is written, from
 # the tracemalloc peak of cmd_apes at 20000 to 80000 points (Python 3.11,
-# numpy 2.4). The peak lies in classical_apes, while it sorts the sheets; the
-# table and the lowest sheet's weights come after it, and the floats of one
+# numpy 2.4). The peak lies in classical_apes, while it sorts the sheets'
+# energies and characters; the table comes after it, and the floats of one
 # block of rows are a fixed amount on top.
-APES_BYTES_PER_POINT = 377
+APES_BYTES_PER_POINT = 313
 
 # apes writes its rows in blocks of this many. One % over the row template
 # repeated for every row of a block formats the whole block, which costs far
@@ -250,13 +250,10 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
 def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Classical sheet scan along X at Y = 0 as CSV. Returns exit status."""
     sheets = apes_scan(params, np.linspace(args.xmin, args.xmax, args.points), y=0.0)
-    # The weights come first, so that their temporaries and the table are
-    # never alive together.
-    lowest = sheets.sheet_characters(0)
     table = np.empty((args.points, 8))
     table[:, 0] = sheets.x
     table[:, 1:5] = sheets.energies
-    table[:, 5:] = lowest
+    table[:, 5:] = sheets.characters[:, 0]
     row = ",".join(["%.6f"] * table.shape[1]) + "\n"
     with _open_output(args.output) as out:
         _write_provenance(

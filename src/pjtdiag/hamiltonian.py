@@ -18,16 +18,16 @@ the truncated two-mode Fock space,
 
 which ``sectors`` builds and diagonalizes one conserved-J sector at a time.
 classical_apes solves the 4x4 electronic matrix at frozen displacements
-(x, y) instead, one point or a whole grid at once, in closed form: at
-(rho, 0) the matrix splits into two 2x2 blocks, over (A2u, Eux) and
-(A1u, Euy), and a turn by the polar angle phi of (x, y) carries their
-eigenvectors to (x, y).
+(x, y) instead, one point or a whole grid at once, in closed form: J is
+conserved, so at (rho, 0) the matrix splits into two 2x2 blocks, over
+(A2u, Eux) and (A1u, Euy), and the energies and symmetry weights of their
+sheets are functions of rho alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ __all__ = [
 
 # Maps determinant amplitudes to symmetry amplitudes: rows 0 .. 3 expand
 # A2u, A1u, Eux and Euy over the determinants in the order of the module
-# docstring, so for a determinant-basis vector c, SYMMETRY_TRANSFORM @ c holds
-# the A2u, A1u, Eux, Euy amplitudes. Orthogonal.
+# docstring, so applied to a determinant-basis vector it gives the A2u, A1u,
+# Eux and Euy amplitudes. Orthogonal.
 _S = 1.0 / math.sqrt(2.0)
 SYMMETRY_TRANSFORM = np.array(
     [
@@ -90,93 +90,39 @@ class PjtParams:
 
 @dataclass(frozen=True, eq=False)
 class ApesPoint:
-    """Classical adiabatic energies at one nuclear configuration or a grid.
+    """Classical adiabatic sheets at one nuclear configuration or a grid.
 
-    The coordinate shape leads every array: for scalar coordinates x and y
-    are floats and energies has shape (4,); for coordinate arrays of shape
-    S, x and y are arrays of shape S and energies has shape S + (4,).
+    For coordinate arrays of shape S, x and y have shape S, energies
+    S + (4,) and characters S + (4, 3); scalar coordinates give floats x
+    and y, and S = ().
 
     Attributes:
         x, y: Dimensionless mode coordinates.
         energies: The four sheet energies in meV, ascending along the last
             axis.
-        vectors: Electronic eigenvectors as columns (determinant basis), shape
-            S + (4, 4), matching ``energies``. Each column lies in one of two
-            planes, A2u with cos(phi) Eux - sin(phi) Euy or A1u with
-            sin(phi) Eux + cos(phi) Euy, where phi is the polar angle of
-            (x, y) and 0 at the origin. Sheets of equal energy keep the
-            order of the (A2u, ...) plane before the (A1u, ...) plane, lower
-            state before upper; where a plane's two states are degenerate,
-            its columns are their sum and difference over sqrt(2).
+        characters: Weights (w_a2u, w_a1u, w_eu) of each sheet along the
+            last axis, the two Eu components pooled. A sheet lies in the
+            (A2u, Eu) or in the (A1u, Eu) plane, so w_a1u or w_a2u is zero;
+            sheets of equal energy keep the (A2u, Eu) plane first, lower
+            sheet before upper, and the two sheets of a degenerate plane
+            carry half of either state. The weights depend on
+            rho = |(x, y)| alone.
     """
 
     x: float | np.ndarray
     y: float | np.ndarray
     energies: np.ndarray
-    vectors: np.ndarray = field(repr=False)
-
-    @property
-    def characters(self) -> np.ndarray:
-        """Per-sheet weights of shape S + (4, 3): entry [..., i, :] holds
-        (w_a2u, w_a1u, w_eu) of sheet i, the two Eu components pooled. The
-        weights are those of ``vectors``, so at a degeneracy between the two
-        planes each row holds one plane's weights, with either w_a1u or
-        w_a2u zero. Up to rounding they do not change when (x, y) turns
-        about the origin."""
-        return _pooled((SYMMETRY_TRANSFORM @ self.vectors).swapaxes(-1, -2))
-
-    def sheet_characters(self, sheet: int) -> np.ndarray:
-        """characters[..., sheet, :] alone, shape S + (3,), bit for bit,
-        without pooling the other sheets' weights."""
-        return _pooled((SYMMETRY_TRANSFORM @ self.vectors)[..., sheet])
+    characters: np.ndarray
 
 
-def _pooled(amplitudes: np.ndarray) -> np.ndarray:
-    """(w_a2u, w_a1u, w_eu) along a new last axis, from the A2u, A1u, Eux
-    and Euy amplitudes along the last axis."""
-    weights = amplitudes**2
-    return np.stack(
-        [weights[..., 0], weights[..., 1], weights[..., 2] + weights[..., 3]], axis=-1
-    )
-
-
-def _half_angles(half_gap: float, off, gap):
-    """Upper eigenvector (c, s) / sqrt(2) of [[m + half_gap, off], [off, m - half_gap]].
-
-    gap is hypot(half_gap, off); (c, s) belongs to m + gap and (-s, c) to
-    m - gap. Half-angle formulas with sqrt and division only, no trig
-    ufuncs, so that stacked and scalar calls agree bitwise. Where off is 0
-    as well as half_gap, any basis will do; this one is (1, +-1) / sqrt(2).
-    """
-    if half_gap == 0.0:
-        return 0.5, np.copysign(0.5, off)
-    big = np.sqrt(0.25 + 0.25 * (abs(half_gap) / gap))
-    small = 0.25 * (off / gap) / big
-    return (big, small) if half_gap > 0.0 else (small, big)
-
-
-def _unsorted_sheets(params: PjtParams, x, y, lift):
-    """Energies (..., 4) and vectors as rows (..., 4, 4), in block order.
-
-    At (rho, 0) the sheet matrix splits into [[centre + h, o], [o, centre - h]]
-    over (A2u, Eux) and over (A1u, Euy), with o = coupling * rho. Turning to
-    the polar angle phi of (x, y) maps (Eux, Euy) to (cos Eux + sin Euy,
-    cos Euy - sin Eux) and leaves A2u and A1u alone. Sheets come lower then
-    upper, the (A2u, Eux) block first; row k is the vector of sheet k over
-    the determinants.
-    """
+def _unsorted_sheets(params: PjtParams, rho, lift):
+    """Energies (..., 4) and characters (..., 4, 3) in block order: the
+    lower and upper sheet, centre -+ g with g = hypot(h, o), of
+    [[centre + h, o], [o, centre - h]] over (A2u, Eux), then over (A1u, Euy),
+    with o = coupling * rho."""
     lam, xi = params.lambda_corr, params.xi_corr
-    rho = np.hypot(x, y)
-    turned = rho > 0.0
-    cos = np.divide(x, rho, out=np.ones(rho.shape), where=turned)
-    sin = np.divide(y, rho, out=np.zeros(rho.shape), where=turned)
-    # For subnormal coordinates rho is rounded coarsely, and only the ratio
-    # of cos and sin is right until they are scaled back to unit length.
-    norm = np.hypot(cos, sin)
-    cos /= norm
-    sin /= norm
     energies = np.empty(rho.shape + (4,))
-    rows = np.empty(rho.shape + (4, 4))
+    characters = np.zeros(rho.shape + (4, 3))
     blocks = (
         (-0.5 * (lam + xi), 0.5 * (xi - lam), -(params.f_u + params.f_g)),
         (0.5 * (lam - xi), 0.5 * (lam + xi), -(params.f_u - params.f_g)),
@@ -188,46 +134,44 @@ def _unsorted_sheets(params: PjtParams, x, y, lift):
         lower, upper = 2 * block, 2 * block + 1
         np.subtract(mid, gap, out=energies[..., lower])
         np.add(mid, gap, out=energies[..., upper])
-        c, s = _half_angles(half_gap, off, gap)
-        for k, (a, e) in ((lower, (-s, c)), (upper, (c, s))):
-            # Symmetry amplitudes (a, e) / sqrt(2) of A2u or A1u and of the
-            # turned Eu; the determinants are (A2u - Eux, A1u + Euy,
-            # Euy - A1u, A2u + Eux) / sqrt(2).
-            along, across = cos * e, sin * e
-            row = rows[..., k, :]
-            if block == 0:
-                np.subtract(a, along, out=row[..., 0])
-                np.negative(across, out=row[..., 1])
-                row[..., 2] = row[..., 1]
-                np.add(a, along, out=row[..., 3])
-            else:
-                np.negative(across, out=row[..., 0])
-                np.add(a, along, out=row[..., 1])
-                np.subtract(along, a, out=row[..., 2])
-                row[..., 3] = across
-    return energies, rows
+        # The upper sheet carries (1 + h / g) / 2 on A2u or A1u and the rest
+        # on Eu. The minority weight (1 - |h| / g) / 2 comes from ratios of at
+        # most 1, so that it neither overflows nor loses its relative
+        # accuracy when small. Where h is 0 every sheet carries half, also
+        # where g is 0 and the block is degenerate.
+        if half_gap == 0.0:
+            minority = 0.5
+        else:
+            minority = 0.5 * (off / gap) * (off / (gap + abs(half_gap)))
+        majority = 1.0 - minority
+        lean = (minority, majority) if half_gap > 0.0 else (majority, minority)
+        for sheet, (state, eu) in ((lower, lean), (upper, lean[::-1])):
+            characters[..., sheet, block] = state
+            characters[..., sheet, 2] = eu
+    return energies, characters
 
 
 def classical_apes(params: PjtParams, x, y) -> ApesPoint:
     """Adiabatic sheets with the mode treated as a classical displacement.
 
-    The sheets are the eigenpairs of hbar_omega * (x^2 + y^2) / 2 * I4 +
+    The sheets are the eigenvalues of hbar_omega * (x^2 + y^2) / 2 * I4 +
     x * B_X + y * B_Y + W, the harmonic restoring energy plus the electronic
-    terms at frozen (x, y). Linear coupling conserves J = L_z + S, so the
-    energies depend on rho = |(x, y)| alone: at (rho, 0) the matrix splits
-    into two 2x2 blocks, over (A2u, Eux) and (A1u, Euy), with closed-form
-    eigensystems, and a turn by the polar angle phi of (x, y) carries their
-    eigenvectors to (x, y). x and y broadcast against each other; every
-    point takes the same elementwise arithmetic, so a stacked call and
-    scalar calls agree bitwise.
+    terms at frozen (x, y), and the weights of A2u, A1u and Eu in each.
+    Linear coupling conserves J = L_z + S, so both depend on rho = |(x, y)|
+    alone: at (rho, 0) the matrix splits into two 2x2 blocks, over
+    (A2u, Eux) and (A1u, Euy), whose sheets and weights come in closed
+    form. x and y broadcast against each other; every point takes the same
+    elementwise arithmetic, so a stacked call and scalar calls agree
+    bitwise.
 
     Args:
         params: Model parameters.
         x, y: Finite dimensionless coordinates, scalars or arrays.
 
     Returns:
-        ApesPoint with ascending energies and the broadcast coordinate shape
-        as leading axes; floats x and y for scalar input.
+        ApesPoint with ascending energies, the characters of those sheets,
+        and the broadcast coordinate shape as leading axes; floats x and y
+        for scalar input.
 
     Raises:
         ValueError: non-finite coordinates, or sheet energies beyond the
@@ -253,20 +197,16 @@ def classical_apes(params: PjtParams, x, y) -> ApesPoint:
         if not (math.isfinite(at[0]) and math.isfinite(at[1])):
             raise ValueError(f"coordinates must be finite, got {at}")
         raise ValueError(f"sheet energies at {at} are beyond the float range")
-    # The block temporaries die with _unsorted_sheets, before the sort below
-    # holds two copies of the vectors.
-    energies, rows = _unsorted_sheets(params, x, y, lift)
+    energies, characters = _unsorted_sheets(params, np.hypot(x, y), lift)
     order = np.argsort(energies, axis=-1, kind="stable")
     # Gather whole rows (sheet k of point i is flat row 4 i + k), several
-    # times faster than np.take_along_axis on columns, then transpose so that
-    # the columns hold the vectors.
+    # times faster than np.take_along_axis.
     picked = (order.reshape(-1, 4) + np.arange(0, order.size, 4).reshape(-1, 1)).ravel()
     energies = energies.reshape(-1)[picked].reshape(order.shape)
-    rows = rows.reshape(-1, 4)[picked].reshape(rows.shape)
-    vectors = np.ascontiguousarray(rows.swapaxes(-1, -2))
+    characters = characters.reshape(-1, 3)[picked].reshape(characters.shape)
     if x.ndim == 0:
         x, y = float(x), float(y)
-    return ApesPoint(x=x, y=y, energies=energies, vectors=vectors)
+    return ApesPoint(x=x, y=y, energies=energies, characters=characters)
 
 
 def ejt_from_couplings(params: PjtParams) -> tuple[float, float]:

@@ -1,5 +1,5 @@
 """The test configuration itself: a failing property test is reported, and a
-mistyped marker is an error."""
+mistyped marker or configuration key is an error."""
 
 import os
 import subprocess
@@ -29,15 +29,21 @@ def test_marked():
 """
 
 
-def run_pytest(tmp_path, name, source):
+PLAIN_TEST = """\
+def test_plain():
+    pass
+"""
+
+
+def run_pytest(tmp_path, name, source, config=PYPROJECT):
     """Combined output and exit status of pytest on one test file, written to
-    tmp_path, under the configuration of pyproject.toml."""
+    tmp_path, under the configuration of pyproject.toml or of config."""
     (tmp_path / name).write_text(source)
     env = dict(os.environ, PYTHONPATH=str(Path(pjtdiag.__file__).parents[1]))
     result = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-            "-c", str(PYPROJECT), "--rootdir", str(tmp_path), name,
+            "-c", str(config), "--rootdir", str(tmp_path), name,
         ],
         cwd=tmp_path,
         env=env,
@@ -64,3 +70,14 @@ def test_mistyped_marker_is_a_collection_error(tmp_path):
     assert status == 2, output
     assert "'acceptence' not found in `markers` configuration option" in output
     assert "1 error" in output
+
+
+def test_mistyped_config_key_is_an_error(tmp_path):
+    # Without strict_config the run passes with a PytestConfigWarning, and
+    # none of the warning filters is in force.
+    config = tmp_path / "pyproject.toml"
+    config.write_text(PYPROJECT.read_text().replace("filterwarnings =", "filterwarning =", 1))
+    output, status = run_pytest(tmp_path, "test_plain.py", PLAIN_TEST, config)
+    assert status == 4, output
+    assert "Unknown config option: filterwarning" in output
+    assert "passed" not in output

@@ -486,11 +486,15 @@ def test_too_many_states_refused():
         (lambda: converge_cutoff(SIV, [5, 10], 3.0), "num_states", 3.0),
         (lambda: lowest_levels(SIV, 5.5, 3), "cutoff", 5.5),
         (lambda: delta_splitting(SIV, 10, num_states=8.0), "num_states", 8.0),
+        (lambda: delta_splitting(SIV, 15, num_states="3"), "num_states", "3"),
+        (lambda: delta_splitting(SIV, 15, num_states=1.0), "num_states", 1.0),
         (lambda: spectrum_report(SIV, 15.0), "cutoff", 15.0),
+        (lambda: spectrum_report(SIV, 15, "8"), "num_states", "8"),
+        (lambda: spectrum_report(SIV, 15, num_states=2.0), "num_states", 2.0),
     ],
 )
 def test_non_integer_cutoff_or_level_count_refused(call, name, value):
-    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value}")):
+    with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         call()
 
 
