@@ -47,7 +47,7 @@ __all__ = ["cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 # numpy 2.4). The peak lies in classical_apes, while it sorts the sheets'
 # energies and characters; the table comes after it, and the floats of one
 # block of rows are a fixed amount on top.
-APES_BYTES_PER_POINT = 313
+APES_BYTES_PER_POINT = 296
 
 # apes writes its rows in blocks of this many. One % over the row template
 # repeated for every row of a block formats the whole block, which costs far

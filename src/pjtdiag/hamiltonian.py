@@ -197,7 +197,10 @@ def classical_apes(params: PjtParams, x, y) -> ApesPoint:
         if not (math.isfinite(at[0]) and math.isfinite(at[1])):
             raise ValueError(f"coordinates must be finite, got {at}")
         raise ValueError(f"sheet energies at {at} are beyond the float range")
+    # Freed before the sort, where the peak memory lies.
+    del bound, refused
     energies, characters = _unsorted_sheets(params, np.hypot(x, y), lift)
+    del lift
     order = np.argsort(energies, axis=-1, kind="stable")
     # Gather whole rows (sheet k of point i is flat row 4 i + k), several
     # times faster than np.take_along_axis.

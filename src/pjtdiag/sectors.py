@@ -261,7 +261,7 @@ class _FillPlan:
     row sum it joins, in the order the sums are taken: diagonal, then row,
     then column entries. A state's diagonal element is hbar_omega *
     ``quanta`` plus W on its ``component``. ``padding`` holds the flat places
-    of the padding diagonal, and ``candidates`` is _candidates of the head.
+    of the padding diagonal.
     """
 
     layout: _Layout
@@ -272,7 +272,6 @@ class _FillPlan:
     slots: np.ndarray
     positions: np.ndarray
     padding: np.ndarray
-    candidates: tuple[np.ndarray, ...]
 
 
 @functools.lru_cache(maxsize=2)
@@ -310,7 +309,6 @@ def _fill_plan(cutoff: int, head: int) -> _FillPlan:
             ]
         ),
         padding=start[pad_block] + pad_slot * (stride[pad_block] + 1),
-        candidates=_candidates(layout, head),
     )
     _read_only(layout, plan)
     return plan
@@ -389,35 +387,6 @@ class SectorLevels:
     resolution: float
 
 
-def _candidates(layout: _Layout, blocks: int) -> tuple[np.ndarray, ...]:
-    """(flat, block, column, signed J) of every level of the first `blocks`
-    blocks of layout, block by block, then the mirrors -J of the levels of J
-    > 0; flat indexes the (blocks, 2N + 2) eigenvalues of those blocks."""
-    size = layout.component.shape[1]
-    block, col = np.nonzero(np.arange(size) < layout.dims[:blocks, None])
-    j = layout.j_values[block]
-    mirror = j > 0
-    block = np.concatenate([block, block[mirror]])
-    col = np.concatenate([col, col[mirror]])
-    j = np.concatenate([j, -j[mirror]])
-    return block * size + col, block, col, j
-
-
-def _lowest(
-    values: np.ndarray, candidates: tuple[np.ndarray, ...], num_states: int
-) -> tuple[np.ndarray, ...]:
-    """(energy, block, column, signed J) of the num_states lowest levels
-    among the _candidates of the blocks whose eigenvalues are values.
-
-    Levels of J > 0 count twice, once for the mirror -J. Ties keep the order
-    of the candidates, so they resolve as they would over every block.
-    """
-    flat, block, col, j = candidates
-    energy = np.take(values, flat)
-    order = np.argsort(energy, kind="stable")[:num_states]
-    return energy[order], block[order], col[order], j[order]
-
-
 def _all_above(stack: np.ndarray, level: float, ceiling: float, size: int) -> bool:
     """Whether every level of every matrix in a stack of sectors lies above level.
 
@@ -433,20 +402,16 @@ def _all_above(stack: np.ndarray, level: float, ceiling: float, size: int) -> bo
     by several times that worst case at n = size, so a sector passes only if
     its levels, and eigh's values of them, lie strictly above level;
     skipping it cannot change which levels tie at level. A larger margin
-    costs only speed, through more fallbacks.
+    costs only speed, through more fallbacks. The stack is left shifted,
+    since the caller discards it.
     """
     shift = level + 8.0 * size * size * np.finfo(float).eps * ceiling
-    # Shifted in place, and restored exactly, so that no copy of the stack
-    # sits beside the factor.
-    diagonal = stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1]
-    saved = diagonal.copy()
-    diagonal -= shift
+    # Shifted in place, so that no copy of the stack sits beside the factor.
+    stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] -= shift
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
         return False
-    finally:
-        diagonal[...] = saved
     return True
 
 
@@ -500,8 +465,10 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     head: one batched eigh of all N + 3 blocks, padded to 2N + 2. So every
     eigh sees the matrices a diagonalization of every sector would, and
     either way the levels, and the choice among levels tied at U, are
-    those of such a diagonalization. A level is accepted only if its
-    residual is at most SectorLevels.resolution.
+    those of such a diagonalization. The levels are read off the padded
+    eigenvalues, since each padding slot sits at _fill's ceiling, above
+    every level. A level is accepted only if its residual is at most
+    SectorLevels.resolution.
 
     Args:
         params: Model parameters.
@@ -517,6 +484,9 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         ConvergenceError: a residual exceeds the resolution or is not finite.
     """
     check_cutoff(cutoff, num_states)
+    # Python ints, so that a numpy integer neither overflows in _fill nor
+    # keys the plan cache.
+    cutoff, num_states = as_index(cutoff, "cutoff"), as_index(num_states, "num_states")
     size = 2 * cutoff + 2
     for head in (min(cutoff + 3, 2 + num_states // 2), cutoff + 3):
         plan = _fill_plan(cutoff, head)
@@ -524,7 +494,15 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         if not np.isfinite(ceiling):
             raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
         values, vectors = np.linalg.eigh(stack)
-        energies, block, col, j = _lowest(values, plan.candidates, num_states)
+        # The head's eigenvalues, then those of J > 0 again for the mirrors
+        # -J; stable ties keep that order.
+        flat = np.concatenate([values, values[2:]]).ravel()
+        order = np.argsort(flat, kind="stable")[:num_states]
+        energies = flat[order]
+        row, col = np.divmod(order, size)
+        mirror = row >= head
+        block = row - mirror * (head - 2)
+        j = np.where(mirror, -1, 1) * plan.layout.j_values[block]
         if not len(certified) or _all_above(certified, energies[-1], ceiling, size):
             break
         # Freed before every block is filled, so that only one stack and its

@@ -632,7 +632,7 @@ def test_unwritable_output_rejected(tmp_path, capsys):
         (("converge", "--states", "2"), "--states must be >= 3"),
         (("converge", "--cutoffs", "0,5"), "--cutoffs values must be >= 1, got '0,5'"),
         (("apes", "--points", "100000000"),
-         "--points 100000000 needs 29850 MiB of scan points, beyond the 256 MiB limit"),
+         "--points 100000000 needs 28229 MiB of scan points, beyond the 256 MiB limit"),
         (("converge", "--cutoffs", "1,2", "--states", "200000"),
          "num_states 200000 exceeds matrix dimension 24"),
         (("apes", "--xmin", "-inf"), "scan range must be finite"),

@@ -1,5 +1,6 @@
 """The test configuration itself: a failing property test is reported, and a
-mistyped marker or configuration key is an error."""
+mistyped marker or configuration key, or an xfail test that passes, is an
+error."""
 
 import os
 import subprocess
@@ -31,6 +32,15 @@ def test_marked():
 
 PLAIN_TEST = """\
 def test_plain():
+    pass
+"""
+
+PASSING_XFAIL = """\
+import pytest
+
+
+@pytest.mark.xfail(reason="expected to fail")
+def test_expected_to_fail():
     pass
 """
 
@@ -81,3 +91,10 @@ def test_mistyped_config_key_is_an_error(tmp_path):
     assert status == 4, output
     assert "Unknown config option: filterwarning" in output
     assert "passed" not in output
+
+
+def test_passing_xfail_test_fails_the_run(tmp_path):
+    # Without xfail_strict the run passes and reports "1 xpassed".
+    output, status = run_pytest(tmp_path, "test_xfail.py", PASSING_XFAIL)
+    assert status == 1, output
+    assert "[XPASS(strict)]" in output

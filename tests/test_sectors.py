@@ -296,6 +296,12 @@ def test_planned_fill_matches_the_generic_fill(params, cutoff, exponent, head):
     assert stack.tobytes() == reference[:head].tobytes()
     assert certified.tobytes() == reference[head:, :width, :width].tobytes()
     assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
+    # lowest_levels reads the levels off the padded eigenvalues, which holds
+    # because every padding eigenvalue lies above every level of the head.
+    if np.isfinite(ceiling):
+        values = np.linalg.eigvalsh(stack)
+        padding = np.arange(stack.shape[-1]) >= plan.layout.dims[:head, None]
+        assert values[padding].min() > values[~padding].max()
 
 
 def assert_same_levels(levels, reference, tol=1e-12):
@@ -386,7 +392,7 @@ def test_cached_layout_is_read_only():
     names = ("j_values", "parity", "dims", "component", "shell", "observed", "moment_off")
     arrays = [getattr(layout, name) for name in names] + list(layout.coupling)
     names = ("quanta", "component", "slots", "positions", "padding")
-    arrays += [getattr(plan, name) for name in names] + list(plan.candidates)
+    arrays += [getattr(plan, name) for name in names]
     assert not any(array.flags.writeable for array in arrays)
 
 
@@ -496,6 +502,21 @@ def test_too_many_states_refused():
 def test_non_integer_cutoff_or_level_count_refused(call, name, value):
     with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         call()
+
+
+def test_numpy_integer_arguments_match_plain_ints():
+    # Under numpy 2 a numpy integer kept as cutoff or num_states would
+    # overflow _fill's offsets, and its broken plan would be cached under the
+    # key of the equal plain int, breaking the plain call afterwards too.
+    plain = lowest_levels(SIV, 3, 5)
+    plain_delta = delta_splitting(SIV, 60, num_states=8)
+    _fill_plan.cache_clear()
+    for kind in (np.int8, np.int16, np.uint8, np.int64):
+        assert_same_levels(lowest_levels(SIV, kind(3), kind(5)), plain, tol=0.0)
+    assert delta_splitting(SIV, np.uint8(60), num_states=np.int16(8)) == plain_delta
+    assert_same_levels(lowest_levels(SIV, 3, 5), plain, tol=0.0)
+    study = converge_cutoff(SIV, np.arange(5, 20, 5), np.int8(8))
+    assert all(row.error is None for row in study.rows)
 
 
 def scaled(params, scale):
