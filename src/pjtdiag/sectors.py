@@ -27,12 +27,14 @@ of N + 1 states: the even one holds A2u and (E+ + E-) / sqrt(2), the odd one
 i * A1u and (E+ - E-) / sqrt(2), each coupled sqrt(2) times as strongly as
 A2u or i * A1u is to E+ alone. lowest_levels diagonalizes the halves in
 place of sector 0 and returns each level's signed J and, at J = 0, its
-parity. The lowest k levels need only the blocks that can hold one: the
-halves and J = 1 .. k // 2, the head, hold at least k levels and are
-diagonalized padded to 2N + 2. The rest are certified with a Cholesky test
-against the k-th of the head's levels, factored at their own largest
-dimension. Only when the test fails is every block taken as the head and
-diagonalized, padded to 2N + 2, in one call.
+parity. The lowest k levels need only the blocks that hold one. The even
+half and J = 1 .. (k - 1) // 2, the head, hold at least k levels when the
+even half gives its lowest two and each sector its lowest pair +-J; they
+are diagonalized padded to 2N + 2. The rest, the odd half included, are
+certified with a Cholesky test against the k-th of the head's levels,
+factored at their own largest dimension. When the test fails, the next 1,
+2, 4, ... sectors join the head, and the odd half alone after them; only
+the blocks that join are diagonalized, so no block is diagonalized twice.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -60,9 +62,10 @@ __all__ = [
 ]
 
 # Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
-# a large cutoff from exhausting memory. The tracemalloc peak of lowest_levels
-# was 2.03 times the stack of all N + 3 blocks that check_cutoff bounds
-# (cutoff 60, one level, a failed certificate).
+# a large cutoff from exhausting memory. At cutoff 60 the tracemalloc peak of
+# lowest_levels was 1.99 times the stack of all N + 3 blocks that
+# check_cutoff bounds for one level and a failed certificate, and 2.09
+# times for 8 levels whose head grows to every block.
 MAX_DENSE_BYTES = 2**28
 
 # Electronic components of every sector: A2u, i * A1u, E+, E-.
@@ -248,106 +251,161 @@ def _read_only(*records) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class _FillPlan:
-    """Where _fill writes each element of the blocks of one cutoff.
+class _Blocks:
+    """The blocks of one cutoff and every element _fill writes into them.
 
-    ``layout`` is the _layout of the even and odd halves of sector 0 and the
-    sectors J = 1 .. N + 1, in that order. Its first ``head`` blocks form an
-    array of shape (head, 2N + 2, 2N + 2), the others one of shape (blocks -
-    head, width, width), width being their largest dimension; both are views
-    of one buffer. An entry is a state's diagonal element or a coupling, the
-    couplings once as (row, column) and once transposed: ``positions`` is its
-    flat place in the buffer and ``slots`` the (block, row) whose Gershgorin
-    row sum it joins, in the order the sums are taken: diagonal, then row,
-    then column entries. A state's diagonal element is hbar_omega *
-    ``quanta`` plus W on its ``component``. ``padding`` holds the flat places
-    of the padding diagonal.
+    ``layout`` is the _layout of the blocks in the order lowest_levels takes
+    them into its head: the even half of sector 0, the sectors J = 1 .. N +
+    1, then the odd half. ``levels[b]`` counts the levels of blocks 0 .. b,
+    mirrors included. An entry is a state's diagonal element, hbar_omega *
+    ``quanta`` plus W on its ``component``, or a coupling, once as (row,
+    column) and once transposed; _elements computes them in that order, and
+    ``order`` sorts them stably by block, so that block b holds the entries
+    ``start[b]`` .. ``start[b + 1]`` and each row sum keeps the order of its
+    terms: diagonal, then row, then column entries. Of each sorted entry,
+    ``slots`` is the (block, row) whose Gershgorin row sum it joins, as
+    block * (2N + 2) + row, and ``col`` its column.
     """
 
     layout: _Layout
-    head: int
-    width: int
+    levels: np.ndarray
     quanta: np.ndarray
     component: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
     slots: np.ndarray
-    positions: np.ndarray
-    padding: np.ndarray
+    col: np.ndarray
 
 
-@functools.lru_cache(maxsize=2)
-def _fill_plan(cutoff: int, head: int) -> _FillPlan:
-    """_FillPlan of the head of `head` blocks at one cutoff.
+@functools.lru_cache(maxsize=4)
+def _blocks(cutoff: int) -> _Blocks:
+    """_Blocks of one cutoff.
 
-    A fit calls lowest_levels many times at one cutoff, and the plan depends
-    on the cutoff and the head alone, so the two most recent plans are kept:
-    the head of the levels wanted, and every block after a failed
-    certificate. Their arrays are read-only because every such call shares
-    them.
+    A fit calls lowest_levels many times at one cutoff, and a cutoff ladder
+    at a few, so the four most recent cutoffs are kept. The arrays are
+    read-only because every such call shares them.
     """
-    blocks = np.arange(cutoff + 3)
-    layout = _layout(cutoff, np.maximum(blocks - 1, 0), np.where(blocks < 2, 1 - 2 * blocks, 0))
+    j_values = np.append(np.arange(cutoff + 2), 0)
+    parity = np.zeros(cutoff + 3, dtype=int)
+    parity[[0, -1]] = 1, -1
+    layout = _layout(cutoff, j_values, parity)
     size = 2 * cutoff + 2
-    width = int(layout.dims[head:].max(initial=0))
-    stride = np.where(blocks < head, size, width)
-    start = np.concatenate([[0], np.cumsum(stride * stride)[:-1]])
-    real = layout.component >= 0
-    block, slot = np.nonzero(real)
+    block, slot = np.nonzero(layout.component >= 0)
     sec, row, col, _, _ = layout.coupling
-    pad_block, pad_slot = np.nonzero(~real & (np.arange(size) < stride[:, None]))
-    plan = _FillPlan(
+    entry_block = np.concatenate([block, sec, sec])
+    order = np.argsort(entry_block, kind="stable")
+    blocks = _Blocks(
         layout=layout,
-        head=head,
-        width=width,
+        levels=np.cumsum(np.where(j_values > 0, 2, 1) * layout.dims),
         quanta=layout.shell[block, slot] + 1.0,
         component=layout.component[block, slot],
-        slots=np.concatenate([block * size + slot, sec * size + row, sec * size + col]),
-        positions=np.concatenate(
-            [
-                start[block] + slot * (stride[block] + 1),
-                start[sec] + row * stride[sec] + col,
-                start[sec] + col * stride[sec] + row,
-            ]
-        ),
-        padding=start[pad_block] + pad_slot * (stride[pad_block] + 1),
+        order=order,
+        start=np.append(0, np.cumsum(np.bincount(entry_block, minlength=cutoff + 3))),
+        slots=np.concatenate([block * size + slot, sec * size + row, sec * size + col])[order],
+        col=np.concatenate([slot, col, row])[order],
     )
-    _read_only(layout, plan)
+    _read_only(layout, blocks)
+    return blocks
+
+
+@dataclass(frozen=True, eq=False)
+class _FillPlan:
+    """Where _fill writes blocks ``first`` .. ``head`` - 1 of ``blocks``, the
+    head, and the blocks after them, the rest.
+
+    The head is an array of shape (head - first, 2N + 2, 2N + 2), the rest
+    one of shape (blocks - head, width, width), width being the rest's
+    largest dimension. ``head_positions`` and ``rest_positions`` are the
+    flat places of the sorted entries of each, ``head_padding`` and
+    ``rest_padding`` those of its padding diagonal. ``rows`` lists blocks 0
+    .. head - 1 in the order of a diagonalization of every sector, the even
+    half, the odd half, J = 1 .. N + 1, and then those of J > 0 again for
+    the mirrors -J.
+    """
+
+    blocks: _Blocks
+    first: int
+    head: int
+    width: int
+    head_positions: np.ndarray
+    head_padding: np.ndarray
+    rest_positions: np.ndarray
+    rest_padding: np.ndarray
+    rows: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _fill_plan(cutoff: int, first: int, head: int) -> _FillPlan:
+    """_FillPlan of blocks first .. head - 1 of _blocks(cutoff) as the head.
+
+    Derived from the cached _Blocks of the cutoff. A fit asks for the same
+    few plans again and again, the first head and the rounds that grow it,
+    so the eight most recent are kept, read-only.
+    """
+    blocks = _blocks(cutoff)
+    layout = blocks.layout
+    size = 2 * cutoff + 2
+    width = int(layout.dims[head:].max(initial=0))
+    slots = blocks.slots[blocks.start[first] :]
+    col = blocks.col[blocks.start[first] :]
+    split = blocks.start[head] - blocks.start[first]
+    block, row = np.divmod(slots[split:], size)
+    pad_block, pad_slot = np.nonzero(layout.component < 0)
+    in_head = (pad_block >= first) & (pad_block < head)
+    in_rest = (pad_block >= head) & (pad_slot < width)
+    # The odd half sorts between the even half and J = 1.
+    rows = np.argsort(np.where(layout.parity[:head] < 0, 0.5, layout.j_values[:head]))
+    plan = _FillPlan(
+        blocks=blocks,
+        first=first,
+        head=head,
+        width=width,
+        head_positions=(slots[:split] - first * size) * size + col[:split],
+        head_padding=(pad_block[in_head] - first) * size * size + pad_slot[in_head] * (size + 1),
+        rest_positions=((block - head) * width + row) * width + col[split:],
+        rest_padding=(pad_block[in_rest] - head) * width * width + pad_slot[in_rest] * (width + 1),
+        rows=np.concatenate([rows, rows[layout.j_values[rows] > 0]]),
+    )
+    _read_only(plan)
     return plan
 
 
 @np.errstate(over="ignore")
-def _fill(params: PjtParams, plan: _FillPlan) -> tuple[np.ndarray, np.ndarray, float]:
-    """(head, certified, ceiling): the planned arrays of block matrices and
-    their Gershgorin ceiling, which pads every diagonal above every level.
+def _elements(params: PjtParams, blocks: _Blocks) -> tuple[np.ndarray, float]:
+    """(entries, ceiling): the sorted entries of _Blocks and the Gershgorin
+    ceiling of every block, which pads every diagonal above every level.
 
     An element or row sum beyond the float range makes the ceiling inf,
     without a warning.
     """
-    size = plan.layout.component.shape[1]
     f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g
     # 1/2 <target|B-|source> of the _COUPLED pairs.
     elements = np.array([-f_sum, f_diff, -f_sum, -f_diff]) / math.sqrt(2.0)
     w_diag = np.array(
         [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr]
     )
-    _, _, _, pair, amp = plan.layout.coupling
+    _, _, _, pair, amp = blocks.layout.coupling
     values = elements[pair] * amp
     entries = np.concatenate(
-        [params.hbar_omega * plan.quanta + w_diag[plan.component], values, values]
-    )
+        [params.hbar_omega * blocks.quanta + w_diag[blocks.component], values, values]
+    ).take(blocks.order)
     # Gershgorin: every eigenvalue is at most the largest absolute row sum.
     # That sum is positive (hbar_omega > 0), so twice it lies strictly above
     # every level and scales with H.
-    ceiling = 2.0 * np.bincount(plan.slots, np.abs(entries)).max()
-    split = plan.head * size * size
-    rest = len(plan.layout.dims) - plan.head
-    buffer = np.zeros(split + rest * plan.width * plan.width)
-    buffer[plan.positions] = entries
-    buffer[plan.padding] = ceiling
-    return (
-        buffer[:split].reshape(plan.head, size, size),
-        buffer[split:].reshape(rest, plan.width, plan.width),
-        ceiling,
-    )
+    return entries, 2.0 * np.bincount(blocks.slots, np.abs(entries)).max()
+
+
+def _fill(entries: np.ndarray, ceiling: float, plan: _FillPlan) -> tuple[np.ndarray, np.ndarray]:
+    """(head, rest): the planned arrays of block matrices, from _elements."""
+    size = plan.blocks.layout.component.shape[1]
+    first, split = plan.blocks.start[plan.first], plan.blocks.start[plan.head]
+    head = np.zeros((plan.head - plan.first, size, size))
+    head.ravel()[plan.head_positions] = entries[first:split]
+    head.ravel()[plan.head_padding] = ceiling
+    rest = np.zeros((len(plan.blocks.levels) - plan.head, plan.width, plan.width))
+    rest.ravel()[plan.rest_positions] = entries[split:]
+    rest.ravel()[plan.rest_padding] = ceiling
+    return head, rest
 
 
 @dataclass(eq=False)
@@ -402,12 +460,15 @@ def _all_above(stack: np.ndarray, level: float, ceiling: float, size: int) -> bo
     by several times that worst case at n = size, so a sector passes only if
     its levels, and eigh's values of them, lie strictly above level;
     skipping it cannot change which levels tie at level. A larger margin
-    costs only speed, through more fallbacks. The stack is left shifted,
-    since the caller discards it.
+    costs only speed, through more rounds. The stack, a view or not, is
+    left shifted, since the caller discards it.
     """
     shift = level + 8.0 * size * size * np.finfo(float).eps * ceiling
-    # Shifted in place, so that no copy of the stack sits beside the factor.
-    stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] -= shift
+    # Shifted in place, so that no copy of the stack sits beside the factor;
+    # indexing reaches the diagonal of any layout, where a reshape of a
+    # strided view would shift a copy.
+    diagonal = np.arange(stack.shape[-1])
+    stack[:, diagonal, diagonal] -= shift
     try:
         np.linalg.cholesky(stack)
     except np.linalg.LinAlgError:
@@ -416,59 +477,69 @@ def _all_above(stack: np.ndarray, level: float, ceiling: float, size: int) -> bo
 
 
 def _observables(
-    stack: np.ndarray,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    layout: _Layout,
-    block: np.ndarray,
-    col: np.ndarray,
-    ceiling: float,
+    rounds: list, layout: _Layout, block: np.ndarray, col: np.ndarray, ceiling: float
 ) -> np.ndarray:
     """(residual, w_a2u, w_a1u, w_e+, w_e-, top-shell weight, R^2) of the
-    levels (block, col) of the stack, one row each.
+    levels (block, col), one row each; rounds holds (plan, stack, values,
+    vectors) of the rounds of lowest_levels, whose heads cover the blocks of
+    layout from 0 on.
 
-    A block's wanted levels are its lowest columns, so the observables are
-    formed for the lowest columns of the blocks up to the highest one used,
-    and the wanted levels are gathered from them. The residuals are squared
-    in units of ceiling, which bounds them, so that they neither overflow
-    nor underflow.
+    A block's wanted levels are its lowest columns, so in each round the
+    observables are formed for the lowest columns of its blocks up to the
+    highest one used, the other rows of the round are left zero, and the
+    wanted levels are gathered from the rows of all rounds. The residuals
+    are squared in units of ceiling, which bounds them, so that they neither
+    overflow nor underflow.
     """
-    used, width = block.max() + 1, col.max() + 1
-    cols = vectors[:used, :, :width]
-    residual = stack[:used] @ cols
-    residual -= cols * values[:used, None, :width]
-    residual /= ceiling
-    residual *= residual
-    residuals = ceiling * np.sqrt(residual.sum(axis=1))
-    # Freed before the weights, so that at most two arrays of the size of
-    # cols are live beside the stack and its eigenvectors.
-    del residual
-    observed = np.matmul((cols * cols).transpose(0, 2, 1), layout.observed[:used])
-    cols = cols[:, :-1] * cols[:, 1:]
-    cols *= layout.moment_off[:used, :-1, None]
-    observed[:, :, 5] += 2.0 * cols.sum(axis=1)
-    return np.column_stack([residuals[block, col], observed[block, col]])
+    width = col.max() + 1
+    tables = []
+    for plan, stack, values, vectors in rounds:
+        table = np.zeros((plan.head - plan.first, width, 7))
+        used = np.max(block, where=block < plan.head, initial=plan.first - 1) + 1 - plan.first
+        if used > 0:
+            cols = vectors[:used, :, :width]
+            here = slice(plan.first, plan.first + used)
+            residual = stack[:used] @ cols
+            residual -= cols * values[:used, None, :width]
+            residual /= ceiling
+            residual *= residual
+            table[:used, :, 0] = ceiling * np.sqrt(residual.sum(axis=1))
+            # Freed before the weights, so that at most two arrays of the size
+            # of cols are live beside the stacks and their eigenvectors.
+            del residual
+            table[:used, :, 1:] = np.matmul((cols * cols).transpose(0, 2, 1), layout.observed[here])
+            cols = cols[:, :-1] * cols[:, 1:]
+            cols *= layout.moment_off[here, :-1, None]
+            table[:used, :, 6] += 2.0 * cols.sum(axis=1)
+        tables.append(table)
+    return np.concatenate(tables)[block, col]
 
 
 def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLevels:
-    """Lowest num_states levels, diagonalizing only the sectors that can hold one.
+    """Lowest num_states levels, diagonalizing only the sectors that hold one.
 
-    The two halves of sector 0 and the sectors J = 1 .. num_states // 2
-    hold at least num_states levels counting mirrors, so the num_states-th
-    lowest of their levels, U, is an upper bound on the wanted ones; they go
-    through one batched eigh, padded to 2N + 2. The remaining sectors go
-    through one batched Cholesky factorization of H_J - (U + margin),
-    padded only to the largest of their dimensions: by Sylvester's law of
-    inertia it succeeds only if every level of sector J lies above U +
-    margin, and those sectors are then skipped. If it fails, the head
-    stack is freed and the levels are taken again with every block as the
-    head: one batched eigh of all N + 3 blocks, padded to 2N + 2. So every
-    eigh sees the matrices a diagonalization of every sector would, and
-    either way the levels, and the choice among levels tied at U, are
-    those of such a diagonalization. The levels are read off the padded
-    eigenvalues, since each padding slot sits at _fill's ceiling, above
-    every level. A level is accepted only if its residual is at most
-    SectorLevels.resolution.
+    The blocks are taken into a head in a fixed order: the even half of
+    sector 0, the sectors J = 1 .. N + 1, then the odd half. The first head
+    is the even half and J = 1 .. (num_states - 1) // 2, the smallest that
+    holds num_states levels when the even half gives its lowest two and
+    each sector its lowest pair +-J; more blocks join it if it holds fewer
+    levels than that, counting mirrors. The num_states-th lowest of the
+    head's levels, U, is an upper bound on the wanted ones. The head goes
+    through one batched eigh, padded to 2N + 2, and the rest through one
+    batched Cholesky factorization of H_J - (U + margin), padded only to the
+    largest of their dimensions: by Sylvester's law of inertia it succeeds
+    only if every level of the rest lies above U + margin, and the rest is
+    then skipped. If it fails, the next 1, 2, 4, ... sectors join the head,
+    and the odd half alone once they all have; only they go through eigh,
+    and the blocks after them are certified again against the new U, which
+    is no higher. The eigh of each block is kept, so none is diagonalized twice,
+    and after O(log N) rounds at most every block has been diagonalized
+    once. The levels are read off the padded eigenvalues, since each
+    padding slot sits at _fill's ceiling, above every level, and from blocks
+    in the order of a diagonalization of every sector. So every eigh sees
+    the matrices such a diagonalization would, and the levels, and the
+    choice among levels tied at U, are its own. A level is accepted only if
+    its residual is at most SectorLevels.resolution.
 
     Args:
         params: Model parameters.
@@ -485,32 +556,49 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     """
     check_cutoff(cutoff, num_states)
     # Python ints, so that a numpy integer neither overflows in _fill nor
-    # keys the plan cache.
+    # keys a plan cache.
     cutoff, num_states = as_index(cutoff, "cutoff"), as_index(num_states, "num_states")
     size = 2 * cutoff + 2
-    for head in (min(cutoff + 3, 2 + num_states // 2), cutoff + 3):
-        plan = _fill_plan(cutoff, head)
-        stack, certified, ceiling = _fill(params, plan)
-        if not np.isfinite(ceiling):
-            raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
-        values, vectors = np.linalg.eigh(stack)
-        # The head's eigenvalues, then those of J > 0 again for the mirrors
-        # -J; stable ties keep that order.
-        flat = np.concatenate([values, values[2:]]).ravel()
+    blocks = _blocks(cutoff)
+    entries, ceiling = _elements(params, blocks)
+    if not math.isfinite(ceiling):
+        raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
+    total = len(blocks.levels)
+    first = 0
+    # The even half and J = 1 .. (k - 1) // 2, and more blocks only if these
+    # hold fewer than k levels; the odd half only if the sectors do.
+    head = max(
+        min(total - 1, (num_states + 1) // 2),
+        int(np.searchsorted(blocks.levels, num_states)) + 1,
+    )
+    # (plan, head stack, eigenvalues, eigenvectors) of each round.
+    rounds = []
+    while True:
+        plan = _fill_plan(cutoff, first, head)
+        stack, rest = _fill(entries, ceiling, plan)
+        rounds.append((plan, stack, *np.linalg.eigh(stack)))
+        # The eigenvalues of every block in the head, reordered to plan.rows;
+        # stable ties keep that order.
+        flat = np.concatenate([values for _, _, values, _ in rounds])[plan.rows].ravel()
         order = np.argsort(flat, kind="stable")[:num_states]
         energies = flat[order]
-        row, col = np.divmod(order, size)
-        mirror = row >= head
-        block = row - mirror * (head - 2)
-        j = np.where(mirror, -1, 1) * plan.layout.j_values[block]
-        if not len(certified) or _all_above(certified, energies[-1], ceiling, size):
+        if not len(rest) or _all_above(rest, energies[-1], ceiling, size):
             break
-        # Freed before every block is filled, so that only one stack and its
-        # eigenvectors are live at a time.
-        del stack, certified, values, vectors
+        # Freed before the next blocks are filled.
+        del rest
+        # The next 1, 2, 4, ... sectors join the head, and the odd half alone
+        # once they all have.
+        first = head
+        head = min(total - 1, head + 2 ** (len(rounds) - 1)) if head < total - 1 else total
 
-    table = _observables(stack, values, vectors, plan.layout, block, col, ceiling)
+    row, col = np.divmod(order, size)
+    block = plan.rows[row]
+    layout = blocks.layout
+    table = _observables(rounds, layout, block, col, ceiling)
     residuals = table[:, 0]
+    # w_eu = w_e+ + w_e-.
+    character = table[:, 1:4].copy()
+    character[:, 2] += table[:, 4]
     resolution = 8.0 * size * np.finfo(float).eps * ceiling
     if not np.all(residuals <= resolution):
         raise ConvergenceError(
@@ -521,9 +609,9 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         )
     return SectorLevels(
         energies=energies,
-        j=j,
-        parity=plan.layout.parity[block],
-        character=np.column_stack([table[:, 1], table[:, 2], table[:, 3] + table[:, 4]]),
+        j=np.where(row < head, 1, -1) * layout.j_values[block],
+        parity=layout.parity[block],
+        character=character,
         r_squared=table[:, 6],
         top_shell_weight=table[:, 5],
         residuals=residuals,

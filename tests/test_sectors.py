@@ -24,7 +24,7 @@ from pjtdiag import (
     spectrum_report,
 )
 from pjtdiag.cli import cmd_spectrum
-from pjtdiag.sectors import _fill, _fill_plan, lowest_levels
+from pjtdiag.sectors import _all_above, _blocks, _elements, _fill, _fill_plan, lowest_levels
 from reference import (
     assemble,
     build_basis,
@@ -242,10 +242,14 @@ def test_reflection_parity_of_the_j0_labels(params, cutoff):
 @settings(max_examples=100, deadline=None)
 @given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20))
 def test_halves_make_up_sector_zero(params, cutoff):
-    plan = _fill_plan(cutoff, 2)
-    assert plan.layout.parity[:2].tolist() == [1, -1]
-    assert plan.layout.dims[:2].tolist() == [cutoff + 1, cutoff + 1]
-    halves = _fill(params, plan)[0][:, : cutoff + 1, : cutoff + 1]
+    # The even half is the first block and the odd half the last.
+    total = cutoff + 3
+    plan = _fill_plan(cutoff, 0, total)
+    ends = [0, -1]
+    assert plan.blocks.layout.parity[ends].tolist() == [1, -1]
+    assert plan.blocks.layout.dims[ends].tolist() == [cutoff + 1, cutoff + 1]
+    stack, _ = _fill(*_elements(params, plan.blocks), plan)
+    halves = stack[ends, : cutoff + 1, : cutoff + 1]
     _, dims, whole = sector_matrices(params, cutoff, [0])
     assert dims[0] == 2 * cutoff + 2
     union = np.sort(np.linalg.eigvalsh(halves).ravel())
@@ -278,29 +282,34 @@ def test_variational_ladder(params, cutoff, data):
     params=PARAMS | DECOUPLED,
     cutoff=st.integers(0, 30),
     exponent=st.floats(-300.0, 300.0),
-    head=st.integers(2, 33),
+    first=st.integers(0, 32),
+    head=st.integers(1, 33),
 )
-@example(params=SIV, cutoff=15, exponent=0.0, head=6)
-@example(params=SIV, cutoff=15, exponent=300.0, head=6)
-def test_planned_fill_matches_the_generic_fill(params, cutoff, exponent, head):
+@example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4)
+@example(params=SIV, cutoff=15, exponent=300.0, first=0, head=4)
+@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=5)
+def test_planned_fill_matches_the_generic_fill(params, cutoff, exponent, first, head):
     # The head and the certified blocks, the latter cut to the largest of
     # their dimensions, are the padded stack of the reference fill bit for
     # bit, and the ceiling is its padding diagonal, inf included.
     params = scaled(params, 10.0**exponent)
     head = min(head, cutoff + 3)
-    plan = _fill_plan(cutoff, head)
-    stack, certified, ceiling = _fill(params, plan)
-    reference = fill(params, plan.layout)
+    first = min(first, head - 1)
+    plan = _fill_plan(cutoff, first, head)
+    entries, ceiling = _elements(params, plan.blocks)
+    stack, certified = _fill(entries, ceiling, plan)
+    layout = plan.blocks.layout
+    reference = fill(params, layout)
     width = plan.width
-    assert width == plan.layout.dims[head:].max(initial=0)
-    assert stack.tobytes() == reference[:head].tobytes()
+    assert width == layout.dims[head:].max(initial=0)
+    assert stack.tobytes() == reference[first:head].tobytes()
     assert certified.tobytes() == reference[head:, :width, :width].tobytes()
     assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
     # lowest_levels reads the levels off the padded eigenvalues, which holds
     # because every padding eigenvalue lies above every level of the head.
     if np.isfinite(ceiling):
         values = np.linalg.eigvalsh(stack)
-        padding = np.arange(stack.shape[-1]) >= plan.layout.dims[:head, None]
+        padding = np.arange(stack.shape[-1]) >= layout.dims[first:head, None]
         assert values[padding].min() > values[~padding].max()
 
 
@@ -343,64 +352,124 @@ def test_pruned_sectors_match_every_sector(params, cutoff, data):
     assert_same_levels(levels, every_sector_levels(params, cutoff, num_states))
 
 
-def recorded_eigh_batches(monkeypatch):
-    """Shapes of the stacks of every np.linalg.eigh call from now on."""
-    batches = []
+def recorded_eigh_stacks(monkeypatch):
+    """Copies of the stacks of every np.linalg.eigh call from now on."""
+    stacks = []
     eigh = np.linalg.eigh
 
     def recording(stack):
-        batches.append(stack.shape)
+        stacks.append(stack.copy())
         return eigh(stack)
 
     monkeypatch.setattr(np.linalg, "eigh", recording)
-    return batches
+    return stacks
 
 
-def test_only_sectors_that_can_hold_a_wanted_level_are_diagonalized(monkeypatch):
-    # The two halves of sector 0 and sectors 1 .. 4.
-    batches = recorded_eigh_batches(monkeypatch)
+def test_first_head_is_the_even_half_and_the_lowest_pairs(monkeypatch):
+    # At 8 levels: the even half of sector 0 and sectors 1 .. 3. The odd
+    # half and the sectors from 4 on are certified.
+    stacks = recorded_eigh_stacks(monkeypatch)
     levels = lowest_levels(SIV, 60, 8)
-    assert batches == [(6, 122, 122)]
+    assert [stack.shape for stack in stacks] == [(4, 122, 122)]
     monkeypatch.undo()
     assert_same_levels(levels, every_sector_levels(SIV, 60, 8))
 
 
-def test_failed_certification_diagonalizes_the_rest(monkeypatch):
-    # The ground level of J = 0 ties with the lowest of J = 1, so sector 1
-    # fails the Cholesky test and every block is diagonalized after the
-    # halves, all as the head, padded to 2N + 2 from the start.
+def test_failed_certification_adds_the_next_sector(monkeypatch):
+    # A draw whose eighth level lies in sector 4: the first certificate
+    # fails, sector 4 alone joins the head, and the blocks after it pass.
+    params = PjtParams(69.8, 77.4, 44.6, 101.0, 117.7)
+    stacks = recorded_eigh_stacks(monkeypatch)
+    certified = []
+    cholesky = np.linalg.cholesky
+
+    def recording(stack):
+        certified.append(len(stack))
+        return cholesky(stack)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    levels = lowest_levels(params, 15, 8)
+    assert [stack.shape for stack in stacks] == [(4, 32, 32), (1, 32, 32)]
+    assert certified == [14, 13]
+    monkeypatch.undo()
+    assert np.abs(levels.j).max() == 4
+    assert_same_levels(levels, every_sector_levels(params, 15, 8))
+
+
+@pytest.mark.parametrize("cutoff", [15, 40])
+def test_failed_certification_grows_the_head(monkeypatch, cutoff):
+    # In the decoupled limit the Eu levels of shell 1 tie across both halves
+    # of sector 0 and sector 2, so at 8 levels the certificate fails until
+    # the odd half, the last block, joins the head. After the first head of
+    # four blocks each round adds 1, 2, 4, ... sectors and the last one the
+    # odd half alone. Every block reaches eigh once, padded to 2N + 2, and
+    # the ties resolve as in the reference.
     params = decoupled(80.0, 10.0)
-    for cutoff in (15, 40):
-        size = 2 * cutoff + 2
-        assert _fill_plan(cutoff, 2).width < size
-        batches = recorded_eigh_batches(monkeypatch)
-        levels = lowest_levels(params, cutoff, 1)
-        assert batches == [(2, size, size), (cutoff + 3, size, size)]
-        # Both plans stay cached, so a fit that keeps failing builds none.
-        misses = _fill_plan.cache_info().misses
-        again = lowest_levels(params, cutoff, 1)
-        assert _fill_plan.cache_info().misses == misses
-        monkeypatch.undo()
-        assert_same_levels(levels, every_sector_levels(params, cutoff, 1))
-        assert_same_levels(again, levels, tol=0.0)
+    stacks = recorded_eigh_stacks(monkeypatch)
+    levels = lowest_levels(params, cutoff, 8)
+    monkeypatch.undo()
+    total, rounds = cutoff + 3, [4]
+    while sum(rounds) < total - 1:
+        rounds.append(min(2 ** (len(rounds) - 1), total - 1 - sum(rounds)))
+    rounds.append(1)
+    assert [len(stack) for stack in stacks] == rounds
+    reference = fill(params, _blocks(cutoff).layout)
+    assert np.concatenate(stacks).tobytes() == reference.tobytes()
+    assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    params=PARAMS | DECOUPLED,
+    cutoff=st.integers(1, 20),
+    start=st.integers(1, 22),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+@example(params=PjtParams(75.9, 10.0, 5.0, 5.0, 8.0), cutoff=15, start=5, side=1.0)
+def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start, side):
+    # _all_above shifts the diagonal in place, which must reach the matrices
+    # of a strided view as well as those of a contiguous copy.
+    total = cutoff + 3
+    start = min(start, total - 1)
+    plan = _fill_plan(cutoff, 0, total)
+    entries, ceiling = _elements(params, plan.blocks)
+    stack, _ = _fill(entries, ceiling, plan)
+    width = plan.blocks.layout.dims[start:].max()
+    view = stack[start:, :width, :width]
+    assert not view.flags.c_contiguous
+    level = np.linalg.eigvalsh(view).min() + side * 1e-6 * ceiling
+    size = 2 * cutoff + 2
+    assert _all_above(view.copy(), level, ceiling, size) == (side < 0)
+    assert _all_above(view, level, ceiling, size) == (side < 0)
 
 
 def test_cached_layout_is_read_only():
-    plan = _fill_plan(15, 6)
-    assert _fill_plan(15, 6) is plan
-    layout = plan.layout
+    plan = _fill_plan(15, 0, 4)
+    assert _fill_plan(15, 0, 4) is plan
+    assert plan.blocks is _blocks(15)
+    layout = plan.blocks.layout
     names = ("j_values", "parity", "dims", "component", "shell", "observed", "moment_off")
     arrays = [getattr(layout, name) for name in names] + list(layout.coupling)
-    names = ("quanta", "component", "slots", "positions", "padding")
+    names = ("levels", "quanta", "component", "order", "start", "slots", "col")
+    arrays += [getattr(plan.blocks, name) for name in names]
+    names = ("head_positions", "head_padding", "rest_positions", "rest_padding", "rows")
     arrays += [getattr(plan, name) for name in names]
     assert not any(array.flags.writeable for array in arrays)
 
 
+def test_a_repeated_cutoff_ladder_builds_no_layout():
+    converge_cutoff(SIV, [20, 30, 40], 8)
+    layouts, plans = _blocks.cache_info().misses, _fill_plan.cache_info().misses
+    converge_cutoff(SIV, [20, 30, 40], 8)
+    assert _blocks.cache_info().misses == layouts
+    assert _fill_plan.cache_info().misses == plans
+
+
 def test_fill_makes_no_second_stack():
-    plan = _fill_plan(80, 6)
+    plan = _fill_plan(80, 0, 6)
     tracemalloc.start()
     try:
-        stack, certified, _ = _fill(SIV, plan)
+        stack, certified = _fill(*_elements(SIV, plan.blocks), plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,8 +490,8 @@ def test_lowest_levels_memory_at_the_fitting_cutoff():
 
 
 def test_failed_certification_memory():
-    # After the head, every block padded to 2N + 2 and eigh's vectors of it;
-    # the head's stack is freed first. Both plans are cached by the first
+    # The even half alone fails the certificate, sector 1 joins it in a
+    # second round, and the rest pass. The plans are cached by the first
     # call, as in a fit.
     cutoff = 60
     stack_bytes = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
@@ -431,6 +500,26 @@ def test_failed_certification_memory():
     tracemalloc.start()
     try:
         lowest_levels(params, cutoff, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stack_bytes
+
+
+@settings(max_examples=20, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(30, 60), num_states=st.integers(1, 126))
+@example(params=SIV, cutoff=60, num_states=8)
+@example(params=decoupled(80.0, 10.0), cutoff=60, num_states=8)
+def test_lowest_levels_memory_over_random_requests(params, cutoff, num_states):
+    # The bound of test_failed_certification_memory over random requests of
+    # up to 2 (N + 3) levels. Decoupled draws tie levels across the halves of
+    # sector 0, so the head grows until the odd half joins it.
+    num_states = min(num_states, 2 * (cutoff + 3))
+    stack_bytes = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
+    lowest_levels(params, cutoff, num_states)
+    tracemalloc.start()
+    try:
+        lowest_levels(params, cutoff, num_states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -510,6 +599,7 @@ def test_numpy_integer_arguments_match_plain_ints():
     # key of the equal plain int, breaking the plain call afterwards too.
     plain = lowest_levels(SIV, 3, 5)
     plain_delta = delta_splitting(SIV, 60, num_states=8)
+    _blocks.cache_clear()
     _fill_plan.cache_clear()
     for kind in (np.int8, np.int16, np.uint8, np.int64):
         assert_same_levels(lowest_levels(SIV, kind(3), kind(5)), plain, tol=0.0)
@@ -577,10 +667,10 @@ HUGE = PjtParams(7.59e307, 7.83e307, 4.5e307, 9.5e307, 1.03e308)
     ],
 )
 def test_matrix_beyond_float_range_refused_before_eigh(monkeypatch, call):
-    batches = recorded_eigh_batches(monkeypatch)
+    stacks = recorded_eigh_stacks(monkeypatch)
     with pytest.raises(ValueError, match="matrix elements at cutoff 15 are beyond the float range"):
         call()
-    assert batches == []
+    assert stacks == []
 
 
 def test_unconverged_levels_carry_diagnostics(perturbed_eigh):
