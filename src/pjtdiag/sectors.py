@@ -262,9 +262,9 @@ class _Blocks:
     column) and once transposed; _elements computes them in that order, and
     ``order`` sorts them stably by block, so that block b holds the entries
     ``start[b]`` .. ``start[b + 1]`` and each row sum keeps the order of its
-    terms: diagonal, then row, then column entries. Of each sorted entry,
-    ``slots`` is the (block, row) whose Gershgorin row sum it joins, as
-    block * (2N + 2) + row, and ``col`` its column.
+    terms: diagonal, then row, then column entries. Each sorted entry sits
+    at (``block``, ``row``, ``col``), and joins the Gershgorin row sum of
+    ``slots``, block * (2N + 2) + row.
     """
 
     layout: _Layout
@@ -273,8 +273,10 @@ class _Blocks:
     component: np.ndarray
     order: np.ndarray
     start: np.ndarray
-    slots: np.ndarray
+    block: np.ndarray
+    row: np.ndarray
     col: np.ndarray
+    slots: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
@@ -294,6 +296,7 @@ def _blocks(cutoff: int) -> _Blocks:
     sec, row, col, _, _ = layout.coupling
     entry_block = np.concatenate([block, sec, sec])
     order = np.argsort(entry_block, kind="stable")
+    entry_block, entry_row = entry_block[order], np.concatenate([slot, row, col])[order]
     blocks = _Blocks(
         layout=layout,
         levels=np.cumsum(np.where(j_values > 0, 2, 1) * layout.dims),
@@ -301,73 +304,13 @@ def _blocks(cutoff: int) -> _Blocks:
         component=layout.component[block, slot],
         order=order,
         start=np.append(0, np.cumsum(np.bincount(entry_block, minlength=cutoff + 3))),
-        slots=np.concatenate([block * size + slot, sec * size + row, sec * size + col])[order],
+        block=entry_block,
+        row=entry_row,
         col=np.concatenate([slot, col, row])[order],
+        slots=entry_block * size + entry_row,
     )
     _read_only(layout, blocks)
     return blocks
-
-
-@dataclass(frozen=True, eq=False)
-class _FillPlan:
-    """Where _fill writes blocks ``first`` .. ``head`` - 1 of ``blocks``, the
-    head, and the blocks after them, the rest.
-
-    The head is an array of shape (head - first, 2N + 2, 2N + 2), the rest
-    one of shape (blocks - head, width, width), width being the rest's
-    largest dimension. ``head_positions`` and ``rest_positions`` are the
-    flat places of the sorted entries of each, ``head_padding`` and
-    ``rest_padding`` those of its padding diagonal. ``rows`` lists blocks 0
-    .. head - 1 in the order of a diagonalization of every sector, the even
-    half, the odd half, J = 1 .. N + 1, and then those of J > 0 again for
-    the mirrors -J.
-    """
-
-    blocks: _Blocks
-    first: int
-    head: int
-    width: int
-    head_positions: np.ndarray
-    head_padding: np.ndarray
-    rest_positions: np.ndarray
-    rest_padding: np.ndarray
-    rows: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _fill_plan(cutoff: int, first: int, head: int) -> _FillPlan:
-    """_FillPlan of blocks first .. head - 1 of _blocks(cutoff) as the head.
-
-    Derived from the cached _Blocks of the cutoff. A fit asks for the same
-    few plans again and again, the first head and the rounds that grow it,
-    so the eight most recent are kept, read-only.
-    """
-    blocks = _blocks(cutoff)
-    layout = blocks.layout
-    size = 2 * cutoff + 2
-    width = int(layout.dims[head:].max(initial=0))
-    slots = blocks.slots[blocks.start[first] :]
-    col = blocks.col[blocks.start[first] :]
-    split = blocks.start[head] - blocks.start[first]
-    block, row = np.divmod(slots[split:], size)
-    pad_block, pad_slot = np.nonzero(layout.component < 0)
-    in_head = (pad_block >= first) & (pad_block < head)
-    in_rest = (pad_block >= head) & (pad_slot < width)
-    # The odd half sorts between the even half and J = 1.
-    rows = np.argsort(np.where(layout.parity[:head] < 0, 0.5, layout.j_values[:head]))
-    plan = _FillPlan(
-        blocks=blocks,
-        first=first,
-        head=head,
-        width=width,
-        head_positions=(slots[:split] - first * size) * size + col[:split],
-        head_padding=(pad_block[in_head] - first) * size * size + pad_slot[in_head] * (size + 1),
-        rest_positions=((block - head) * width + row) * width + col[split:],
-        rest_padding=(pad_block[in_rest] - head) * width * width + pad_slot[in_rest] * (width + 1),
-        rows=np.concatenate([rows, rows[layout.j_values[rows] > 0]]),
-    )
-    _read_only(plan)
-    return plan
 
 
 @np.errstate(over="ignore")
@@ -395,17 +338,21 @@ def _elements(params: PjtParams, blocks: _Blocks) -> tuple[np.ndarray, float]:
     return entries, 2.0 * np.bincount(blocks.slots, np.abs(entries)).max()
 
 
-def _fill(entries: np.ndarray, ceiling: float, plan: _FillPlan) -> tuple[np.ndarray, np.ndarray]:
-    """(head, rest): the planned arrays of block matrices, from _elements."""
-    size = plan.blocks.layout.component.shape[1]
-    first, split = plan.blocks.start[plan.first], plan.blocks.start[plan.head]
-    head = np.zeros((plan.head - plan.first, size, size))
-    head.ravel()[plan.head_positions] = entries[first:split]
-    head.ravel()[plan.head_padding] = ceiling
-    rest = np.zeros((len(plan.blocks.levels) - plan.head, plan.width, plan.width))
-    rest.ravel()[plan.rest_positions] = entries[split:]
-    rest.ravel()[plan.rest_padding] = ceiling
-    return head, rest
+def _fill(
+    entries: np.ndarray, ceiling: float, blocks: _Blocks, first: int, last: int, width: int
+) -> np.ndarray:
+    """Blocks first .. last - 1 of _Blocks, padded to width, at least their
+    largest dimension, from the entries and ceiling of _elements.
+
+    The ceiling goes onto the whole diagonal and the entries over it. Every
+    state has a diagonal entry, so only the padding keeps the ceiling.
+    """
+    count = last - first
+    stack = np.zeros((count, width, width))
+    stack.reshape(count, width * width)[:, :: width + 1] = ceiling
+    here = slice(blocks.start[first], blocks.start[last])
+    stack[blocks.block[here] - first, blocks.row[here], blocks.col[here]] = entries[here]
+    return stack
 
 
 @dataclass(eq=False)
@@ -480,39 +427,42 @@ def _observables(
     rounds: list, layout: _Layout, block: np.ndarray, col: np.ndarray, ceiling: float
 ) -> np.ndarray:
     """(residual, w_a2u, w_a1u, w_e+, w_e-, top-shell weight, R^2) of the
-    levels (block, col), one row each; rounds holds (plan, stack, values,
-    vectors) of the rounds of lowest_levels, whose heads cover the blocks of
-    layout from 0 on.
+    levels (block, col), one row each; rounds holds (first, stack, values,
+    vectors) of the rounds of lowest_levels, whose heads, blocks first ..
+    first + len(stack) - 1 of layout, cover its blocks from 0 on.
 
-    A block's wanted levels are its lowest columns, so in each round the
-    observables are formed for the lowest columns of its blocks up to the
-    highest one used, the other rows of the round are left zero, and the
-    wanted levels are gathered from the rows of all rounds. The residuals
-    are squared in units of ceiling, which bounds them, so that they neither
-    overflow nor underflow.
+    A block's wanted levels are its lowest columns, so the observables are
+    formed for the lowest columns of every block up to the highest one used,
+    a few blocks per pass, and the wanted levels are gathered from them. The
+    residuals are squared in units of ceiling, which bounds them, so that
+    they neither overflow nor underflow.
     """
+    size = layout.component.shape[1]
     width = col.max() + 1
-    tables = []
-    for plan, stack, values, vectors in rounds:
-        table = np.zeros((plan.head - plan.first, width, 7))
-        used = np.max(block, where=block < plan.head, initial=plan.first - 1) + 1 - plan.first
-        if used > 0:
-            cols = vectors[:used, :, :width]
-            here = slice(plan.first, plan.first + used)
-            residual = stack[:used] @ cols
-            residual -= cols * values[:used, None, :width]
+    table = np.zeros((block.max() + 1, width, 7))
+    # Blocks per pass, so that each temporary of the size of cols holds at
+    # most 1/32 of the stack of all blocks that check_cutoff bounds, or a
+    # single block.
+    step = max(1, len(layout.dims) * size // (32 * width))
+    for first, stack, values, vectors in rounds:
+        last = min(first + len(stack), len(table))
+        for low in range(first, last, step):
+            here = slice(low, min(low + step, last))
+            local = slice(here.start - first, here.stop - first)
+            cols = vectors[local, :, :width]
+            residual = stack[local] @ cols
+            residual -= cols * values[local, None, :width]
             residual /= ceiling
             residual *= residual
-            table[:used, :, 0] = ceiling * np.sqrt(residual.sum(axis=1))
+            table[here, :, 0] = ceiling * np.sqrt(residual.sum(axis=1))
             # Freed before the weights, so that at most two arrays of the size
             # of cols are live beside the stacks and their eigenvectors.
             del residual
-            table[:used, :, 1:] = np.matmul((cols * cols).transpose(0, 2, 1), layout.observed[here])
+            table[here, :, 1:] = np.matmul((cols * cols).transpose(0, 2, 1), layout.observed[here])
             cols = cols[:, :-1] * cols[:, 1:]
             cols *= layout.moment_off[here, :-1, None]
-            table[:used, :, 6] += 2.0 * cols.sum(axis=1)
-        tables.append(table)
-    return np.concatenate(tables)[block, col]
+            table[here, :, 6] += 2.0 * cols.sum(axis=1)
+    return table[block, col]
 
 
 def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLevels:
@@ -532,14 +482,16 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     then skipped. If it fails, the next 1, 2, 4, ... sectors join the head,
     and the odd half alone once they all have; only they go through eigh,
     and the blocks after them are certified again against the new U, which
-    is no higher. The eigh of each block is kept, so none is diagonalized twice,
-    and after O(log N) rounds at most every block has been diagonalized
-    once. The levels are read off the padded eigenvalues, since each
-    padding slot sits at _fill's ceiling, above every level, and from blocks
-    in the order of a diagonalization of every sector. So every eigh sees
-    the matrices such a diagonalization would, and the levels, and the
-    choice among levels tied at U, are its own. A level is accepted only if
-    its residual is at most SectorLevels.resolution.
+    is no higher. The eigh of each block is kept, so none is diagonalized
+    twice, and after O(log N) rounds at most every block has been
+    diagonalized once. Each round fills its head and its rest straight from
+    the cutoff's cached _Blocks. The levels are read off the padded
+    eigenvalues, since each padding slot sits at _fill's ceiling, above
+    every level, and from blocks in the order of a diagonalization of every
+    sector. So every eigh sees the matrices such a diagonalization would,
+    and the levels, and the choice among levels tied at U, are its own. A
+    level is accepted only if its residual is at most
+    SectorLevels.resolution.
 
     Args:
         params: Model parameters.
@@ -555,8 +507,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         ConvergenceError: a residual exceeds the resolution or is not finite.
     """
     check_cutoff(cutoff, num_states)
-    # Python ints, so that a numpy integer neither overflows in _fill nor
-    # keys a plan cache.
+    # Python ints, so that a numpy integer does not overflow in _fill.
     cutoff, num_states = as_index(cutoff, "cutoff"), as_index(num_states, "num_states")
     size = 2 * cutoff + 2
     blocks = _blocks(cutoff)
@@ -571,18 +522,26 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         min(total - 1, (num_states + 1) // 2),
         int(np.searchsorted(blocks.levels, num_states)) + 1,
     )
-    # (plan, head stack, eigenvalues, eigenvectors) of each round.
+    # (first, head stack, eigenvalues, eigenvectors) of each round.
     rounds = []
     while True:
-        plan = _fill_plan(cutoff, first, head)
-        stack, rest = _fill(entries, ceiling, plan)
-        rounds.append((plan, stack, *np.linalg.eigh(stack)))
-        # The eigenvalues of every block in the head, reordered to plan.rows;
-        # stable ties keep that order.
-        flat = np.concatenate([values for _, _, values, _ in rounds])[plan.rows].ravel()
+        stack = _fill(entries, ceiling, blocks, first, head, size)
+        rounds.append((first, stack, *np.linalg.eigh(stack)))
+        # The eigenvalues of every block in the head, in the order of a
+        # diagonalization of every sector: the even half, the odd half once
+        # it has joined, J = 1 .. N + 1, then J > 0 again for the mirrors -J.
+        # Stable ties keep that order.
+        halves = [0, total - 1] if head == total else [0]
+        sectors = list(range(1, min(head, total - 1)))
+        rows = np.array(halves + sectors + sectors)
+        flat = np.concatenate([values for _, _, values, _ in rounds])[rows].ravel()
         order = np.argsort(flat, kind="stable")[:num_states]
         energies = flat[order]
-        if not len(rest) or _all_above(rest, energies[-1], ceiling, size):
+        if head == total:
+            break
+        # The rest at the largest of its dimensions.
+        rest = _fill(entries, ceiling, blocks, head, total, blocks.layout.dims[head:].max())
+        if _all_above(rest, energies[-1], ceiling, size):
             break
         # Freed before the next blocks are filled.
         del rest
@@ -592,7 +551,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         head = min(total - 1, head + 2 ** (len(rounds) - 1)) if head < total - 1 else total
 
     row, col = np.divmod(order, size)
-    block = plan.rows[row]
+    block = rows[row]
     layout = blocks.layout
     table = _observables(rounds, layout, block, col, ceiling)
     residuals = table[:, 0]

@@ -9,8 +9,9 @@ J = L_z + S, a geometric C3 turn and the reflection Y -> -Y. The tests
 compare the sectors against it; every product-space call they make is at a
 cutoff of 15 or less (dimension 544 or less). It also holds the 4x4
 electronic blocks of the product-space matrix, ``fill``, the generic fill
-of a sector layout that the package's planned fill must match bit for bit,
-and ``sector_matrices``, which builds whole sectors of any J with it.
+of a sector layout that the package's fill from its cached blocks must
+match bit for bit, and ``sector_matrices``, which builds whole sectors of
+any J with it.
 ``every_sector_levels`` is the sector route without its pruning: one eigh of
 both halves of sector 0 and of all sectors J = 1 .. N + 1, and a loop over
 them.
@@ -63,9 +64,10 @@ def fill(params: PjtParams, layout: _Layout) -> np.ndarray:
     """Stack of the blocks of a sector layout, each padded to 2N + 2; the
     padding diagonal is the Gershgorin ceiling, above every level.
 
-    The package fills only the blocks lowest_levels needs, from a cached
-    plan; this is the generic fill it must match bit for bit. An element or
-    row sum beyond the float range makes the padding inf, without a warning.
+    The package fills only the blocks lowest_levels needs, a round at a
+    time, from the cached blocks of the cutoff; this is the generic fill it
+    must match bit for bit. An element or row sum beyond the float range
+    makes the padding inf, without a warning.
     """
     blocks, size = layout.component.shape
     f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g

@@ -24,7 +24,7 @@ from pjtdiag import (
     spectrum_report,
 )
 from pjtdiag.cli import cmd_spectrum
-from pjtdiag.sectors import _all_above, _blocks, _elements, _fill, _fill_plan, lowest_levels
+from pjtdiag.sectors import _all_above, _blocks, _elements, _fill, lowest_levels
 from reference import (
     assemble,
     build_basis,
@@ -243,12 +243,11 @@ def test_reflection_parity_of_the_j0_labels(params, cutoff):
 @given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20))
 def test_halves_make_up_sector_zero(params, cutoff):
     # The even half is the first block and the odd half the last.
-    total = cutoff + 3
-    plan = _fill_plan(cutoff, 0, total)
+    blocks = _blocks(cutoff)
     ends = [0, -1]
-    assert plan.blocks.layout.parity[ends].tolist() == [1, -1]
-    assert plan.blocks.layout.dims[ends].tolist() == [cutoff + 1, cutoff + 1]
-    stack, _ = _fill(*_elements(params, plan.blocks), plan)
+    assert blocks.layout.parity[ends].tolist() == [1, -1]
+    assert blocks.layout.dims[ends].tolist() == [cutoff + 1, cutoff + 1]
+    stack = _fill(*_elements(params, blocks), blocks, 0, cutoff + 3, 2 * cutoff + 2)
     halves = stack[ends, : cutoff + 1, : cutoff + 1]
     _, dims, whole = sector_matrices(params, cutoff, [0])
     assert dims[0] == 2 * cutoff + 2
@@ -288,20 +287,22 @@ def test_variational_ladder(params, cutoff, data):
 @example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4)
 @example(params=SIV, cutoff=15, exponent=300.0, first=0, head=4)
 @example(params=SIV, cutoff=15, exponent=0.0, first=4, head=5)
-def test_planned_fill_matches_the_generic_fill(params, cutoff, exponent, first, head):
+@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=18)
+def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head):
     # The head and the certified blocks, the latter cut to the largest of
     # their dimensions, are the padded stack of the reference fill bit for
-    # bit, and the ceiling is its padding diagonal, inf included.
+    # bit, and the ceiling is its padding diagonal, inf included. A head of
+    # every block leaves nothing to certify.
     params = scaled(params, 10.0**exponent)
     head = min(head, cutoff + 3)
     first = min(first, head - 1)
-    plan = _fill_plan(cutoff, first, head)
-    entries, ceiling = _elements(params, plan.blocks)
-    stack, certified = _fill(entries, ceiling, plan)
-    layout = plan.blocks.layout
+    blocks = _blocks(cutoff)
+    entries, ceiling = _elements(params, blocks)
+    layout = blocks.layout
+    width = layout.dims[head:].max(initial=0)
+    stack = _fill(entries, ceiling, blocks, first, head, 2 * cutoff + 2)
+    certified = _fill(entries, ceiling, blocks, head, cutoff + 3, width)
     reference = fill(params, layout)
-    width = plan.width
-    assert width == layout.dims[head:].max(initial=0)
     assert stack.tobytes() == reference[first:head].tobytes()
     assert certified.tobytes() == reference[head:, :width, :width].tobytes()
     assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
@@ -431,54 +432,53 @@ def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start,
     # of a strided view as well as those of a contiguous copy.
     total = cutoff + 3
     start = min(start, total - 1)
-    plan = _fill_plan(cutoff, 0, total)
-    entries, ceiling = _elements(params, plan.blocks)
-    stack, _ = _fill(entries, ceiling, plan)
-    width = plan.blocks.layout.dims[start:].max()
+    blocks = _blocks(cutoff)
+    entries, ceiling = _elements(params, blocks)
+    size = 2 * cutoff + 2
+    stack = _fill(entries, ceiling, blocks, 0, total, size)
+    width = blocks.layout.dims[start:].max()
     view = stack[start:, :width, :width]
     assert not view.flags.c_contiguous
     level = np.linalg.eigvalsh(view).min() + side * 1e-6 * ceiling
-    size = 2 * cutoff + 2
     assert _all_above(view.copy(), level, ceiling, size) == (side < 0)
     assert _all_above(view, level, ceiling, size) == (side < 0)
 
 
 def test_cached_layout_is_read_only():
-    plan = _fill_plan(15, 0, 4)
-    assert _fill_plan(15, 0, 4) is plan
-    assert plan.blocks is _blocks(15)
-    layout = plan.blocks.layout
+    blocks = _blocks(15)
+    assert _blocks(15) is blocks
+    layout = blocks.layout
     names = ("j_values", "parity", "dims", "component", "shell", "observed", "moment_off")
     arrays = [getattr(layout, name) for name in names] + list(layout.coupling)
-    names = ("levels", "quanta", "component", "order", "start", "slots", "col")
-    arrays += [getattr(plan.blocks, name) for name in names]
-    names = ("head_positions", "head_padding", "rest_positions", "rest_padding", "rows")
-    arrays += [getattr(plan, name) for name in names]
+    names = ("levels", "quanta", "component", "order", "start", "block", "row", "col", "slots")
+    arrays += [getattr(blocks, name) for name in names]
     assert not any(array.flags.writeable for array in arrays)
 
 
 def test_a_repeated_cutoff_ladder_builds_no_layout():
     converge_cutoff(SIV, [20, 30, 40], 8)
-    layouts, plans = _blocks.cache_info().misses, _fill_plan.cache_info().misses
+    layouts = _blocks.cache_info().misses
     converge_cutoff(SIV, [20, 30, 40], 8)
     assert _blocks.cache_info().misses == layouts
-    assert _fill_plan.cache_info().misses == plans
 
 
 def test_fill_makes_no_second_stack():
-    plan = _fill_plan(80, 0, 6)
-    tracemalloc.start()
-    try:
-        stack, certified = _fill(*_elements(SIV, plan.blocks), plan)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * (stack.nbytes + certified.nbytes)
+    # A head of six blocks at 2N + 2, and the rest at its own width.
+    blocks = _blocks(80)
+    entries, ceiling = _elements(SIV, blocks)
+    for first, last, width in [(0, 6, 162), (6, 83, blocks.layout.dims[6:].max())]:
+        tracemalloc.start()
+        try:
+            stack = _fill(entries, ceiling, blocks, first, last, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * stack.nbytes, first
 
 
 def test_lowest_levels_memory_at_the_fitting_cutoff():
     # The padded head, the certified blocks at their own width and eigh's
-    # vectors; the plan is cached by the first call, as in a fit.
+    # vectors; the blocks are cached by the first call, as in a fit.
     lowest_levels(SIV, 15, 8)
     tracemalloc.start()
     try:
@@ -491,7 +491,7 @@ def test_lowest_levels_memory_at_the_fitting_cutoff():
 
 def test_failed_certification_memory():
     # The even half alone fails the certificate, sector 1 joins it in a
-    # second round, and the rest pass. The plans are cached by the first
+    # second round, and the rest pass. The blocks are cached by the first
     # call, as in a fit.
     cutoff = 60
     stack_bytes = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
@@ -507,14 +507,21 @@ def test_failed_certification_memory():
 
 
 @settings(max_examples=20, deadline=None)
-@given(params=PARAMS | DECOUPLED, cutoff=st.integers(30, 60), num_states=st.integers(1, 126))
+@given(
+    params=PARAMS | DECOUPLED,
+    cutoff=st.integers(30, 60),
+    num_states=st.integers(1, 2 * 61 * 62),
+)
 @example(params=SIV, cutoff=60, num_states=8)
 @example(params=decoupled(80.0, 10.0), cutoff=60, num_states=8)
+@example(params=SIV, cutoff=30, num_states=2 * 31 * 32)
+@example(params=SIV, cutoff=40, num_states=2 * 41 * 42)
 def test_lowest_levels_memory_over_random_requests(params, cutoff, num_states):
     # The bound of test_failed_certification_memory over random requests of
-    # up to 2 (N + 3) levels. Decoupled draws tie levels across the halves of
-    # sector 0, so the head grows until the odd half joins it.
-    num_states = min(num_states, 2 * (cutoff + 3))
+    # up to every level, where _observables forms weights and residuals for
+    # every column. Decoupled draws tie levels across the halves of sector
+    # 0, so the head grows until the odd half joins it.
+    num_states = min(num_states, 2 * (cutoff + 1) * (cutoff + 2))
     stack_bytes = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
     lowest_levels(params, cutoff, num_states)
     tracemalloc.start()
@@ -595,12 +602,12 @@ def test_non_integer_cutoff_or_level_count_refused(call, name, value):
 
 def test_numpy_integer_arguments_match_plain_ints():
     # Under numpy 2 a numpy integer kept as cutoff or num_states would
-    # overflow _fill's offsets, and its broken plan would be cached under the
-    # key of the equal plain int, breaking the plain call afterwards too.
+    # overflow the sizes _fill works with, and _blocks would cache what it
+    # builds from one under the key of the equal plain int, for the plain
+    # call to find afterwards.
     plain = lowest_levels(SIV, 3, 5)
     plain_delta = delta_splitting(SIV, 60, num_states=8)
     _blocks.cache_clear()
-    _fill_plan.cache_clear()
     for kind in (np.int8, np.int16, np.uint8, np.int64):
         assert_same_levels(lowest_levels(SIV, kind(3), kind(5)), plain, tol=0.0)
     assert delta_splitting(SIV, np.uint8(60), num_states=np.int16(8)) == plain_delta
