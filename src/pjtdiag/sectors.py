@@ -32,9 +32,13 @@ half and J = 1 .. (k - 1) // 2, the head, hold at least k levels when the
 even half gives its lowest two and each sector its lowest pair +-J; they
 are diagonalized padded to 2N + 2. The rest, the odd half included, are
 certified with a Cholesky test against the k-th of the head's levels,
-factored at their own largest dimension. When the test fails, the next 1,
-2, 4, ... sectors join the head, and the odd half alone after them; only
-the blocks that join are diagonalized, so no block is diagonalized twice.
+factored at their own largest dimension. When the test fails and the odd
+half is still out, the odd half is certified alone at the same shift: it
+joins the head alone if it fails, and otherwise the next 1, 2, 4, ...
+sectors join, the odd half staying out of later tests. Only the blocks
+that join are diagonalized, so no block is diagonalized twice, and only
+their eigenvalues and the observables of their lowest levels outlive the
+round that diagonalizes them.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -63,9 +67,9 @@ __all__ = [
 
 # Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
 # a large cutoff from exhausting memory. At cutoff 60 the tracemalloc peak of
-# lowest_levels was 1.99 times the stack of all N + 3 blocks that
-# check_cutoff bounds for one level and a failed certificate, and 2.09
-# times for 8 levels whose head grows to every block.
+# lowest_levels was 1.97 times the stack of all N + 3 blocks that
+# check_cutoff bounds for one level and a failed certificate, 1.70 times for
+# 8 levels whose head the odd half joins, and 2.15 times for every level.
 MAX_DENSE_BYTES = 2**28
 
 # Electronic components of every sector: A2u, i * A1u, E+, E-.
@@ -148,14 +152,14 @@ class _Layout:
 
     A block is a whole sector J (parity 0) or a half of sector 0 (parity
     +1 or -1), padded to 2N + 2 slots. Arrays of shape (blocks, size)
-    describe slots; padding slots have component -1. ``observed`` holds,
-    for each slot, what a level's squared amplitude there adds to its
-    weights on the four components, its top-shell weight and the diagonal
-    part of its R^2; ``moment_off`` the coupling of each slot to the next
-    in R^2. ``coupling`` lists (block,
-    row, column, pair, amplitude) with the target slot as row and the
-    source slot as column, one entry per phonon matrix element; the
-    transposed entry is implied.
+    describe slots; padding slots have component -1. ``observed``, of
+    shape (blocks, 2 size - 1, 6), holds for each slot what a level's
+    squared amplitude there adds to its weights on the four components,
+    its top-shell weight and its R^2, and then for each slot but the last
+    what the product of its amplitudes there and at the next slot adds to
+    its R^2. ``coupling`` lists (block, row, column, pair, amplitude) with
+    the target slot as row and the source slot as column, one entry per
+    phonon matrix element; the transposed entry is implied.
     """
 
     j_values: np.ndarray
@@ -164,7 +168,6 @@ class _Layout:
     component: np.ndarray
     shell: np.ndarray
     observed: np.ndarray
-    moment_off: np.ndarray
     coupling: tuple[np.ndarray, ...]
 
 
@@ -199,15 +202,15 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
     component[sec, slot] = comp
     shell = np.zeros((len(j_values), size), dtype=int)
     shell[sec, slot] = shell_slot
-    observed = np.zeros((len(j_values), size, 6))
+    observed = np.zeros((len(j_values), 2 * size - 1, 6))
     observed[sec, slot, comp] = 1.0
     observed[sec, slot, 4] = shell_slot >= n - 1
     # <(PXP)^2 + (PYP)^2>: s + 1 below the cutoff, N / 2 on the top shell,
-    # and sqrt((n+ + 1)(n- + 1)) between n_r and n_r + 1 of one chain.
+    # and twice sqrt((n+ + 1)(n- + 1)) on the product of n_r and n_r + 1 of
+    # one chain, which sit in neighbouring slots.
     observed[sec, slot, 5] = np.where(shell_slot < n, shell_slot + 1.0, 0.5 * n)
-    moment_off = np.zeros((len(j_values), size))
     has_next = shell_slot + 2 <= n
-    moment_off[sec[has_next], slot[has_next]] = np.sqrt(
+    observed[sec[has_next], size + slot[has_next], 5] = 2.0 * np.sqrt(
         (n_plus[has_next] + 1.0) * (n_minus[has_next] + 1.0)
     )
 
@@ -236,7 +239,6 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
         component=component,
         shell=shell,
         observed=observed,
-        moment_off=moment_off,
         coupling=tuple(np.concatenate(column) for column in zip(*parts)),
     )
 
@@ -254,17 +256,18 @@ def _read_only(*records) -> None:
 class _Blocks:
     """The blocks of one cutoff and every element _fill writes into them.
 
-    ``layout`` is the _layout of the blocks in the order lowest_levels takes
-    them into its head: the even half of sector 0, the sectors J = 1 .. N +
-    1, then the odd half. ``levels[b]`` counts the levels of blocks 0 .. b,
-    mirrors included. An entry is a state's diagonal element, hbar_omega *
-    ``quanta`` plus W on its ``component``, or a coupling, once as (row,
-    column) and once transposed; _elements computes them in that order, and
-    ``order`` sorts them stably by block, so that block b holds the entries
-    ``start[b]`` .. ``start[b + 1]`` and each row sum keeps the order of its
-    terms: diagonal, then row, then column entries. Each sorted entry sits
-    at (``block``, ``row``, ``col``), and joins the Gershgorin row sum of
-    ``slots``, block * (2N + 2) + row.
+    ``layout`` is the _layout of the blocks: the even half of sector 0, the
+    sectors J = 1 .. N + 1 in the order lowest_levels takes them into its
+    head, then the odd half, which joins alone. ``levels[b]`` counts the
+    levels of blocks 0 .. b, mirrors included. An entry is a state's
+    diagonal element, hbar_omega * ``quanta`` plus W on its ``component``,
+    or a coupling, once as (row, column) and once transposed; _elements
+    computes them in that order, and ``order`` sorts them stably by block,
+    so that block b holds the entries ``start[b]`` .. ``start[b + 1]`` and
+    each row sum keeps the order of its terms: diagonal, then row, then
+    column entries. Each sorted entry sits at (``block``, ``row``,
+    ``col``), and joins the Gershgorin row sum of ``slots``, block * (2N +
+    2) + row.
     """
 
     layout: _Layout
@@ -392,25 +395,26 @@ class SectorLevels:
     resolution: float
 
 
-def _all_above(stack: np.ndarray, level: float, ceiling: float, size: int) -> bool:
-    """Whether every level of every matrix in a stack of sectors lies above level.
+def _all_above(stack: np.ndarray, shift: float) -> bool:
+    """Whether every level of every matrix in a stack of sectors lies above
+    shift.
 
-    The matrices are those of sectors of cutoff N, padded to a common
-    dimension of at most size = 2N + 2, and ceiling is _fill's Gershgorin
-    ceiling, finite and above |every level|. By Sylvester's law of inertia,
-    H - s I has a Cholesky factorization exactly when H has no eigenvalue at
-    or below s. In floating point, a factorization that succeeds is exact
-    for H - s I + E, where ||E|| is typically about n * eps * ||H - s I||
-    and at most about n**2 * eps * ||H - s I|| for dimension n <= size
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10); here
-    ||H - s I|| is at most twice the ceiling. The shift s lies above level
-    by several times that worst case at n = size, so a sector passes only if
-    its levels, and eigh's values of them, lie strictly above level;
-    skipping it cannot change which levels tie at level. A larger margin
-    costs only speed, through more rounds. The stack, a view or not, is
-    left shifted, since the caller discards it.
+    By Sylvester's law of inertia, H - s I has a Cholesky factorization
+    exactly when H has no eigenvalue at or below s. lowest_levels certifies
+    sectors of cutoff N, padded to a common dimension of at most size = 2N +
+    2, at s = U + 8 size^2 eps ceiling, with ceiling _fill's Gershgorin
+    ceiling, finite and above |every level|. In floating point, a
+    factorization that succeeds is exact for H - s I + E, where ||E|| is
+    typically about n * eps * ||H - s I|| and at most about n**2 * eps *
+    ||H - s I|| for dimension n <= size (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10); there ||H - s I|| is at most twice the
+    ceiling. So s lies above U by several times that worst case at n =
+    size, a sector passes only if its levels, and eigh's values of them,
+    lie strictly above U, and skipping it cannot change which levels tie at
+    U. A larger margin costs only speed, through more rounds. The stack, a
+    view or not, is left shifted by s: the caller discards it, or certifies
+    some of its matrices again at shift 0.
     """
-    shift = level + 8.0 * size * size * np.finfo(float).eps * ceiling
     # Shifted in place, so that no copy of the stack sits beside the factor;
     # indexing reaches the diagonal of any layout, where a reshape of a
     # strided view would shift a copy.
@@ -424,73 +428,79 @@ def _all_above(stack: np.ndarray, level: float, ceiling: float, size: int) -> bo
 
 
 def _observables(
-    rounds: list, layout: _Layout, block: np.ndarray, col: np.ndarray, ceiling: float
-) -> np.ndarray:
-    """(residual, w_a2u, w_a1u, w_e+, w_e-, top-shell weight, R^2) of the
-    levels (block, col), one row each; rounds holds (first, stack, values,
-    vectors) of the rounds of lowest_levels, whose heads, blocks first ..
-    first + len(stack) - 1 of layout, cover its blocks from 0 on.
+    out: np.ndarray,
+    stack: np.ndarray,
+    values: np.ndarray,
+    vectors: np.ndarray,
+    observed: np.ndarray,
+    ceiling: float,
+) -> None:
+    """Write (residual, w_a2u, w_a1u, w_e+, w_e-, top-shell weight, R^2) of
+    the lowest out.shape[1] columns of every block of a stack into out, of
+    shape (len(stack), width, 7). Values and vectors are the stack's eigh,
+    and observed the _Layout.observed rows of its blocks.
 
-    A block's wanted levels are its lowest columns, so the observables are
-    formed for the lowest columns of every block up to the highest one used,
-    a few blocks per pass, and the wanted levels are gathered from them. The
-    residuals are squared in units of ceiling, which bounds them, so that
-    they neither overflow nor underflow.
+    The residuals are squared in units of ceiling, which bounds them, so
+    that they neither overflow nor underflow.
     """
-    size = layout.component.shape[1]
-    width = col.max() + 1
-    table = np.zeros((block.max() + 1, width, 7))
+    size, width = stack.shape[1], out.shape[1]
     # Blocks per pass, so that each temporary of the size of cols holds at
-    # most 1/32 of the stack of all blocks that check_cutoff bounds, or a
-    # single block.
-    step = max(1, len(layout.dims) * size // (32 * width))
-    for first, stack, values, vectors in rounds:
-        last = min(first + len(stack), len(table))
-        for low in range(first, last, step):
-            here = slice(low, min(low + step, last))
-            local = slice(here.start - first, here.stop - first)
-            cols = vectors[local, :, :width]
-            residual = stack[local] @ cols
-            residual -= cols * values[local, None, :width]
-            residual /= ceiling
-            residual *= residual
-            table[here, :, 0] = ceiling * np.sqrt(residual.sum(axis=1))
-            # Freed before the weights, so that at most two arrays of the size
-            # of cols are live beside the stacks and their eigenvectors.
-            del residual
-            table[here, :, 1:] = np.matmul((cols * cols).transpose(0, 2, 1), layout.observed[here])
-            cols = cols[:, :-1] * cols[:, 1:]
-            cols *= layout.moment_off[here, :-1, None]
-            table[here, :, 6] += 2.0 * cols.sum(axis=1)
-    return table[block, col]
+    # most 1/32 of the stack of all N + 3 = size / 2 + 2 blocks that
+    # check_cutoff bounds, or a single block.
+    step = max(1, (size // 2 + 2) * size // (32 * width))
+    for low in range(0, len(stack), step):
+        here = slice(low, low + step)
+        cols = vectors[here, :, :width]
+        # v E first and H v - v E written over it, so that no ufunc buffer
+        # sits beside the two as one would beside an in-place H v -= v E.
+        residual = cols * values[here, None, :width]
+        np.subtract(stack[here] @ cols, residual, out=residual)
+        residual /= ceiling
+        residual *= residual
+        out[here, :, 0] = ceiling * np.sqrt(residual.sum(axis=1))
+        # Each temporary is freed before the next is formed, so that at most
+        # two arrays of the size of cols are live beside the stack and its
+        # eigenvectors.
+        del residual
+        # The squared amplitudes, then the products of neighbours, weighed by
+        # the layout.
+        products = np.empty((len(cols), 2 * size - 1, width))
+        np.multiply(cols, cols, out=products[:, :size])
+        np.multiply(cols[:, :-1], cols[:, 1:], out=products[:, size:])
+        out[here, :, 1:] = np.matmul(products.transpose(0, 2, 1), observed[here])
+        del products
 
 
 def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLevels:
     """Lowest num_states levels, diagonalizing only the sectors that hold one.
 
-    The blocks are taken into a head in a fixed order: the even half of
-    sector 0, the sectors J = 1 .. N + 1, then the odd half. The first head
-    is the even half and J = 1 .. (num_states - 1) // 2, the smallest that
-    holds num_states levels when the even half gives its lowest two and
-    each sector its lowest pair +-J; more blocks join it if it holds fewer
-    levels than that, counting mirrors. The num_states-th lowest of the
-    head's levels, U, is an upper bound on the wanted ones. The head goes
-    through one batched eigh, padded to 2N + 2, and the rest through one
-    batched Cholesky factorization of H_J - (U + margin), padded only to the
-    largest of their dimensions: by Sylvester's law of inertia it succeeds
-    only if every level of the rest lies above U + margin, and the rest is
-    then skipped. If it fails, the next 1, 2, 4, ... sectors join the head,
-    and the odd half alone once they all have; only they go through eigh,
-    and the blocks after them are certified again against the new U, which
-    is no higher. The eigh of each block is kept, so none is diagonalized
-    twice, and after O(log N) rounds at most every block has been
-    diagonalized once. Each round fills its head and its rest straight from
-    the cutoff's cached _Blocks. The levels are read off the padded
-    eigenvalues, since each padding slot sits at _fill's ceiling, above
-    every level, and from blocks in the order of a diagonalization of every
-    sector. So every eigh sees the matrices such a diagonalization would,
-    and the levels, and the choice among levels tied at U, are its own. A
-    level is accepted only if its residual is at most
+    The blocks are taken into a head: the even half of sector 0, the
+    sectors J = 1 .. N + 1 in order, and the odd half when it is needed. The
+    first head is the even half and J = 1 .. (num_states - 1) // 2, the
+    smallest that holds num_states levels when the even half gives its
+    lowest two and each sector its lowest pair +-J; more blocks join it if
+    it holds fewer levels than that, counting mirrors. The num_states-th
+    lowest of the head's levels, U, is an upper bound on the wanted ones.
+    The head goes through one batched eigh, padded to 2N + 2, and the rest
+    through one batched Cholesky factorization of H_J - (U + margin), padded
+    only to the largest of their dimensions: by Sylvester's law of inertia
+    it succeeds only if every level of the rest lies above U + margin, and
+    the rest is then skipped. If it fails while the odd half is out, the
+    odd half's factorization at the same shift decides: the odd half joins
+    the head alone if it fails, and stays out of later certificates if it
+    passes, since U only falls. Otherwise the next 1, 2, 4, ... sectors join
+    the head. Only the blocks that join go through eigh, and the blocks
+    after them are certified again against the new U, so none is
+    diagonalized twice, and after O(log N) rounds at most every block has
+    been diagonalized once. Each round fills its blocks straight from the
+    cutoff's cached _Blocks, writes their eigenvalues into one array for all
+    blocks and the observables of their columns up to the highest one read
+    into one table, and frees its stack and eigenvectors. The levels are
+    read off the padded eigenvalues, since each padding slot sits at
+    _fill's ceiling, above every level, and from blocks in the order of a
+    diagonalization of every sector. So every eigh sees the matrices such a
+    diagonalization would, and the levels, and the choice among levels tied
+    at U, are its own. A level is accepted only if its residual is at most
     SectorLevels.resolution.
 
     Args:
@@ -514,46 +524,67 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     entries, ceiling = _elements(params, blocks)
     if not math.isfinite(ceiling):
         raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
+    layout = blocks.layout
     total = len(blocks.levels)
-    first = 0
+    odd = total - 1
     # The even half and J = 1 .. (k - 1) // 2, and more blocks only if these
     # hold fewer than k levels; the odd half only if the sectors do.
-    head = max(
-        min(total - 1, (num_states + 1) // 2),
-        int(np.searchsorted(blocks.levels, num_states)) + 1,
-    )
-    # (first, head stack, eigenvalues, eigenvectors) of each round.
-    rounds = []
+    head = max(min(odd, (num_states + 1) // 2), int(blocks.levels.searchsorted(num_states)) + 1)
+    # The eigenvalues of every block and the observables of its lowest
+    # columns, filled as blocks join; nothing else outlives a round.
+    values = np.empty((total, size))
+    table = np.zeros((total, min(num_states, size), 7))
+    # The certificates' margin above U; see _all_above.
+    margin = 8.0 * size * size * np.finfo(float).eps * ceiling
+    # Blocks first .. last - 1 join in a round. Sectors 1 .. head - 1 have
+    # joined, and blocks head .. end - 1 are certified; end drops to odd once
+    # the odd half has joined or passed alone.
+    first, last, end, step, halves = 0, head, total, 1, [0]
     while True:
-        stack = _fill(entries, ceiling, blocks, first, head, size)
-        rounds.append((first, stack, *np.linalg.eigh(stack)))
-        # The eigenvalues of every block in the head, in the order of a
-        # diagonalization of every sector: the even half, the odd half once
-        # it has joined, J = 1 .. N + 1, then J > 0 again for the mirrors -J.
-        # Stable ties keep that order.
-        halves = [0, total - 1] if head == total else [0]
-        sectors = list(range(1, min(head, total - 1)))
+        stack = _fill(entries, ceiling, blocks, first, last, size)
+        values[first:last], vectors = np.linalg.eigh(stack)
+        if last == total:
+            halves.append(odd)
+        # The blocks that have joined, in the order of a diagonalization of
+        # every sector: the even half, the odd half once it has joined, J = 1
+        # .., then J > 0 again for the mirrors -J. Stable ties keep that order.
+        sectors = list(range(1, min(head, odd)))
         rows = np.array(halves + sectors + sectors)
-        flat = np.concatenate([values for _, _, values, _ in rounds])[rows].ravel()
-        order = np.argsort(flat, kind="stable")[:num_states]
+        flat = values[rows].ravel()
+        # A copy of the k lowest, so that the whole sort and flat are freed
+        # before the observables are formed.
+        order = np.argsort(flat, kind="stable")[:num_states].copy()
         energies = flat[order]
-        if head == total:
+        del flat
+        # The columns up to the highest one read now, in any block: a later
+        # round, whose U is no higher and which keeps the order of ties at U,
+        # reads no other column of these blocks.
+        out = table[first:last, : (order % size).max() + 1]
+        _observables(out, stack, values[first:last], vectors, layout.observed[first:last], ceiling)
+        # Freed before the next blocks are filled.
+        del stack, vectors
+        if head == end:
             break
         # The rest at the largest of its dimensions.
-        rest = _fill(entries, ceiling, blocks, head, total, blocks.layout.dims[head:].max())
-        if _all_above(rest, energies[-1], ceiling, size):
+        rest = _fill(entries, ceiling, blocks, head, end, layout.dims[head:end].max())
+        if _all_above(rest, energies[-1] + margin):
             break
+        # The odd half, while it is out, is certified alone, as the last block
+        # of the rest, already shifted: it joins alone if it fails, and stays
+        # out of later certificates if it passes, since U only falls.
+        # Otherwise the next 1, 2, 4, ... sectors join.
+        if end == total and (head == odd or not _all_above(rest[-1:], 0.0)):
+            first, last = odd, total
+        else:
+            first, head = head, min(odd, head + step)
+            last, step = head, 2 * step
         # Freed before the next blocks are filled.
         del rest
-        # The next 1, 2, 4, ... sectors join the head, and the odd half alone
-        # once they all have.
-        first = head
-        head = min(total - 1, head + 2 ** (len(rounds) - 1)) if head < total - 1 else total
+        end = odd
 
     row, col = np.divmod(order, size)
     block = rows[row]
-    layout = blocks.layout
-    table = _observables(rounds, layout, block, col, ceiling)
+    table = table[block, col]
     residuals = table[:, 0]
     # w_eu = w_e+ + w_e-.
     character = table[:, 1:4].copy()
@@ -568,7 +599,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         )
     return SectorLevels(
         energies=energies,
-        j=np.where(row < head, 1, -1) * layout.j_values[block],
+        j=np.where(row < len(rows) - len(sectors), 1, -1) * layout.j_values[block],
         parity=layout.parity[block],
         character=character,
         r_squared=table[:, 6],

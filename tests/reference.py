@@ -14,7 +14,10 @@ match bit for bit, and ``sector_matrices``, which builds whole sectors of
 any J with it.
 ``every_sector_levels`` is the sector route without its pruning: one eigh of
 both halves of sector 0 and of all sectors J = 1 .. N + 1, and a loop over
-them.
+them. ``exe_levels`` solves the linear E x e problem in its own sectors of
+half-integer j, built here without the package's layout; with f_g = Lambda
+= Xi = 0 every level of the model is one of its levels, fourfold, so it is a
+reference at cutoffs of several hundred.
 
 The vibrational configuration space is spanned by number states |n, m> of the
 two components of a doubly degenerate mode, kept up to a total-quanta cutoff
@@ -573,6 +576,7 @@ def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> Sect
         cutoff, np.array([0, 0, *range(1, cutoff + 2)]), np.array([1, -1] + [0] * (cutoff + 1))
     )
     stack = fill(params, layout)
+    size = stack.shape[-1]
     solved = [np.linalg.eigh(matrix) for matrix in stack]
     # (energy, block, column, signed J), the mirrors last.
     candidates, mirrors = [], []
@@ -599,10 +603,8 @@ def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> Sect
         shell = layout.shell[block]
         top[i] = weight @ ((shell >= cutoff - 1) & (component >= 0))
         moment = np.where(shell < cutoff, shell + 1.0, 0.5 * cutoff) * (component >= 0)
-        r_squared[i] = weight @ moment + 2.0 * (
-            (part[:-1] * part[1:]) @ layout.moment_off[block, :-1]
-        )
-    size = stack.shape[-1]
+        # Twice the coupling of each slot to the next in R^2.
+        r_squared[i] = weight @ moment + (part[:-1] * part[1:]) @ layout.observed[block, size:, 5]
     return SectorLevels(
         energies=energies,
         j=np.array([c[3] for c in picked], dtype=int),
@@ -615,3 +617,58 @@ def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> Sect
         residuals=residuals,
         resolution=8.0 * size * np.finfo(float).eps * stack[:, range(size), range(size)].max(),
     )
+
+
+def exe_levels(hbar_omega: float, f_u: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, j) of every level of the linear E x e problem at cutoff N,
+    ascending, one row per level of j > 0; its mirror -j repeats it.
+
+    H_Exe = hbar_omega (n+ + n- + 1) + f_u (sigma_z X + sigma_x Y) acts on an
+    electronic doublet and the phonon shells n+ + n- <= N. In the circular
+    doublet e+-, sigma_z X + sigma_x Y takes e+ to e- times X + i Y = a+^dag +
+    a-, which raises l = n+ - n- by one, so j = l + 1/2 on e+ and l - 1/2 on
+    e- is conserved (Longuet-Higgins, Opik, Pryce & Sack, Proc. R. Soc. A
+    244, 1 (1958)). Sector j = m + 1/2, m = 0 .. N, holds two chains, e+ at l
+    = m and e- at l = m + 1, of the states n_r = min(n+, n-) <= (N - l) / 2.
+    All sectors are built at once, padded to N + 1 states, and go through
+    one eigvalsh.
+
+    With f_g = Lambda = Xi = 0 the e_g hole of the product Jahn-Teller model
+    is a spectator, H = H_Exe kron 1_g, so each of these levels is fourfold
+    there: +-j of E x e times the spectator's +-1/2, at J = j +- 1/2 and
+    -j +- 1/2.
+    """
+    n = cutoff
+    size = n + 1
+    m = np.arange(n + 1)
+    # Grid (sector, chain, n_r) of states; chain 0 is e+ at l = m, chain 1
+    # is e- at l = m + 1.
+    l_val = m[:, None] + np.arange(2)[None, :]
+    n_r = np.arange(n // 2 + 1)
+    valid = (l_val[:, :, None] <= n) & (n_r[None, None, :] <= ((n - l_val) // 2)[:, :, None])
+    position = (np.cumsum(valid.reshape(len(m), -1), axis=1) - 1).reshape(valid.shape)
+    dims = valid.sum(axis=(1, 2))
+    sec, chain, rank = np.nonzero(valid)
+    slot = position[sec, chain, rank]
+    shell = l_val[sec, chain] + 2 * rank
+    # A state couples to at most two others, each by at most f_u sqrt(N), so
+    # a padding diagonal above this lies above every level (Gershgorin).
+    stack = np.zeros((len(m), size, size))
+    stack[:, range(size), range(size)] = hbar_omega * (n + 2) + 2.0 * f_u * math.sqrt(n + 1)
+    stack[sec, slot, slot] = hbar_omega * (shell + 1.0)
+    # From e+ at (n+, n-) = (m + n_r, n_r): a+^dag to (n+ + 1, n-), which
+    # keeps n_r, and a- to (n+, n- - 1), which lowers it by one.
+    plus = chain == 0
+    s_sec, s_rank, s_slot = sec[plus], rank[plus], slot[plus]
+    moves = (
+        (shell[plus] < n, s_rank, np.sqrt(m[s_sec] + s_rank + 1.0)),
+        (s_rank >= 1, s_rank - 1, np.sqrt(s_rank)),
+    )
+    for ok, t_rank, amp in moves:
+        b, source, target = s_sec[ok], s_slot[ok], position[s_sec[ok], 1, t_rank[ok]]
+        stack[b, target, source] = stack[b, source, target] = f_u * amp[ok]
+    values = np.linalg.eigvalsh(stack)
+    kept = np.arange(size)[None, :] < dims[:, None]
+    energies, j = values[kept], np.broadcast_to(m[:, None] + 0.5, values.shape)[kept]
+    order = np.argsort(energies, kind="stable")
+    return energies[order], j[order]

@@ -23,6 +23,7 @@ from pjtdiag import (
     delta_splitting,
     spectrum_report,
 )
+from pjtdiag import sectors
 from pjtdiag.cli import cmd_spectrum
 from pjtdiag.sectors import _all_above, _blocks, _elements, _fill, lowest_levels
 from reference import (
@@ -31,6 +32,7 @@ from reference import (
     c3_rotation,
     classify_levels,
     every_sector_levels,
+    exe_levels,
     fill,
     multiplets,
     reflection,
@@ -353,6 +355,64 @@ def test_pruned_sectors_match_every_sector(params, cutoff, data):
     assert_same_levels(levels, every_sector_levels(params, cutoff, num_states))
 
 
+def spectator_labels(j):
+    """Sorted (J, parity) of the four levels that an E x e level j > 0 gives
+    when the e_g hole is a spectator: J = +-j +- 1/2, and at J = 0 one level
+    of either parity."""
+    high, low = int(j + 0.5), int(j - 0.5)
+    pair = [(0, -1), (0, 1)] if low == 0 else [(-low, 0), (low, 0)]
+    return sorted([(-high, 0), (high, 0), *pair])
+
+
+def assert_spectator_levels(levels, hbar_omega, f_u, cutoff):
+    """levels, of PjtParams(hbar_omega, 0, 0, 0, f_u), are the E x e levels
+    of exe_levels, each fourfold, within the resolution, with the J and
+    parity of spectator_labels in every run of levels closer than twice the
+    resolution that the request holds whole."""
+    energies, j = exe_levels(hbar_omega, f_u, cutoff)
+    fourfold = np.repeat(energies, 4)
+    count = len(levels.energies)
+    assert np.abs(levels.energies - fourfold[:count]).max() <= levels.resolution
+    # Within a run rounding orders the levels, so only the run's labels are
+    # fixed; the runs' energies lie more than twice the resolution apart, so
+    # the request holds each run at the same places as the reference.
+    ends = np.append(np.flatnonzero(np.diff(fourfold) > 2 * levels.resolution) + 1, fourfold.size)
+    labels = [label for value in j for label in spectator_labels(value)]
+    ours = list(zip(levels.j.tolist(), levels.parity.tolist()))
+    start = 0
+    for end in ends[ends <= count]:
+        assert sorted(ours[start:end]) == sorted(labels[start:end]), (start, end)
+        start = end
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hbar_omega=st.floats(20.0, 150.0),
+    ratio=st.floats(0.0, 5.0),
+    cutoff=st.integers(0, 40),
+    quartets=st.integers(1, 12),
+)
+@example(hbar_omega=70.0, ratio=300.0 / 70.0, cutoff=40, quartets=12)
+@example(hbar_omega=80.0, ratio=0.0, cutoff=15, quartets=12)
+def test_spectator_levels_are_e_x_e_levels(hbar_omega, ratio, cutoff, quartets):
+    # With f_g = Lambda = Xi = 0 the model is E x e times a spectator, which
+    # exe_levels solves in sectors of half-integer j, apart from sectors.py.
+    f_u = ratio * hbar_omega
+    num_states = min(4 * quartets, 2 * (cutoff + 1) * (cutoff + 2))
+    levels = lowest_levels(PjtParams(hbar_omega, 0.0, 0.0, 0.0, f_u), cutoff, num_states)
+    assert_spectator_levels(levels, hbar_omega, f_u, cutoff)
+
+
+def test_strong_coupling_spectator_levels_at_cutoff_200():
+    # E_JT = f_u^2 / (2 hbar_omega) = 642.857 meV: the levels j = 1/2, 3/2
+    # and 5/2 of the trough's rotor, each fourfold. Only the six blocks of
+    # the first head and the odd half, which joins alone, go through eigh.
+    levels = lowest_levels(PjtParams(70.0, 0.0, 0.0, 0.0, 300.0), 200, 12)
+    expected = np.repeat([-607.336322, -603.208713, -595.144121], 4)
+    assert np.abs(levels.energies - expected).max() < 5e-7
+    assert_spectator_levels(levels, 70.0, 300.0, 200)
+
+
 def recorded_eigh_stacks(monkeypatch):
     """Copies of the stacks of every np.linalg.eigh call from now on."""
     stacks = []
@@ -378,7 +438,8 @@ def test_first_head_is_the_even_half_and_the_lowest_pairs(monkeypatch):
 
 def test_failed_certification_adds_the_next_sector(monkeypatch):
     # A draw whose eighth level lies in sector 4: the first certificate
-    # fails, sector 4 alone joins the head, and the blocks after it pass.
+    # fails, the odd half passes alone, sector 4 alone joins the head, and
+    # the blocks after it pass without the odd half.
     params = PjtParams(69.8, 77.4, 44.6, 101.0, 117.7)
     stacks = recorded_eigh_stacks(monkeypatch)
     certified = []
@@ -391,7 +452,7 @@ def test_failed_certification_adds_the_next_sector(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", recording)
     levels = lowest_levels(params, 15, 8)
     assert [stack.shape for stack in stacks] == [(4, 32, 32), (1, 32, 32)]
-    assert certified == [14, 13]
+    assert certified == [14, 1, 12]
     monkeypatch.undo()
     assert np.abs(levels.j).max() == 4
     assert_same_levels(levels, every_sector_levels(params, 15, 8))
@@ -400,22 +461,38 @@ def test_failed_certification_adds_the_next_sector(monkeypatch):
 @pytest.mark.parametrize("cutoff", [15, 40])
 def test_failed_certification_grows_the_head(monkeypatch, cutoff):
     # In the decoupled limit the Eu levels of shell 1 tie across both halves
-    # of sector 0 and sector 2, so at 8 levels the certificate fails until
-    # the odd half, the last block, joins the head. After the first head of
-    # four blocks each round adds 1, 2, 4, ... sectors and the last one the
-    # odd half alone. Every block reaches eigh once, padded to 2N + 2, and
-    # the ties resolve as in the reference.
+    # of sector 0 and sector 2, so at 8 levels the first certificate fails
+    # on the odd half. It fails alone too and joins the head alone, padded
+    # to 2N + 2, and the sectors from 4 on then pass. The ties resolve as in
+    # the reference.
     params = decoupled(80.0, 10.0)
     stacks = recorded_eigh_stacks(monkeypatch)
     levels = lowest_levels(params, cutoff, 8)
     monkeypatch.undo()
-    total, rounds = cutoff + 3, [4]
-    while sum(rounds) < total - 1:
-        rounds.append(min(2 ** (len(rounds) - 1), total - 1 - sum(rounds)))
-    rounds.append(1)
+    assert [len(stack) for stack in stacks] == [4, 1]
+    reference = fill(params, _blocks(cutoff).layout)
+    assert np.concatenate(stacks).tobytes() == reference[[0, 1, 2, 3, -1]].tobytes()
+    assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
+
+
+@pytest.mark.parametrize("params", [SIV, decoupled(80.0, 10.0)], ids=["SiV", "decoupled"])
+@pytest.mark.parametrize("cutoff", [15, 40])
+def test_failing_certificates_diagonalize_every_block_once(monkeypatch, params, cutoff):
+    # With every certificate failing, the odd half joins the first head of
+    # four blocks alone, then the next 1, 2, 4, ... sectors join until none
+    # is left. Each block reaches eigh once, padded to 2N + 2, and the
+    # levels are those of the reference.
+    monkeypatch.setattr(sectors, "_all_above", lambda *args: False)
+    stacks = recorded_eigh_stacks(monkeypatch)
+    levels = lowest_levels(params, cutoff, 8)
+    monkeypatch.undo()
+    total, rounds = cutoff + 3, [4, 1]
+    while sum(rounds) < total:
+        rounds.append(min(2 ** (len(rounds) - 2), total - sum(rounds)))
     assert [len(stack) for stack in stacks] == rounds
     reference = fill(params, _blocks(cutoff).layout)
-    assert np.concatenate(stacks).tobytes() == reference.tobytes()
+    order = [0, 1, 2, 3, total - 1, *range(4, total - 1)]
+    assert np.concatenate(stacks).tobytes() == reference[order].tobytes()
     assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
 
 
@@ -439,16 +516,16 @@ def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start,
     width = blocks.layout.dims[start:].max()
     view = stack[start:, :width, :width]
     assert not view.flags.c_contiguous
-    level = np.linalg.eigvalsh(view).min() + side * 1e-6 * ceiling
-    assert _all_above(view.copy(), level, ceiling, size) == (side < 0)
-    assert _all_above(view, level, ceiling, size) == (side < 0)
+    shift = np.linalg.eigvalsh(view).min() + side * 1e-6 * ceiling
+    assert _all_above(view.copy(), shift) == (side < 0)
+    assert _all_above(view, shift) == (side < 0)
 
 
 def test_cached_layout_is_read_only():
     blocks = _blocks(15)
     assert _blocks(15) is blocks
     layout = blocks.layout
-    names = ("j_values", "parity", "dims", "component", "shell", "observed", "moment_off")
+    names = ("j_values", "parity", "dims", "component", "shell", "observed")
     arrays = [getattr(layout, name) for name in names] + list(layout.coupling)
     names = ("levels", "quanta", "component", "order", "start", "block", "row", "col", "slots")
     arrays += [getattr(blocks, name) for name in names]
@@ -489,40 +566,9 @@ def test_lowest_levels_memory_at_the_fitting_cutoff():
     assert peak < 240 * 2**10
 
 
-def test_failed_certification_memory():
-    # The even half alone fails the certificate, sector 1 joins it in a
-    # second round, and the rest pass. The blocks are cached by the first
-    # call, as in a fit.
-    cutoff = 60
-    stack_bytes = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
-    params = decoupled(80.0, 10.0)
-    lowest_levels(params, cutoff, 1)
-    tracemalloc.start()
-    try:
-        lowest_levels(params, cutoff, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * stack_bytes
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    params=PARAMS | DECOUPLED,
-    cutoff=st.integers(30, 60),
-    num_states=st.integers(1, 2 * 61 * 62),
-)
-@example(params=SIV, cutoff=60, num_states=8)
-@example(params=decoupled(80.0, 10.0), cutoff=60, num_states=8)
-@example(params=SIV, cutoff=30, num_states=2 * 31 * 32)
-@example(params=SIV, cutoff=40, num_states=2 * 41 * 42)
-def test_lowest_levels_memory_over_random_requests(params, cutoff, num_states):
-    # The bound of test_failed_certification_memory over random requests of
-    # up to every level, where _observables forms weights and residuals for
-    # every column. Decoupled draws tie levels across the halves of sector
-    # 0, so the head grows until the odd half joins it.
-    num_states = min(num_states, 2 * (cutoff + 1) * (cutoff + 2))
-    stack_bytes = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
+def warm_peak(params, cutoff, num_states):
+    """Tracemalloc peak of a lowest_levels call whose blocks are cached, as in
+    a fit, over the stack of all N + 3 blocks that check_cutoff bounds."""
     lowest_levels(params, cutoff, num_states)
     tracemalloc.start()
     try:
@@ -530,7 +576,43 @@ def test_lowest_levels_memory_over_random_requests(params, cutoff, num_states):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * stack_bytes
+    return peak / ((cutoff + 3) * (2 * cutoff + 2) ** 2 * 8)
+
+
+def test_failed_certification_memory():
+    # The even half alone fails the certificate, the odd half passes alone,
+    # sector 1 joins the head in a second round, and the rest pass.
+    assert warm_peak(decoupled(80.0, 10.0), 60, 1) < 2.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    params=PARAMS | DECOUPLED,
+    cutoff=st.integers(20, 60),
+    num_states=st.integers(1, 2 * 61 * 62),
+)
+@example(params=SIV, cutoff=60, num_states=8)
+@example(params=decoupled(80.0, 10.0), cutoff=60, num_states=8)
+@example(params=SIV, cutoff=20, num_states=2 * 21 * 22)
+@example(params=SIV, cutoff=30, num_states=2 * 31 * 32)
+@example(params=SIV, cutoff=40, num_states=2 * 41 * 42)
+def test_lowest_levels_memory_over_random_requests(params, cutoff, num_states):
+    # The bound of test_failed_certification_memory over random requests of
+    # up to every level, where _observables forms weights and residuals for
+    # every column of every block.
+    num_states = min(num_states, 2 * (cutoff + 1) * (cutoff + 2))
+    assert warm_peak(params, cutoff, num_states) < 2.5
+
+
+@settings(max_examples=20, deadline=None)
+@given(params=DECOUPLED, cutoff=st.integers(10, 60))
+@example(params=decoupled(80.0, 10.0), cutoff=10)
+@example(params=decoupled(80.0, 10.0), cutoff=60)
+def test_growing_head_memory(params, cutoff):
+    # Decoupled draws tie the eighth level across the halves of sector 0, so
+    # the odd half joins the head alone in a second round, and no round keeps
+    # the stack or the eigenvectors of another.
+    assert warm_peak(params, cutoff, 8) < 2.0
 
 
 def test_siv_levels_carry_j_and_labels():
