@@ -268,10 +268,11 @@ def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> Spec
     if as_index(num_states, "num_states") < 3:
         raise ValueError(f"num_states must be >= 3, got {num_states}")
     levels = lowest_levels(params, cutoff, num_states)
-    for top_weight in levels.top_shell_weight:
+    # Python scalars, which format and compare faster than numpy's.
+    for top_weight in levels.top_shell_weight.tolist():
         _warn_if_truncated(top_weight, stacklevel=3)
     delta = _delta(levels)
-    labels = tuple(_label(j, parity) for j, parity in zip(levels.j, levels.parity))
+    labels = tuple(map(_label, levels.j.tolist(), levels.parity.tolist()))
     return SpectrumReport(
         params=params, cutoff=int(cutoff), levels=levels, labels=labels, delta=delta
     )

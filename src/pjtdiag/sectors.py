@@ -49,6 +49,7 @@ operator.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -71,6 +72,9 @@ __all__ = [
 # check_cutoff bounds for one level and a failed certificate, 1.70 times for
 # 8 levels whose head the odd half joins, and 2.15 times for every level.
 MAX_DENSE_BYTES = 2**28
+
+# Machine epsilon of float64, for the certificate margin and the resolution.
+_EPS = float(np.finfo(float).eps)
 
 # Electronic components of every sector: A2u, i * A1u, E+, E-.
 _SPIN = np.array([0, 0, 1, -1])
@@ -444,30 +448,32 @@ def _observables(
     that they neither overflow nor underflow.
     """
     size, width = stack.shape[1], out.shape[1]
-    # Blocks per pass, so that each temporary of the size of cols holds at
-    # most 1/32 of the stack of all N + 3 = size / 2 + 2 blocks that
-    # check_cutoff bounds, or a single block.
-    step = max(1, (size // 2 + 2) * size // (32 * width))
-    for low in range(0, len(stack), step):
-        here = slice(low, low + step)
-        cols = vectors[here, :, :width]
+    # Columns per pass, counted over blocks, so that each temporary of the
+    # size of cols holds at most 1/32 of the stack of all N + 3 = size / 2 +
+    # 2 blocks that check_cutoff bounds, or a single column: whole blocks
+    # while one block's columns fit, else part of one block's columns.
+    budget = max(1, (size // 2 + 2) * size // 32)
+    step, span = max(1, budget // width), min(width, budget)
+    for low, left in itertools.product(range(0, len(stack), step), range(0, width, span)):
+        here, wanted = slice(low, low + step), slice(left, min(left + span, width))
+        cols = vectors[here, :, wanted]
         # v E first and H v - v E written over it, so that no ufunc buffer
         # sits beside the two as one would beside an in-place H v -= v E.
-        residual = cols * values[here, None, :width]
+        residual = cols * values[here, None, wanted]
         np.subtract(stack[here] @ cols, residual, out=residual)
         residual /= ceiling
         residual *= residual
-        out[here, :, 0] = ceiling * np.sqrt(residual.sum(axis=1))
+        out[here, wanted, 0] = ceiling * np.sqrt(residual.sum(axis=1))
         # Each temporary is freed before the next is formed, so that at most
         # two arrays of the size of cols are live beside the stack and its
         # eigenvectors.
         del residual
         # The squared amplitudes, then the products of neighbours, weighed by
         # the layout.
-        products = np.empty((len(cols), 2 * size - 1, width))
+        products = np.empty((cols.shape[0], 2 * size - 1, cols.shape[2]))
         np.multiply(cols, cols, out=products[:, :size])
         np.multiply(cols[:, :-1], cols[:, 1:], out=products[:, size:])
-        out[here, :, 1:] = np.matmul(products.transpose(0, 2, 1), observed[here])
+        out[here, wanted, 1:] = np.matmul(products.transpose(0, 2, 1), observed[here])
         del products
 
 
@@ -535,7 +541,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     values = np.empty((total, size))
     table = np.zeros((total, min(num_states, size), 7))
     # The certificates' margin above U; see _all_above.
-    margin = 8.0 * size * size * np.finfo(float).eps * ceiling
+    margin = 8.0 * size * size * _EPS * ceiling
     # Blocks first .. last - 1 join in a round. Sectors 1 .. head - 1 have
     # joined, and blocks head .. end - 1 are certified; end drops to odd once
     # the odd half has joined or passed alone.
@@ -589,7 +595,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     # w_eu = w_e+ + w_e-.
     character = table[:, 1:4].copy()
     character[:, 2] += table[:, 4]
-    resolution = 8.0 * size * np.finfo(float).eps * ceiling
+    resolution = 8.0 * size * _EPS * ceiling
     if not np.all(residuals <= resolution):
         raise ConvergenceError(
             f"sector residuals up to {residuals.max():.3e} meV exceed "

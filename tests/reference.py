@@ -467,9 +467,15 @@ def reflection(basis: FockBasis) -> np.ndarray:
     return np.diag(np.kron([1.0, -1.0, -1.0, 1.0], signs))
 
 
-# Levels closer than this form one multiplet, in which a full-space solver
-# returns any orthonormal basis.
-MULTIPLET_TOL_MEV = 1e-6
+# Levels closer than this tie to rounding and form one multiplet, in which a
+# full-space solver returns any orthonormal basis. It is the full-space
+# analogue of SectorLevels.resolution, 8 n eps ||H||, over the tests' draws
+# (n <= 180, ||H|| below 3000 meV); the ties the model's symmetry makes come
+# out of eigh within a few eps ||H||. A level pair that a weak coupling
+# splits, such as 20 -+ f_u / sqrt(2) at f_u = 1.2e-7 meV, is two
+# multiplets: lumped together, their vectors would be turned into mixtures
+# of the two.
+MULTIPLET_TOL_MEV = 1e-9
 
 
 def multiplets(energies) -> list[np.ndarray]:

@@ -469,13 +469,135 @@ CLEAN_SPECTRUM = ("spectrum", "--preset", "SiV", "--cutoff", "6", "--states", "3
 )
 def test_repeated_calls_behave_like_fresh_ones(capsys, argv, status):
     clean = run_cli(capsys, *CLEAN_SPECTRUM)
-    # The first call below builds a new parser, the later ones reuse it.
+    # The first call below builds new parsers, the later ones reuse them.
     cli._parser.cache_clear()
     first = run_cli(capsys, *argv)
     assert first[0] == status
     assert first[1] or first[2]
     assert run_cli(capsys, *argv) == first
     assert run_cli(capsys, *CLEAN_SPECTRUM) == clean
+
+
+def parse_outcome(capsys, parse, argv):
+    """(namespace, or ("SystemExit", code), stdout, stderr) of one parse."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+WELL_FORMED = [
+    ("spectrum", "--preset", "SiV", "--cutoff", "6", "--states", "3"),
+    ("apes", "--params", "x.txt", "--points", "5", "--output", "o.csv"),
+    ("converge", "--preset", "SiV", "--cutoffs", "4,6", "--states", "3"),
+    ("apes", "--preset", "SiV", "--xmin", "-inf", "--xmax", "-1e-3"),
+    ("spectrum", "--pre", "SiV"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    WELL_FORMED
+    + [
+        ("spectrum", "-h"),
+        ("-h",),
+        ("--version",),
+        ("spectrum", "--preset", "SiV", "--version"),
+        (),
+        ("bogus",),
+        ("spectrum",),
+        ("spectrum", "--preset", "SiV", "stray"),
+        ("spectrum", "--preset", "SiV", "--tolerance", "1e-8"),
+        ("spectrum", "--", "--preset", "SiV"),
+        ("spectrum", "--preset", "SiV", "--"),
+        ("--", "spectrum", "--preset", "SiV"),
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_parse_matches_the_top_level_parser(capsys, argv):
+    # The same namespace, or the same help, usage, version or error text
+    # and exit code.
+    parser, _ = cli._parser()
+    expected = parse_outcome(capsys, parser.parse_args, argv)
+    assert parse_outcome(capsys, cli._parse_args, argv) == expected
+
+
+def test_top_level_parser_parses_only_what_a_subcommand_leaves(monkeypatch):
+    parser, _ = cli._parser()
+    calls = []
+    parse_known_args = parser.parse_known_args
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    for argv in WELL_FORMED:
+        assert cli._parse_args(list(argv)).command == argv[0]
+    monkeypatch.setattr(sys, "argv", ["pjtdiag", *WELL_FORMED[0]])
+    assert cli._parse_args(None).cutoff == 6
+    assert calls == []
+    with pytest.raises(SystemExit):
+        cli._parse_args(["spectrum", "--preset", "SiV", "stray"])
+    assert len(calls) == 1
+
+
+# The spectrum CSV of three presets at the default cutoff 15 and 8 states,
+# byte for byte; the README transcript pins SiV.
+PINNED_SPECTRA = {
+    "GeV": (
+        "# pjtdiag 0.1.0 spectrum\n"
+        "# source=preset:GeV\n"
+        "# cutoff=15 states=8\n"
+        "index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n"
+        "0,-267.087762,A2u,0.533577,0.000000,0.466423,2.611033\n"
+        "1,-259.476395,Eu,0.528801,0.000009,0.471190,2.687451\n"
+        "2,-259.476395,Eu,0.528801,0.000009,0.471190,2.687451\n"
+        "3,-239.786268,Eu,0.524680,0.000019,0.475301,2.846994\n"
+        "4,-239.786268,Eu,0.524680,0.000019,0.475301,2.846994\n"
+        "5,-212.112611,A1u+A2u,0.521800,0.000026,0.478174,3.026023\n"
+        "6,-212.112611,A1u+A2u,0.521800,0.000026,0.478174,3.026023\n"
+        "7,-187.245280,A2u,0.552078,0.000000,0.447922,2.830336\n"
+        "delta_mev=7.611367\n"
+    ),
+    "SnV": (
+        "# pjtdiag 0.1.0 spectrum\n"
+        "# source=preset:SnV\n"
+        "# cutoff=15 states=8\n"
+        "index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n"
+        "0,-243.871749,A2u,0.546571,0.000000,0.453429,2.429651\n"
+        "1,-234.467460,Eu,0.537365,0.000051,0.462584,2.523703\n"
+        "2,-234.467460,Eu,0.537365,0.000051,0.462584,2.523703\n"
+        "3,-211.126383,Eu,0.531117,0.000102,0.468781,2.705614\n"
+        "4,-211.126383,Eu,0.531117,0.000102,0.468781,2.705614\n"
+        "5,-179.274809,A1u+A2u,0.527136,0.000131,0.472733,2.900246\n"
+        "6,-179.274809,A1u+A2u,0.527136,0.000131,0.472733,2.900246\n"
+        "7,-160.211793,A2u,0.574331,0.000000,0.425669,2.675790\n"
+        "delta_mev=9.404289\n"
+    ),
+    "PbV": (
+        "# pjtdiag 0.1.0 spectrum\n"
+        "# source=preset:PbV\n"
+        "# cutoff=15 states=8\n"
+        "index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n"
+        "0,-229.354114,A2u,0.572792,0.000000,0.427208,2.301185\n"
+        "1,-218.478339,Eu,0.557651,0.000124,0.442226,2.416274\n"
+        "2,-218.478339,Eu,0.557651,0.000124,0.442226,2.416274\n"
+        "3,-192.864890,Eu,0.548152,0.000243,0.451605,2.615326\n"
+        "4,-192.864890,Eu,0.548152,0.000243,0.451605,2.615326\n"
+        "5,-158.733065,A1u+A2u,0.542160,0.000313,0.457527,2.820537\n"
+        "6,-158.733065,A1u+A2u,0.542160,0.000313,0.457527,2.820537\n"
+        "7,-145.801790,A2u,0.610072,0.000000,0.389928,2.560782\n"
+        "delta_mev=10.875775\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_SPECTRA))
+def test_spectrum_csv_is_pinned(capsys, preset):
+    assert run_cli(capsys, "spectrum", "--preset", preset) == (0, PINNED_SPECTRA[preset], "")
 
 
 def test_source_flag_required():

@@ -27,6 +27,7 @@ from pjtdiag import sectors
 from pjtdiag.cli import cmd_spectrum
 from pjtdiag.sectors import _all_above, _blocks, _elements, _fill, lowest_levels
 from reference import (
+    MULTIPLET_TOL_MEV,
     assemble,
     build_basis,
     c3_rotation,
@@ -97,13 +98,15 @@ def by_symmetry(indices, j, parity):
 
 @settings(max_examples=60, deadline=None)
 @given(params=PARAMS, cutoff=CUTOFFS)
+# The pair 20 -+ f_u / sqrt(2), 1.7e-7 meV apart: two levels, not one tie.
+@example(params=PjtParams(20.0, 20.0, 0.0, 0.0, 1.192092896e-07), cutoff=1)
 def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
     basis = build_basis(cutoff)
     h = assemble(params, basis).matrix
     energies, vectors = np.linalg.eigh(h)
     # A level count that cuts no multiplet, so that both routes report the
     # same multiplets whole.
-    counts = [k for k in range(3, 9) if energies[k] - energies[k - 1] >= 1e-6]
+    counts = [k for k in range(3, 9) if energies[k] - energies[k - 1] >= MULTIPLET_TOL_MEV]
     assume(counts)
     num_states = counts[-1]
     members = multiplets(energies[:num_states])
@@ -111,7 +114,7 @@ def test_spectrum_report_matches_full_space_pipeline(params, cutoff):
     # whose rounding error in either route grows as 1 / (gap to the nearest
     # other multiplet): 1e-9 for gaps of 1e-2 meV and up, looser below.
     steps = np.diff(energies[: num_states + 1])
-    gap = steps[steps >= 1e-6].min()
+    gap = steps[steps >= MULTIPLET_TOL_MEV].min()
     vector_tol = max(TOL_MEV, 1e-11 / gap)
     # Each level turned to definite J and reflection, and its own energy.
     turned = symmetry_vectors(energies[:num_states], vectors[:, :num_states], basis)
@@ -185,7 +188,7 @@ def symmetry_tol(energies):
     """Rounding error of full-space eigenvectors, as 1 / (gap to the nearest
     other multiplet)."""
     steps = np.diff(energies)
-    gaps = steps[steps >= 1e-6]
+    gaps = steps[steps >= MULTIPLET_TOL_MEV]
     return max(TOL_MEV, 1e-11 / gaps.min()) if gaps.size else TOL_MEV
 
 
