@@ -29,16 +29,16 @@ A2u or i * A1u is to E+ alone. lowest_levels diagonalizes the halves in
 place of sector 0 and returns each level's signed J and, at J = 0, its
 parity. The lowest k levels need only the blocks that hold one. The even
 half and J = 1 .. (k - 1) // 2, the head, hold at least k levels when the
-even half gives its lowest two and each sector its lowest pair +-J; they
-are diagonalized padded to 2N + 2. The rest, the odd half included, are
-certified with a Cholesky test against the k-th of the head's levels,
-factored at their own largest dimension. When the test fails and the odd
-half is still out, the odd half is certified alone at the same shift: it
-joins the head alone if it fails, and otherwise the next 1, 2, 4, ...
-sectors join, the odd half staying out of later tests. Only the blocks
-that join are diagonalized, so no block is diagonalized twice, and only
-their eigenvalues and the observables of their lowest levels outlive the
-round that diagonalizes them.
+even half gives its lowest two and each sector its lowest pair +-J, and
+more sectors join it when they hold fewer; the head is diagonalized padded
+to 2N + 2. The rest, the odd half included, are certified with a Cholesky
+test against the k-th of the head's levels, factored at their own largest
+dimension. When the test fails and the odd half is still out, the odd half
+is certified alone at the same shift: it joins the head alone if it fails,
+and otherwise the next 1, 2, 4, ... sectors join, the odd half staying out
+of later tests. Only the blocks that join are diagonalized, so no block is
+diagonalized twice, and only their eigenvalues and the observables of
+their lowest levels outlive the round that diagonalizes them.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -70,7 +70,7 @@ __all__ = [
 # a large cutoff from exhausting memory. At cutoff 60 the tracemalloc peak of
 # lowest_levels was 1.97 times the stack of all N + 3 blocks that
 # check_cutoff bounds for one level and a failed certificate, 1.70 times for
-# 8 levels whose head the odd half joins, and 2.15 times for every level.
+# 8 levels whose head the odd half joins, and 2.14 times for every level.
 MAX_DENSE_BYTES = 2**28
 
 # Machine epsilon of float64, for the certificate margin and the resolution.
@@ -117,13 +117,18 @@ def as_index(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
+def check_cutoff(cutoff: int, num_states: int | None = None) -> tuple[int, int | None]:
     """Reject a cutoff, or a level count, before anything is allocated.
 
     Args:
         cutoff: Fock cutoff N, >= 0.
         num_states: Levels wanted, at most the full dimension
             2 (N + 1)(N + 2); None skips this check.
+
+    Returns:
+        (cutoff, num_states) as Python ints, num_states None if it was None,
+        so that a numpy integer does not overflow the sizes computed from
+        them.
 
     Raises:
         TypeError: a cutoff or level count that is not an integer.
@@ -142,28 +147,41 @@ def check_cutoff(cutoff: int, num_states: int | None = None) -> None:
             f"beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
         )
     if num_states is None:
-        return
-    if as_index(num_states, "num_states") < 1:
+        return cutoff, None
+    num_states = as_index(num_states, "num_states")
+    if num_states < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
     dimension = 2 * (cutoff + 1) * (cutoff + 2)
     if num_states > dimension:
         raise ValueError(f"num_states {num_states} exceeds matrix dimension {dimension}")
+    return cutoff, num_states
 
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
-    """Where each basis state and coupling sits in a stack of blocks.
+    """Where each basis state and matrix element sits in a stack of blocks.
 
     A block is a whole sector J (parity 0) or a half of sector 0 (parity
     +1 or -1), padded to 2N + 2 slots. Arrays of shape (blocks, size)
     describe slots; padding slots have component -1. ``observed``, of
-    shape (blocks, 2 size - 1, 6), holds for each slot what a level's
-    squared amplitude there adds to its weights on the four components,
-    its top-shell weight and its R^2, and then for each slot but the last
-    what the product of its amplitudes there and at the next slot adds to
-    its R^2. ``coupling`` lists (block, row, column, pair, amplitude) with
-    the target slot as row and the source slot as column, one entry per
-    phonon matrix element; the transposed entry is implied.
+    shape (blocks, 2 size - 1, 5), holds for each slot what a level's
+    squared amplitude there adds to its weights on A2u, A1u and Eu (E+ and
+    E- pooled), its top-shell weight and its R^2, and then for each slot
+    but the last what the product of its amplitudes there and at the next
+    slot adds to its R^2. ``coupling`` lists (block, row, column, pair,
+    amplitude) with the target slot as row and the source slot as column,
+    one entry per phonon matrix element; the transposed entry is implied.
+    ``levels[b]`` counts the levels of blocks 0 .. b, mirrors -J of J > 0
+    included.
+
+    The rest are the entries of the stack, in the order _elements computes
+    them: each state's diagonal element, hbar_omega * ``quanta`` plus W on
+    its ``state_component``, then each coupling as (row, column) and once
+    more transposed. ``order`` sorts them stably by block, so that block b
+    holds the entries ``start[b]`` .. ``start[b + 1]`` and each row sum
+    keeps the order of its terms: diagonal, then row, then column entries.
+    Each sorted entry sits at (``block``, ``row``, ``col``), and joins the
+    Gershgorin row sum of ``slots``, block * size + row.
     """
 
     j_values: np.ndarray
@@ -173,14 +191,22 @@ class _Layout:
     shell: np.ndarray
     observed: np.ndarray
     coupling: tuple[np.ndarray, ...]
+    levels: np.ndarray
+    quanta: np.ndarray
+    state_component: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+    block: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    slots: np.ndarray
 
 
-def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None) -> _Layout:
-    """Layout of blocks J, each a whole sector unless parity gives it +1 or
-    -1, which makes it the even or odd half of sector 0 (J must be 0)."""
+def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray) -> _Layout:
+    """Layout of blocks J, each a whole sector where parity is 0, and the
+    even or odd half of sector 0 where it is +1 or -1 (J must be 0)."""
     n = cutoff
     size = 2 * n + 2
-    parity = np.zeros(len(j_values), dtype=int) if parity is None else parity
     chain = n // 2 + 1
     # Grid (block, component, n_r) of candidate states.
     l_val = j_values[:, None] - _SPIN[None, :]
@@ -206,15 +232,15 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
     component[sec, slot] = comp
     shell = np.zeros((len(j_values), size), dtype=int)
     shell[sec, slot] = shell_slot
-    observed = np.zeros((len(j_values), 2 * size - 1, 6))
-    observed[sec, slot, comp] = 1.0
-    observed[sec, slot, 4] = shell_slot >= n - 1
+    observed = np.zeros((len(j_values), 2 * size - 1, 5))
+    observed[sec, slot, np.minimum(comp, 2)] = 1.0
+    observed[sec, slot, 3] = shell_slot >= n - 1
     # <(PXP)^2 + (PYP)^2>: s + 1 below the cutoff, N / 2 on the top shell,
     # and twice sqrt((n+ + 1)(n- + 1)) on the product of n_r and n_r + 1 of
     # one chain, which sit in neighbouring slots.
-    observed[sec, slot, 5] = np.where(shell_slot < n, shell_slot + 1.0, 0.5 * n)
+    observed[sec, slot, 4] = np.where(shell_slot < n, shell_slot + 1.0, 0.5 * n)
     has_next = shell_slot + 2 <= n
-    observed[sec[has_next], size + slot[has_next], 5] = 2.0 * np.sqrt(
+    observed[sec[has_next], size + slot[has_next], 4] = 2.0 * np.sqrt(
         (n_plus[has_next] + 1.0) * (n_minus[has_next] + 1.0)
     )
 
@@ -236,6 +262,13 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
             t_slot = position[s_sec[ok], target, np.minimum(t_plus, t_minus)[ok]]
             amp = amp[ok] * scale[s_sec[ok]]
             parts.append((s_sec[ok], t_slot, s_slot[ok], np.full(ok.sum(), pair), amp))
+    coupling = tuple(np.concatenate(column) for column in zip(*parts))
+
+    block, slot = np.nonzero(component >= 0)
+    c_block, c_row, c_col, _, _ = coupling
+    entry_block = np.concatenate([block, c_block, c_block])
+    order = np.argsort(entry_block, kind="stable")
+    entry_block, entry_row = entry_block[order], np.concatenate([slot, c_row, c_col])[order]
     return _Layout(
         j_values=j_values,
         parity=parity,
@@ -243,52 +276,33 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray | None = None)
         component=component,
         shell=shell,
         observed=observed,
-        coupling=tuple(np.concatenate(column) for column in zip(*parts)),
+        coupling=coupling,
+        levels=np.cumsum(np.where(j_values > 0, 2, 1) * dims),
+        quanta=shell[block, slot] + 1.0,
+        state_component=component[block, slot],
+        order=order,
+        start=np.append(0, np.cumsum(np.bincount(entry_block, minlength=len(j_values)))),
+        block=entry_block,
+        row=entry_row,
+        col=np.concatenate([slot, c_col, c_row])[order],
+        slots=entry_block * size + entry_row,
     )
 
 
-def _read_only(*records) -> None:
-    """Make every array of the records' fields, tuples included, read-only."""
-    for record in records:
-        for value in vars(record).values():
-            for array in value if isinstance(value, tuple) else (value,):
-                if isinstance(array, np.ndarray):
-                    array.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
-class _Blocks:
-    """The blocks of one cutoff and every element _fill writes into them.
-
-    ``layout`` is the _layout of the blocks: the even half of sector 0, the
-    sectors J = 1 .. N + 1 in the order lowest_levels takes them into its
-    head, then the odd half, which joins alone. ``levels[b]`` counts the
-    levels of blocks 0 .. b, mirrors included. An entry is a state's
-    diagonal element, hbar_omega * ``quanta`` plus W on its ``component``,
-    or a coupling, once as (row, column) and once transposed; _elements
-    computes them in that order, and ``order`` sorts them stably by block,
-    so that block b holds the entries ``start[b]`` .. ``start[b + 1]`` and
-    each row sum keeps the order of its terms: diagonal, then row, then
-    column entries. Each sorted entry sits at (``block``, ``row``,
-    ``col``), and joins the Gershgorin row sum of ``slots``, block * (2N +
-    2) + row.
-    """
-
-    layout: _Layout
-    levels: np.ndarray
-    quanta: np.ndarray
-    component: np.ndarray
-    order: np.ndarray
-    start: np.ndarray
-    block: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    slots: np.ndarray
+def _read_only(record) -> None:
+    """Make every array of the record's fields, tuples included, read-only."""
+    for value in vars(record).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=4)
-def _blocks(cutoff: int) -> _Blocks:
-    """_Blocks of one cutoff.
+def _blocks(cutoff: int) -> _Layout:
+    """Read-only _Layout of the blocks of one cutoff in the order
+    lowest_levels takes them: the even half of sector 0, the sectors J = 1
+    .. N + 1 in the order they join its head, then the odd half, which
+    joins alone.
 
     A fit calls lowest_levels many times at one cutoff, and a cutoff ladder
     at a few, so the four most recent cutoffs are kept. The arrays are
@@ -298,31 +312,13 @@ def _blocks(cutoff: int) -> _Blocks:
     parity = np.zeros(cutoff + 3, dtype=int)
     parity[[0, -1]] = 1, -1
     layout = _layout(cutoff, j_values, parity)
-    size = 2 * cutoff + 2
-    block, slot = np.nonzero(layout.component >= 0)
-    sec, row, col, _, _ = layout.coupling
-    entry_block = np.concatenate([block, sec, sec])
-    order = np.argsort(entry_block, kind="stable")
-    entry_block, entry_row = entry_block[order], np.concatenate([slot, row, col])[order]
-    blocks = _Blocks(
-        layout=layout,
-        levels=np.cumsum(np.where(j_values > 0, 2, 1) * layout.dims),
-        quanta=layout.shell[block, slot] + 1.0,
-        component=layout.component[block, slot],
-        order=order,
-        start=np.append(0, np.cumsum(np.bincount(entry_block, minlength=cutoff + 3))),
-        block=entry_block,
-        row=entry_row,
-        col=np.concatenate([slot, col, row])[order],
-        slots=entry_block * size + entry_row,
-    )
-    _read_only(layout, blocks)
-    return blocks
+    _read_only(layout)
+    return layout
 
 
 @np.errstate(over="ignore")
-def _elements(params: PjtParams, blocks: _Blocks) -> tuple[np.ndarray, float]:
-    """(entries, ceiling): the sorted entries of _Blocks and the Gershgorin
+def _elements(params: PjtParams, layout: _Layout) -> tuple[np.ndarray, float]:
+    """(entries, ceiling): the sorted entries of a _Layout and the Gershgorin
     ceiling of every block, which pads every diagonal above every level.
 
     An element or row sum beyond the float range makes the ceiling inf,
@@ -334,21 +330,21 @@ def _elements(params: PjtParams, blocks: _Blocks) -> tuple[np.ndarray, float]:
     w_diag = np.array(
         [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr]
     )
-    _, _, _, pair, amp = blocks.layout.coupling
+    _, _, _, pair, amp = layout.coupling
     values = elements[pair] * amp
     entries = np.concatenate(
-        [params.hbar_omega * blocks.quanta + w_diag[blocks.component], values, values]
-    ).take(blocks.order)
+        [params.hbar_omega * layout.quanta + w_diag[layout.state_component], values, values]
+    ).take(layout.order)
     # Gershgorin: every eigenvalue is at most the largest absolute row sum.
     # That sum is positive (hbar_omega > 0), so twice it lies strictly above
     # every level and scales with H.
-    return entries, 2.0 * np.bincount(blocks.slots, np.abs(entries)).max()
+    return entries, 2.0 * np.bincount(layout.slots, np.abs(entries)).max()
 
 
 def _fill(
-    entries: np.ndarray, ceiling: float, blocks: _Blocks, first: int, last: int, width: int
+    entries: np.ndarray, ceiling: float, layout: _Layout, first: int, last: int, width: int
 ) -> np.ndarray:
-    """Blocks first .. last - 1 of _Blocks, padded to width, at least their
+    """Blocks first .. last - 1 of a _Layout, padded to width, at least their
     largest dimension, from the entries and ceiling of _elements.
 
     The ceiling goes onto the whole diagonal and the entries over it. Every
@@ -357,8 +353,8 @@ def _fill(
     count = last - first
     stack = np.zeros((count, width, width))
     stack.reshape(count, width * width)[:, :: width + 1] = ceiling
-    here = slice(blocks.start[first], blocks.start[last])
-    stack[blocks.block[here] - first, blocks.row[here], blocks.col[here]] = entries[here]
+    here = slice(layout.start[first], layout.start[last])
+    stack[layout.block[here] - first, layout.row[here], layout.col[here]] = entries[here]
     return stack
 
 
@@ -439,10 +435,10 @@ def _observables(
     observed: np.ndarray,
     ceiling: float,
 ) -> None:
-    """Write (residual, w_a2u, w_a1u, w_e+, w_e-, top-shell weight, R^2) of
-    the lowest out.shape[1] columns of every block of a stack into out, of
-    shape (len(stack), width, 7). Values and vectors are the stack's eigh,
-    and observed the _Layout.observed rows of its blocks.
+    """Write (residual, w_a2u, w_a1u, w_eu, top-shell weight, R^2) of the
+    lowest out.shape[1] columns of every block of a stack into out, of shape
+    (len(stack), width, 6). Values and vectors are the stack's eigh, and
+    observed the _Layout.observed rows of its blocks.
 
     The residuals are squared in units of ceiling, which bounds them, so
     that they neither overflow nor underflow.
@@ -480,34 +476,14 @@ def _observables(
 def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLevels:
     """Lowest num_states levels, diagonalizing only the sectors that hold one.
 
-    The blocks are taken into a head: the even half of sector 0, the
-    sectors J = 1 .. N + 1 in order, and the odd half when it is needed. The
-    first head is the even half and J = 1 .. (num_states - 1) // 2, the
-    smallest that holds num_states levels when the even half gives its
-    lowest two and each sector its lowest pair +-J; more blocks join it if
-    it holds fewer levels than that, counting mirrors. The num_states-th
-    lowest of the head's levels, U, is an upper bound on the wanted ones.
-    The head goes through one batched eigh, padded to 2N + 2, and the rest
-    through one batched Cholesky factorization of H_J - (U + margin), padded
-    only to the largest of their dimensions: by Sylvester's law of inertia
-    it succeeds only if every level of the rest lies above U + margin, and
-    the rest is then skipped. If it fails while the odd half is out, the
-    odd half's factorization at the same shift decides: the odd half joins
-    the head alone if it fails, and stays out of later certificates if it
-    passes, since U only falls. Otherwise the next 1, 2, 4, ... sectors join
-    the head. Only the blocks that join go through eigh, and the blocks
-    after them are certified again against the new U, so none is
-    diagonalized twice, and after O(log N) rounds at most every block has
-    been diagonalized once. Each round fills its blocks straight from the
-    cutoff's cached _Blocks, writes their eigenvalues into one array for all
-    blocks and the observables of their columns up to the highest one read
-    into one table, and frees its stack and eigenvectors. The levels are
-    read off the padded eigenvalues, since each padding slot sits at
-    _fill's ceiling, above every level, and from blocks in the order of a
-    diagonalization of every sector. So every eigh sees the matrices such a
-    diagonalization would, and the levels, and the choice among levels tied
-    at U, are its own. A level is accepted only if its residual is at most
-    SectorLevels.resolution.
+    The blocks are diagonalized and certified in the rounds the module
+    docstring describes, none of them twice. Every block that is skipped has
+    passed a certificate that it holds no level at or below the
+    num_states-th. Each eigh sees the padded matrices of a diagonalization
+    of every block in the order even half, odd half, J = 1 .. N + 1, then
+    the mirrors -J, so the levels, and the choice among levels tied at the
+    num_states-th, are that diagonalization's. A level is accepted only if
+    its residual is at most SectorLevels.resolution.
 
     Args:
         params: Model parameters.
@@ -522,24 +498,21 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
             matrix elements beyond the float range.
         ConvergenceError: a residual exceeds the resolution or is not finite.
     """
-    check_cutoff(cutoff, num_states)
-    # Python ints, so that a numpy integer does not overflow in _fill.
-    cutoff, num_states = as_index(cutoff, "cutoff"), as_index(num_states, "num_states")
+    cutoff, num_states = check_cutoff(cutoff, num_states)
     size = 2 * cutoff + 2
-    blocks = _blocks(cutoff)
-    entries, ceiling = _elements(params, blocks)
+    layout = _blocks(cutoff)
+    entries, ceiling = _elements(params, layout)
     if not math.isfinite(ceiling):
         raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
-    layout = blocks.layout
-    total = len(blocks.levels)
+    total = len(layout.levels)
     odd = total - 1
     # The even half and J = 1 .. (k - 1) // 2, and more blocks only if these
     # hold fewer than k levels; the odd half only if the sectors do.
-    head = max(min(odd, (num_states + 1) // 2), int(blocks.levels.searchsorted(num_states)) + 1)
+    head = max(min(odd, (num_states + 1) // 2), int(layout.levels.searchsorted(num_states)) + 1)
     # The eigenvalues of every block and the observables of its lowest
     # columns, filled as blocks join; nothing else outlives a round.
     values = np.empty((total, size))
-    table = np.zeros((total, min(num_states, size), 7))
+    table = np.zeros((total, min(num_states, size), 6))
     # The certificates' margin above U; see _all_above.
     margin = 8.0 * size * size * _EPS * ceiling
     # Blocks first .. last - 1 join in a round. Sectors 1 .. head - 1 have
@@ -547,7 +520,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     # the odd half has joined or passed alone.
     first, last, end, step, halves = 0, head, total, 1, [0]
     while True:
-        stack = _fill(entries, ceiling, blocks, first, last, size)
+        stack = _fill(entries, ceiling, layout, first, last, size)
         values[first:last], vectors = np.linalg.eigh(stack)
         if last == total:
             halves.append(odd)
@@ -572,7 +545,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         if head == end:
             break
         # The rest at the largest of its dimensions.
-        rest = _fill(entries, ceiling, blocks, head, end, layout.dims[head:end].max())
+        rest = _fill(entries, ceiling, layout, head, end, layout.dims[head:end].max())
         if _all_above(rest, energies[-1] + margin):
             break
         # The odd half, while it is out, is certified alone, as the last block
@@ -592,9 +565,6 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     block = rows[row]
     table = table[block, col]
     residuals = table[:, 0]
-    # w_eu = w_e+ + w_e-.
-    character = table[:, 1:4].copy()
-    character[:, 2] += table[:, 4]
     resolution = 8.0 * size * _EPS * ceiling
     if not np.all(residuals <= resolution):
         raise ConvergenceError(
@@ -607,9 +577,9 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         energies=energies,
         j=np.where(row < len(rows) - len(sectors), 1, -1) * layout.j_values[block],
         parity=layout.parity[block],
-        character=character,
-        r_squared=table[:, 6],
-        top_shell_weight=table[:, 5],
+        character=table[:, 1:4],
+        r_squared=table[:, 5],
+        top_shell_weight=table[:, 4],
         residuals=residuals,
         resolution=resolution,
     )

@@ -25,7 +25,15 @@ from pjtdiag import (
 )
 from pjtdiag import sectors
 from pjtdiag.cli import cmd_spectrum
-from pjtdiag.sectors import _all_above, _blocks, _elements, _fill, lowest_levels
+from pjtdiag.sectors import (
+    _Layout,
+    _all_above,
+    _blocks,
+    _elements,
+    _fill,
+    check_cutoff,
+    lowest_levels,
+)
 from reference import (
     MULTIPLET_TOL_MEV,
     assemble,
@@ -248,11 +256,11 @@ def test_reflection_parity_of_the_j0_labels(params, cutoff):
 @given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20))
 def test_halves_make_up_sector_zero(params, cutoff):
     # The even half is the first block and the odd half the last.
-    blocks = _blocks(cutoff)
+    layout = _blocks(cutoff)
     ends = [0, -1]
-    assert blocks.layout.parity[ends].tolist() == [1, -1]
-    assert blocks.layout.dims[ends].tolist() == [cutoff + 1, cutoff + 1]
-    stack = _fill(*_elements(params, blocks), blocks, 0, cutoff + 3, 2 * cutoff + 2)
+    assert layout.parity[ends].tolist() == [1, -1]
+    assert layout.dims[ends].tolist() == [cutoff + 1, cutoff + 1]
+    stack = _fill(*_elements(params, layout), layout, 0, cutoff + 3, 2 * cutoff + 2)
     halves = stack[ends, : cutoff + 1, : cutoff + 1]
     _, dims, whole = sector_matrices(params, cutoff, [0])
     assert dims[0] == 2 * cutoff + 2
@@ -301,12 +309,11 @@ def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head):
     params = scaled(params, 10.0**exponent)
     head = min(head, cutoff + 3)
     first = min(first, head - 1)
-    blocks = _blocks(cutoff)
-    entries, ceiling = _elements(params, blocks)
-    layout = blocks.layout
+    layout = _blocks(cutoff)
+    entries, ceiling = _elements(params, layout)
     width = layout.dims[head:].max(initial=0)
-    stack = _fill(entries, ceiling, blocks, first, head, 2 * cutoff + 2)
-    certified = _fill(entries, ceiling, blocks, head, cutoff + 3, width)
+    stack = _fill(entries, ceiling, layout, first, head, 2 * cutoff + 2)
+    certified = _fill(entries, ceiling, layout, head, cutoff + 3, width)
     reference = fill(params, layout)
     assert stack.tobytes() == reference[first:head].tobytes()
     assert certified.tobytes() == reference[head:, :width, :width].tobytes()
@@ -473,7 +480,7 @@ def test_failed_certification_grows_the_head(monkeypatch, cutoff):
     levels = lowest_levels(params, cutoff, 8)
     monkeypatch.undo()
     assert [len(stack) for stack in stacks] == [4, 1]
-    reference = fill(params, _blocks(cutoff).layout)
+    reference = fill(params, _blocks(cutoff))
     assert np.concatenate(stacks).tobytes() == reference[[0, 1, 2, 3, -1]].tobytes()
     assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
 
@@ -493,7 +500,7 @@ def test_failing_certificates_diagonalize_every_block_once(monkeypatch, params, 
     while sum(rounds) < total:
         rounds.append(min(2 ** (len(rounds) - 2), total - sum(rounds)))
     assert [len(stack) for stack in stacks] == rounds
-    reference = fill(params, _blocks(cutoff).layout)
+    reference = fill(params, _blocks(cutoff))
     order = [0, 1, 2, 3, total - 1, *range(4, total - 1)]
     assert np.concatenate(stacks).tobytes() == reference[order].tobytes()
     assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
@@ -512,11 +519,11 @@ def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start,
     # of a strided view as well as those of a contiguous copy.
     total = cutoff + 3
     start = min(start, total - 1)
-    blocks = _blocks(cutoff)
-    entries, ceiling = _elements(params, blocks)
+    layout = _blocks(cutoff)
+    entries, ceiling = _elements(params, layout)
     size = 2 * cutoff + 2
-    stack = _fill(entries, ceiling, blocks, 0, total, size)
-    width = blocks.layout.dims[start:].max()
+    stack = _fill(entries, ceiling, layout, 0, total, size)
+    width = layout.dims[start:].max()
     view = stack[start:, :width, :width]
     assert not view.flags.c_contiguous
     shift = np.linalg.eigvalsh(view).min() + side * 1e-6 * ceiling
@@ -525,14 +532,14 @@ def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start,
 
 
 def test_cached_layout_is_read_only():
-    blocks = _blocks(15)
-    assert _blocks(15) is blocks
-    layout = blocks.layout
-    names = ("j_values", "parity", "dims", "component", "shell", "observed")
-    arrays = [getattr(layout, name) for name in names] + list(layout.coupling)
-    names = ("levels", "quanta", "component", "order", "start", "block", "row", "col", "slots")
-    arrays += [getattr(blocks, name) for name in names]
-    assert not any(array.flags.writeable for array in arrays)
+    # Every field, so that one added later cannot stay writable.
+    layout = _blocks(15)
+    assert _blocks(15) is layout
+    for field in dataclasses.fields(_Layout):
+        value = getattr(layout, field.name)
+        for array in value if isinstance(value, tuple) else (value,):
+            assert isinstance(array, np.ndarray), field.name
+            assert not array.flags.writeable, field.name
 
 
 def test_a_repeated_cutoff_ladder_builds_no_layout():
@@ -544,12 +551,12 @@ def test_a_repeated_cutoff_ladder_builds_no_layout():
 
 def test_fill_makes_no_second_stack():
     # A head of six blocks at 2N + 2, and the rest at its own width.
-    blocks = _blocks(80)
-    entries, ceiling = _elements(SIV, blocks)
-    for first, last, width in [(0, 6, 162), (6, 83, blocks.layout.dims[6:].max())]:
+    layout = _blocks(80)
+    entries, ceiling = _elements(SIV, layout)
+    for first, last, width in [(0, 6, 162), (6, 83, layout.dims[6:].max())]:
         tracemalloc.start()
         try:
-            stack = _fill(entries, ceiling, blocks, first, last, width)
+            stack = _fill(entries, ceiling, layout, first, last, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -640,6 +647,24 @@ def test_residuals_and_weights_of_sector_levels():
     assert np.all(levels.top_shell_weight < 0.01)
 
 
+@settings(max_examples=100, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20), num_states=st.integers(1, 40))
+def test_characters_are_weights_of_one_level(params, cutoff, num_states):
+    # Each row (w_a2u, w_a1u, w_eu) splits a unit vector, to rounding: a
+    # nearly decoupled level puts up to 1 + 2.2e-15 on one component. A
+    # half of sector 0 holds no slot of the other half's A state, so its
+    # levels carry none of that weight, exactly.
+    num_states = min(num_states, 2 * (cutoff + 1) * (cutoff + 2))
+    levels = lowest_levels(params, cutoff, num_states)
+    character = levels.character
+    assert character.min() >= 0.0
+    assert character.max() < 1.0 + 1e-13
+    assert np.abs(character.sum(axis=1) - 1.0).max() < 1e-13
+    zero = levels.j == 0
+    assert np.all(character[zero & (levels.parity == 1), 1] == 0.0)
+    assert np.all(character[zero & (levels.parity == -1), 0] == 0.0)
+
+
 def test_spectrum_report_warns_when_truncated():
     # The warning names the line that called spectrum_report.
     with pytest.warns(TruncationWarning, match="top two Fock shells") as record:
@@ -689,7 +714,12 @@ def test_numpy_integer_arguments_match_plain_ints():
     # Under numpy 2 a numpy integer kept as cutoff or num_states would
     # overflow the sizes _fill works with, and _blocks would cache what it
     # builds from one under the key of the equal plain int, for the plain
-    # call to find afterwards.
+    # call to find afterwards. check_cutoff hands back the plain ints that
+    # lowest_levels works with.
+    checked = check_cutoff(np.int8(3), np.uint8(5))
+    assert checked == (3, 5)
+    assert [type(value) for value in checked] == [int, int]
+    assert check_cutoff(np.int16(3)) == (3, None)
     plain = lowest_levels(SIV, 3, 5)
     plain_delta = delta_splitting(SIV, 60, num_states=8)
     _blocks.cache_clear()
