@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 from .analysis import (
     StateOrderingError,
     TruncationWarning,
-    apes_scan,
     converge_cutoff,
     delta_splitting,
     spectrum_report,
@@ -39,7 +38,6 @@ __all__ = [
     "PjtParams",
     "StateOrderingError",
     "TruncationWarning",
-    "apes_scan",
     "classical_apes",
     "converge_cutoff",
     "couplings_from_ejt",

@@ -9,9 +9,7 @@ the odd ones A1u, a pair of |J| a nonzero multiple of 3 is A1u + A2u
 splitting delta runs from the ground level, which must be even J = 0, to
 the lowest Eu-type level; a ground level that ties with another to
 rounding is refused. The module also holds the cutoff convergence
-ladder and classical sheet scans along a line of X: one stacked
-hamiltonian.ApesPoint, whose arrays lead with the grid axis, of the sheet
-energies and their symmetry weights, both in closed form.
+ladder.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ApesPoint, PjtParams, classical_apes
+from .hamiltonian import PjtParams
 from .sectors import ConvergenceError, SectorLevels, as_index, lowest_levels
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "SpectrumReport",
     "StateOrderingError",
     "TruncationWarning",
-    "apes_scan",
     "converge_cutoff",
     "delta_splitting",
     "spectrum_report",
@@ -201,21 +198,6 @@ def converge_cutoff(params: PjtParams, cutoffs, num_states: int) -> ConvergenceS
         except StateOrderingError as exc:
             rows.append(CutoffResult(cutoff, levels.energies, math.nan, str(exc)))
     return ConvergenceStudy(rows=rows)
-
-
-def apes_scan(params: PjtParams, x_values, y: float = 0.0) -> ApesPoint:
-    """Classical adiabatic sheets along a line of X values at fixed Y.
-
-    Args:
-        params: Model parameters.
-        x_values: Finite X coordinates, any array-like.
-        y: Fixed Y coordinate.
-
-    Returns:
-        One ApesPoint whose arrays carry the shape of x_values as leading
-        axes, in input order: energies[k] holds the sheets at x_values[k].
-    """
-    return classical_apes(params, np.asarray(x_values, dtype=float), y)
 
 
 @dataclass(eq=False)

@@ -24,20 +24,14 @@ import itertools
 import math
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    StateOrderingError,
-    TruncationWarning,
-    apes_scan,
-    converge_cutoff,
-    spectrum_report,
-)
-from .hamiltonian import PjtParams
+from .analysis import StateOrderingError, TruncationWarning, converge_cutoff, spectrum_report
+from .hamiltonian import PjtParams, classical_apes
 from .paramfile import parse_params
 from .presets import get_preset
 from .sectors import MAX_DENSE_BYTES, ConvergenceError, check_cutoff
@@ -196,16 +190,11 @@ def _check_args(args: argparse.Namespace) -> None:
         check_cutoff(args.cutoffs[-1], args.states)
 
 
-@contextmanager
 def _open_output(path: str | None):
+    # sys.stdout is read at call time, where a caller may have redirected it.
     if path is None:
-        yield sys.stdout
-    else:
-        handle = open(path, "w", encoding="utf-8", newline="\n")
-        try:
-            yield handle
-        finally:
-            handle.close()
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_provenance(out: TextIO, args: argparse.Namespace, source: str, extra: str) -> None:
@@ -254,9 +243,10 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
 
 def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Classical sheet scan along X at Y = 0 as CSV. Returns exit status."""
-    sheets = apes_scan(params, np.linspace(args.xmin, args.xmax, args.points), y=0.0)
+    grid = np.linspace(args.xmin, args.xmax, args.points)
+    sheets = classical_apes(params, grid, 0.0)
     table = np.empty((args.points, 8))
-    table[:, 0] = sheets.x
+    table[:, 0] = grid
     table[:, 1:5] = sheets.energies
     table[:, 5:] = sheets.characters[:, 0]
     row = ",".join(["%.6f"] * table.shape[1]) + "\n"

@@ -92,12 +92,10 @@ class PjtParams:
 class ApesPoint:
     """Classical adiabatic sheets at one nuclear configuration or a grid.
 
-    For coordinate arrays of shape S, x and y have shape S, energies
-    S + (4,) and characters S + (4, 3); scalar coordinates give floats x
-    and y, and S = ().
+    For coordinates (x, y) of broadcast shape S, energies have shape
+    S + (4,) and characters S + (4, 3); scalar coordinates give S = ().
 
     Attributes:
-        x, y: Dimensionless mode coordinates.
         energies: The four sheet energies in meV, ascending along the last
             axis.
         characters: Weights (w_a2u, w_a1u, w_eu) of each sheet along the
@@ -109,8 +107,6 @@ class ApesPoint:
             rho = |(x, y)| alone.
     """
 
-    x: float | np.ndarray
-    y: float | np.ndarray
     energies: np.ndarray
     characters: np.ndarray
 
@@ -169,9 +165,9 @@ def classical_apes(params: PjtParams, x, y) -> ApesPoint:
         x, y: Finite dimensionless coordinates, scalars or arrays.
 
     Returns:
-        ApesPoint with ascending energies, the characters of those sheets,
-        and the broadcast coordinate shape as leading axes; floats x and y
-        for scalar input.
+        ApesPoint with ascending energies and the characters of those
+        sheets; for coordinates of broadcast shape S, energies have shape
+        S + (4,) and characters S + (4, 3).
 
     Raises:
         ValueError: non-finite coordinates, or sheet energies beyond the
@@ -207,9 +203,7 @@ def classical_apes(params: PjtParams, x, y) -> ApesPoint:
     picked = (order.reshape(-1, 4) + np.arange(0, order.size, 4).reshape(-1, 1)).ravel()
     energies = energies.reshape(-1)[picked].reshape(order.shape)
     characters = characters.reshape(-1, 3)[picked].reshape(characters.shape)
-    if x.ndim == 0:
-        x, y = float(x), float(y)
-    return ApesPoint(x=x, y=y, energies=energies, characters=characters)
+    return ApesPoint(energies=energies, characters=characters)
 
 
 def ejt_from_couplings(params: PjtParams) -> tuple[float, float]:

@@ -117,18 +117,17 @@ def as_index(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_cutoff(cutoff: int, num_states: int | None = None) -> tuple[int, int | None]:
+def check_cutoff(cutoff: int, num_states: int) -> tuple[int, int]:
     """Reject a cutoff, or a level count, before anything is allocated.
 
     Args:
         cutoff: Fock cutoff N, >= 0.
         num_states: Levels wanted, at most the full dimension
-            2 (N + 1)(N + 2); None skips this check.
+            2 (N + 1)(N + 2).
 
     Returns:
-        (cutoff, num_states) as Python ints, num_states None if it was None,
-        so that a numpy integer does not overflow the sizes computed from
-        them.
+        (cutoff, num_states) as Python ints, so that a numpy integer does
+        not overflow the sizes computed from them.
 
     Raises:
         TypeError: a cutoff or level count that is not an integer.
@@ -146,8 +145,6 @@ def check_cutoff(cutoff: int, num_states: int | None = None) -> tuple[int, int |
             f"cutoff {cutoff} needs {needed / 2**20:.0f} MiB of sector matrices, "
             f"beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
         )
-    if num_states is None:
-        return cutoff, None
     num_states = as_index(num_states, "num_states")
     if num_states < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")

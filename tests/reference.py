@@ -177,7 +177,7 @@ def sector_matrices(
         :dims[k]]; the rest of each matrix is a diagonal padding above all
         of its eigenvalues.
     """
-    check_cutoff(cutoff)
+    check_cutoff(cutoff, 1)
     js = np.arange(cutoff + 2) if j_values is None else np.asarray(j_values, dtype=int)
     layout = _layout(cutoff, js, np.zeros(len(js), dtype=int))
     return layout.j_values, layout.dims, fill(params, layout)

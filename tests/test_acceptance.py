@@ -10,7 +10,6 @@ import pytest
 from pjtdiag import (
     PRESETS,
     PjtParams,
-    apes_scan,
     classical_apes,
     converge_cutoff,
     couplings_from_ejt,
@@ -97,7 +96,7 @@ def test_c5_classical_sheet_anchors():
         )
         assert np.allclose(origin.energies, expected, atol=1e-9), name
         e_jt1, _ = ejt_from_couplings(params)
-        lowest = apes_scan(params, grid).energies[:, 0].min()
+        lowest = classical_apes(params, grid, 0.0).energies[:, 0].min()
         assert lowest <= -e_jt1, name
 
 
@@ -113,8 +112,8 @@ def test_c6_gap_reduction(reports):
 
 @pytest.mark.acceptance(
     num=7,
-    title="properties: hermiticity, variational ladder, dual solver routes, "
-    "decoupled limit, trough character",
+    title="properties: hermiticity, variational ladder, sector levels against the "
+    "product-space solve, decoupled limit, trough character",
 )
 def test_c7_property_suite():
     rng = np.random.default_rng(2024)

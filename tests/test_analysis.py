@@ -1,4 +1,4 @@
-"""State characters, distortion, level labels, delta, and sheet scans."""
+"""State characters, distortion, level labels, and delta."""
 
 import re
 import warnings
@@ -11,10 +11,8 @@ from pjtdiag import (
     PjtParams,
     StateOrderingError,
     TruncationWarning,
-    apes_scan,
     converge_cutoff,
     delta_splitting,
-    ejt_from_couplings,
     spectrum_report,
 )
 from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
@@ -211,40 +209,6 @@ def test_degenerate_ground_refused_at_every_cutoff(params):
         assert row.energies is not None
         assert np.isnan(row.delta)
         assert re.match(refusal, row.error)
-
-
-def test_apes_scan_origin_characters():
-    scan = apes_scan(SIV, [0.0])
-    assert scan.x.tolist() == [0.0]
-    characters = scan.characters[0]
-    assert np.allclose(scan.energies[0], [-78.3, -45.0, -45.0, 78.3], atol=1e-9)
-    assert np.allclose(characters[0], [1.0, 0.0, 0.0], atol=1e-12)
-    assert characters[1][2] == pytest.approx(1.0, abs=1e-12)
-    assert characters[2][2] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(characters[3], [0.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_apes_scan_large_distortion_limit():
-    classical = (SIV.f_g + SIV.f_u) / SIV.hbar_omega
-    lowest_sheet = apes_scan(SIV, [3.0 * classical, 6.0 * classical]).characters[:, 0]
-    assert lowest_sheet.shape == (2, 3)
-    assert (np.abs(lowest_sheet[:, 0] - 0.5) < 0.01).all()
-    assert (lowest_sheet[:, 1] < 1e-9).all()
-
-
-def test_apes_scan_even_in_x():
-    grid = np.linspace(-4.0, 4.0, 17)
-    energies = apes_scan(SIV, grid).energies
-    assert energies.shape == (17, 4)
-    assert np.allclose(energies, energies[::-1], atol=1e-10)
-
-
-def test_apes_scan_minimum_reaches_channel_depth():
-    grid = np.linspace(-4.0, 4.0, 81)
-    for preset in PRESETS.values():
-        e_jt1, _ = ejt_from_couplings(preset.params)
-        lowest = apes_scan(preset.params, grid).energies[:, 0].min()
-        assert lowest <= -e_jt1, preset.name
 
 
 def test_spectrum_report_siv():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pjtdiag
-from pjtdiag import PRESETS, PjtParams, apes_scan, cli
+from pjtdiag import PRESETS, PjtParams, classical_apes, cli
 from pjtdiag.cli import APES_BYTES_PER_POINT, main
 
 SIV_FILE = (
@@ -195,7 +195,7 @@ BLOCK = cli._APES_BLOCK_ROWS
 
 
 def apes_body(params, xmin, xmax, points):
-    """(CSV body of cmd_apes, apes_scan's rows formatted one value at a time)."""
+    """(CSV body of cmd_apes, classical_apes's rows formatted one value at a time)."""
     args = argparse.Namespace(
         command="apes", xmin=xmin, xmax=xmax, points=points, output=None
     )
@@ -204,7 +204,7 @@ def apes_body(params, xmin, xmax, points):
     header = "x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n"
     body = out.getvalue().split(header, 1)[1]
     xs = np.linspace(xmin, xmax, points)
-    sheets = apes_scan(params, xs)
+    sheets = classical_apes(params, xs, 0.0)
     rows = np.column_stack([xs, sheets.energies, sheets.characters[:, 0]]).tolist()
     expected = "".join(",".join("%.6f" % value for value in row) + "\n" for row in rows)
     return body, expected
@@ -627,7 +627,7 @@ import pjtdiag
 for module in pkgutil.iter_modules(pjtdiag.__path__):
     importlib.import_module(f"pjtdiag.{module.name}")
 import pjtdiag.cli
-from pjtdiag import PRESETS, apes_scan, converge_cutoff, delta_splitting
+from pjtdiag import PRESETS, classical_apes, converge_cutoff, delta_splitting
 
 params = PRESETS["SiV"].params
 for argv in (
@@ -638,7 +638,7 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert pjtdiag.cli.main(argv) == 0, argv
 assert delta_splitting(params, 6) > 0
-assert apes_scan(params, [0.0, 1.0]).energies.shape == (2, 4)
+assert classical_apes(params, [0.0, 1.0], 0.0).energies.shape == (2, 4)
 assert [row.error for row in converge_cutoff(params, (4, 6), 3).rows] == [None, None]
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
 outside = loaded - set(sys.stdlib_module_names) - {"numpy", "pjtdiag"}

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pjtdiag import (
     PRESETS,
     PjtParams,
-    apes_scan,
     classical_apes,
     couplings_from_ejt,
     ejt_from_couplings,
@@ -201,13 +200,12 @@ def test_classical_apes_rejects_nonfinite():
         with pytest.raises(ValueError, match=r"\(1e\+200, 0.0\) are beyond the float range"):
             classical_apes(SIV, 1e200, 0.0)
         with pytest.raises(ValueError, match="float range"):
-            apes_scan(SIV, [0.0, -1e200])
+            classical_apes(SIV, [0.0, -1e200], 0.0)
         assert np.isfinite(classical_apes(SIV, 2e153, 0.0).energies).all()
 
 
 def test_classical_apes_scalar_shapes():
     point = classical_apes(SIV, 1, -0.5)
-    assert type(point.x) is float and type(point.y) is float
     assert point.energies.shape == (4,)
     assert point.characters.shape == (4, 3)
 
@@ -231,7 +229,6 @@ def test_stacked_sheets_equal_scalar_calls_bitwise(params, points, scalar_y):
     for k in range(len(points)):
         y_k = y if scalar_y else y[k]
         single = classical_apes(params, x[k], y_k)
-        assert same_bits(stacked.x[k], single.x) and same_bits(stacked.y[k], single.y)
         assert same_bits(stacked.energies[k], single.energies)
         assert same_bits(stacked.characters[k], single.characters)
 
@@ -244,10 +241,43 @@ def test_classical_apes_grid_keeps_coordinate_shape():
     assert same_bits(grid.energies[1, 2], classical_apes(SIV, 2.0, 1.0).energies)
 
 
-def test_apes_scan_of_no_points_is_empty():
-    scan = apes_scan(SIV, [])
+def test_sheet_scan_of_no_points_is_empty():
+    scan = classical_apes(SIV, [], 0.0)
     assert scan.energies.shape == (0, 4)
     assert scan.characters.shape == (0, 4, 3)
+
+
+def test_sheet_scan_origin_characters():
+    scan = classical_apes(SIV, [0.0], 0.0)
+    characters = scan.characters[0]
+    assert np.allclose(scan.energies[0], [-78.3, -45.0, -45.0, 78.3], atol=1e-9)
+    assert np.allclose(characters[0], [1.0, 0.0, 0.0], atol=1e-12)
+    assert characters[1][2] == pytest.approx(1.0, abs=1e-12)
+    assert characters[2][2] == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(characters[3], [0.0, 1.0, 0.0], atol=1e-12)
+
+
+def test_sheet_scan_large_distortion_limit():
+    classical = (SIV.f_g + SIV.f_u) / SIV.hbar_omega
+    lowest_sheet = classical_apes(SIV, [3.0 * classical, 6.0 * classical], 0.0).characters[:, 0]
+    assert lowest_sheet.shape == (2, 3)
+    assert (np.abs(lowest_sheet[:, 0] - 0.5) < 0.01).all()
+    assert (lowest_sheet[:, 1] < 1e-9).all()
+
+
+def test_sheet_scan_even_in_x():
+    grid = np.linspace(-4.0, 4.0, 17)
+    energies = classical_apes(SIV, grid, 0.0).energies
+    assert energies.shape == (17, 4)
+    assert np.allclose(energies, energies[::-1], atol=1e-10)
+
+
+def test_sheet_scan_minimum_reaches_channel_depth():
+    grid = np.linspace(-4.0, 4.0, 81)
+    for preset in PRESETS.values():
+        e_jt1, _ = ejt_from_couplings(preset.params)
+        lowest = classical_apes(preset.params, grid, 0.0).energies[:, 0].min()
+        assert lowest <= -e_jt1, preset.name
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,7 @@ from reference import (
     reflection,
     rotation_generator,
     sector_matrices,
+    solve,
     symmetry_vectors,
 )
 
@@ -93,6 +94,29 @@ def test_sector_spectra_make_up_the_full_spectrum(params, cutoff):
     assert np.abs(union - full).max() < TOL_MEV
     for j, levels in spectra.items():
         assert np.abs(levels - spectra[-j]).max(initial=0.0) < TOL_MEV, j
+
+
+def test_sector_levels_match_the_product_space_solve():
+    # The product space and the J sectors are independent routes.
+    dense = solve(assemble(SIV, build_basis(15)), 10)
+    levels = lowest_levels(SIV, 15, 10)
+    assert np.abs(dense.energies - levels.energies).max() < 1e-8
+
+
+def test_sector_levels_match_every_product_space_eigenvalue():
+    # The sector route against every eigenvalue of the product-space matrix.
+    rng = np.random.default_rng(7)
+    params = PjtParams(
+        hbar_omega=float(rng.uniform(40.0, 110.0)),
+        lambda_corr=float(rng.uniform(0.0, 120.0)),
+        xi_corr=float(rng.uniform(0.0, 80.0)),
+        f_g=float(rng.uniform(10.0, 120.0)),
+        f_u=float(rng.uniform(10.0, 120.0)),
+    )
+    h = assemble(params, build_basis(5))
+    full = np.linalg.eigvalsh(h.matrix)
+    assert np.abs(lowest_levels(params, 5, 5).energies - full[:5]).max() < 1e-8
+    assert np.abs(solve(h, 5).energies - full[:5]).max() < 1e-8
 
 
 def by_symmetry(indices, j, parity):
@@ -719,7 +743,9 @@ def test_numpy_integer_arguments_match_plain_ints():
     checked = check_cutoff(np.int8(3), np.uint8(5))
     assert checked == (3, 5)
     assert [type(value) for value in checked] == [int, int]
-    assert check_cutoff(np.int16(3)) == (3, None)
+    checked = check_cutoff(np.int16(3), 1)
+    assert checked == (3, 1)
+    assert [type(value) for value in checked] == [int, int]
     plain = lowest_levels(SIV, 3, 5)
     plain_delta = delta_splitting(SIV, 60, num_states=8)
     _blocks.cache_clear()

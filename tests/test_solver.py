@@ -11,7 +11,6 @@ from pjtdiag import (
     converge_cutoff,
     delta_splitting,
 )
-from pjtdiag.sectors import lowest_levels
 from reference import assemble, build_basis, solve
 
 SIV = PRESETS["SiV"].params
@@ -56,29 +55,6 @@ def test_doublet_above_ground_for_every_preset():
         energies = solve(h, 3).energies
         assert energies[1] - energies[0] > 1.0, preset.name
         assert energies[2] - energies[1] < 1e-6, preset.name
-
-
-def test_dense_matches_iterative():
-    # The product space and the J sectors are independent routes.
-    dense = solve(siv_hamiltonian(), 10)
-    sectors = lowest_levels(SIV, 15, 10)
-    assert np.abs(dense.energies - sectors.energies).max() < 1e-8
-
-
-def test_iterative_matches_full_diagonalization():
-    # The sector route against every eigenvalue of the product-space matrix.
-    rng = np.random.default_rng(7)
-    params = PjtParams(
-        hbar_omega=float(rng.uniform(40.0, 110.0)),
-        lambda_corr=float(rng.uniform(0.0, 120.0)),
-        xi_corr=float(rng.uniform(0.0, 80.0)),
-        f_g=float(rng.uniform(10.0, 120.0)),
-        f_u=float(rng.uniform(10.0, 120.0)),
-    )
-    h = assemble(params, build_basis(5))
-    full = np.linalg.eigvalsh(h.matrix)
-    assert np.abs(lowest_levels(params, 5, 5).energies - full[:5]).max() < 1e-8
-    assert np.abs(solve(h, 5).energies - full[:5]).max() < 1e-8
 
 
 def test_result_invariants():
