@@ -213,8 +213,6 @@ class SpectrumReport:
     every low level carries roughly half A2u and half Eu electronic weight.
     """
 
-    params: PjtParams
-    cutoff: int
     levels: SectorLevels
     labels: tuple[str, ...]
     delta: float
@@ -255,6 +253,4 @@ def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> Spec
         _warn_if_truncated(top_weight, stacklevel=3)
     delta = _delta(levels)
     labels = tuple(map(_label, levels.j.tolist(), levels.parity.tolist()))
-    return SpectrumReport(
-        params=params, cutoff=int(cutoff), levels=levels, labels=labels, delta=delta
-    )
+    return SpectrumReport(levels=levels, labels=labels, delta=delta)

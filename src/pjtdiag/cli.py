@@ -4,10 +4,11 @@ All commands emit deterministic CSV (period decimal separator, fixed column
 order, '#' provenance comments, no timestamps) to standard output or to
 --output. Exit status 0 means every requested computation succeeded, each
 level with a residual within the resolution of its sector matrices. Each
-command takes the parsed arguments with the resolved parameters; the
-library refuses invalid levels, cutoffs, sheet ranges and overflowing
-matrices before anything is written, so the CLI checks only what it must
-refuse earlier.
+command takes the parsed arguments with the resolved parameters and
+refuses its own bad options before it writes anything. The library
+refuses invalid levels, cutoffs, ladders, sheet ranges and overflowing
+matrices before anything is written, so a command checks only what the
+library accepts or would refuse later.
 Levels with much weight in the top Fock shells are reported as 'warning:'
 lines on standard error; the CSV is the same with or without them.
 
@@ -141,55 +142,6 @@ def _resolve_params(args: argparse.Namespace) -> tuple[PjtParams, str]:
     return parse_params(text), f"file:{path}"
 
 
-def _parse_cutoff_list(text: str) -> tuple[int, ...]:
-    try:
-        cutoffs = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"--cutoffs must be comma-separated integers, got {text!r}") from None
-    if len(cutoffs) < 2:
-        raise ValueError(f"--cutoffs needs at least two values, got {text!r}")
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"--cutoffs must be strictly ascending, got {text!r}")
-    if cutoffs[0] < 1:
-        raise ValueError(f"--cutoffs values must be >= 1, got {text!r}")
-    return cutoffs
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Refuse the options the library cannot refuse before output starts.
-
-    Replaces the --cutoffs text of converge with the parsed ladder.
-    """
-    if args.command == "spectrum":
-        if args.cutoff < 1:
-            raise ValueError(f"--cutoff must be >= 1, got {args.cutoff}")
-    elif args.command == "apes":
-        if args.points < 2:
-            raise ValueError(f"--points must be >= 2, got {args.points}")
-        needed = args.points * APES_BYTES_PER_POINT
-        if needed > MAX_DENSE_BYTES:
-            raise ValueError(
-                f"--points {args.points} needs {needed / 2**20:.0f} MiB of scan "
-                f"points, beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
-            )
-        # np.linspace warns on ends or a width beyond the float range before
-        # the library sees the coordinates.
-        if not math.isfinite(args.xmax - args.xmin):
-            raise ValueError("scan range must be finite")
-        if not args.xmax > args.xmin:
-            raise ValueError(
-                f"--xmax must be greater than --xmin, got [{args.xmin}, {args.xmax}]"
-            )
-    else:
-        # converge_cutoff would report a level count or cutoff that does not
-        # fit as one failed row per cutoff, under a header with one column
-        # per state; refuse such a ladder here once instead.
-        if args.states < 3:
-            raise ValueError(f"--states must be >= 3, got {args.states}")
-        args.cutoffs = _parse_cutoff_list(args.cutoffs)
-        check_cutoff(args.cutoffs[-1], args.states)
-
-
 def _open_output(path: str | None):
     # sys.stdout is read at call time, where a caller may have redirected it.
     if path is None:
@@ -209,6 +161,8 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
     Each distinct TruncationWarning of the report goes to standard error as
     one 'warning:' line, on every call; other warnings are shown as usual.
     """
+    if args.cutoff < 1:
+        raise ValueError(f"--cutoff must be >= 1, got {args.cutoff}")
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", TruncationWarning)
@@ -243,6 +197,22 @@ def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> in
 
 def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Classical sheet scan along X at Y = 0 as CSV. Returns exit status."""
+    if args.points < 2:
+        raise ValueError(f"--points must be >= 2, got {args.points}")
+    needed = args.points * APES_BYTES_PER_POINT
+    if needed > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"--points {args.points} needs {needed / 2**20:.0f} MiB of scan "
+            f"points, beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
+        )
+    # np.linspace warns on ends or a width beyond the float range before
+    # the library sees the coordinates.
+    if not math.isfinite(args.xmax - args.xmin):
+        raise ValueError("scan range must be finite")
+    if not args.xmax > args.xmin:
+        raise ValueError(
+            f"--xmax must be greater than --xmin, got [{args.xmin}, {args.xmax}]"
+        )
     grid = np.linspace(args.xmin, args.xmax, args.points)
     sheets = classical_apes(params, grid, 0.0)
     table = np.empty((args.points, 8))
@@ -267,18 +237,33 @@ def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
 def cmd_converge(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     """Per-cutoff energies and delta as CSV; continues past failed cutoffs.
 
-    args.cutoffs is the ladder as parsed by the checks in main. Failed
+    args.cutoffs is the comma-separated ladder; converge_cutoff refuses one
+    that is not strictly ascending or has fewer than two cutoffs. Failed
     cutoffs produce a diagnostic on standard error and no CSV row; a cutoff
     whose level pattern leaves delta undefined gets delta_mev=nan. Either
     condition makes the exit status nonzero.
     """
-    study = converge_cutoff(params, args.cutoffs, args.states)
+    # converge_cutoff would report a level count or cutoff that does not
+    # fit as one failed row per cutoff, under a header with one column per
+    # state; refuse such a ladder here once instead.
+    if args.states < 3:
+        raise ValueError(f"--states must be >= 3, got {args.states}")
+    try:
+        cutoffs = tuple(int(part) for part in args.cutoffs.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--cutoffs must be comma-separated integers, got {args.cutoffs!r}"
+        ) from None
+    if min(cutoffs) < 1:
+        raise ValueError(f"--cutoffs values must be >= 1, got {args.cutoffs!r}")
+    check_cutoff(max(cutoffs), args.states)
+    study = converge_cutoff(params, cutoffs, args.states)
     with _open_output(args.output) as out:
         _write_provenance(
             out,
             args,
             source,
-            f"cutoffs={','.join(str(c) for c in args.cutoffs)} states={args.states}",
+            f"cutoffs={','.join(map(str, cutoffs))} states={args.states}",
         )
         energy_columns = ",".join(f"e{i}_mev" for i in range(args.states))
         out.write(f"cutoff,{energy_columns},delta_mev\n")
@@ -328,7 +313,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     commands = {"spectrum": cmd_spectrum, "apes": cmd_apes, "converge": cmd_converge}
     try:
         params, source = _resolve_params(args)
-        _check_args(args)
         return commands[args.command](args, params, source)
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)

@@ -214,7 +214,6 @@ def test_degenerate_ground_refused_at_every_cutoff(params):
 def test_spectrum_report_siv():
     report = spectrum_report(SIV, 15)
     levels = report.levels
-    assert report.cutoff == 15
     assert len(report.labels) == levels.energies.size == 8
     assert report.labels[:3] == ("A2u", "Eu", "Eu")
     assert levels.j[:3].tolist() == [0, 1, -1]

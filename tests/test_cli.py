@@ -191,6 +191,14 @@ def test_apes_accepts_negative_float_spellings(capsys, xmin, xmax):
     ) == (0, out, "")
 
 
+# An option, or a dash token that float() refuses, is not a value of --xmin.
+@pytest.mark.parametrize("xmin", ["--xmax", "-e"])
+def test_apes_refuses_a_dash_token_that_is_not_a_number(capsys, xmin):
+    code, out, err = run_cli(capsys, "apes", "--preset", "SiV", "--xmin", xmin, "--xmax", "1")
+    assert (code, out) == (("SystemExit", 2), "")
+    assert err.endswith("error: argument --xmin: expected one argument\n")
+
+
 BLOCK = cli._APES_BLOCK_ROWS
 
 
@@ -460,7 +468,7 @@ CLEAN_SPECTRUM = ("spectrum", "--preset", "SiV", "--cutoff", "6", "--states", "3
     [
         (CLEAN_SPECTRUM, 0),
         (("apes", "--preset", "SiV", "--points", "5"), 0),
-        # Default --cutoffs: the checks replace it on the parsed namespace.
+        # Default --cutoffs, which each call parses anew.
         (("converge", "--preset", "SiV", "--states", "3"), 0),
         (("--version",), ("SystemExit", 0)),
         (("spectrum",), ("SystemExit", 2)),
@@ -759,13 +767,20 @@ def test_unwritable_output_rejected(tmp_path, capsys):
          "num_states 200000 exceeds matrix dimension 24"),
         (("apes", "--xmin", "-inf"), "scan range must be finite"),
         (("apes", "--xmin", "-nan"), "scan range must be finite"),
+        (("converge", "--cutoffs", "5"), "need at least two cutoffs, got [5]"),
+        (("converge", "--cutoffs", "15,10"), "cutoffs must be strictly ascending, got [15, 10]"),
     ],
 )
-def test_refusals_exit_before_output(capsys, argv, message):
+def test_refusals_exit_before_output(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, argv[0], "--preset", "SiV", *argv[1:])
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message}")
+    target = tmp_path / "out.csv"
+    assert run_cli(capsys, argv[0], "--preset", "SiV", *argv[1:], "--output", str(target)) == (
+        code, out, err
+    )
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "converge"])

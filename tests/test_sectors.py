@@ -372,10 +372,17 @@ def test_spectrum_report_carries_the_sector_levels(params, cutoff, data):
             with pytest.raises(StateOrderingError):
                 delta_splitting(params, cutoff, num_states=num_states)
             return
-        cmd_spectrum(args, params, "test")
+        if cutoff == 0:
+            with pytest.raises(ValueError, match="--cutoff must be >= 1, got 0"):
+                cmd_spectrum(args, params, "test")
+        else:
+            cmd_spectrum(args, params, "test")
     assert_same_levels(report.levels, levels, tol=0.0)
     assert np.array_equal(report.levels.residuals, levels.residuals)
     assert len(report.labels) == num_states
+    if cutoff == 0:
+        assert out.getvalue() == ""
+        return
     # Three '#' lines and the column header come before the rows, delta after.
     rows = [line.split(",") for line in out.getvalue().splitlines()[4:-1]]
     assert [row[5] for row in rows] == [f"{w:.6f}" for w in levels.character[:, 2]]
@@ -713,6 +720,15 @@ def test_too_many_states_refused():
     with pytest.raises(ValueError, match="exceeds matrix dimension 12"):
         lowest_levels(SIV, 1, 13)
     assert lowest_levels(SIV, 1, 12).energies.size == 12
+
+
+@pytest.mark.parametrize(
+    "cutoff, num_states, message",
+    [(-1, 1, "cutoff must be >= 0, got -1"), (5, 0, "num_states must be >= 1, got 0")],
+)
+def test_negative_cutoff_or_no_levels_refused(cutoff, num_states, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lowest_levels(SIV, cutoff, num_states)
 
 
 @pytest.mark.parametrize(

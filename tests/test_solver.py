@@ -113,6 +113,10 @@ def test_converge_cutoff_error_capture():
     assert study.rows[1].energies.shape == (8,)
     assert study.rows[1].delta == delta_splitting(SIV, 5)
     assert not study.converged
+    study = converge_cutoff(SIV, (-1, 5), 3)
+    assert study.rows[0].error == "cutoff must be >= 0, got -1"
+    assert study.rows[0].energies is None
+    assert study.rows[1].error is None
 
 
 def test_converge_cutoff_keeps_energies_when_delta_is_undefined():
