@@ -7,9 +7,10 @@ correlation term splits the electronic multiplets. The package diagonalizes
 the vibronic matrix in sectors of conserved angular momentum J with numpy
 alone and reduces the low-lying levels to physical observables: electronic
 characters, the distortion expectation R, and the splitting delta between
-the lowest vibronic level and the doublet above it, at one Fock cutoff or
-over a ladder of them. Built-in presets cover the four neutral group-IV
-vacancy centers in diamond.
+the lowest vibronic level and the doublet above it:
+spectrum_report(params, cutoff).delta at one Fock cutoff, and the rows of
+converge_cutoff over a ladder of them. Built-in presets cover the four
+neutral group-IV vacancy centers in diamond.
 
 The package namespace holds the functions and inputs; result types and
 constants (ApesPoint, SpectrumReport, ConvergenceStudy, SYMMETRY_TRANSFORM,
@@ -22,7 +23,6 @@ from .analysis import (
     StateOrderingError,
     TruncationWarning,
     converge_cutoff,
-    delta_splitting,
     spectrum_report,
 )
 from .hamiltonian import PjtParams, classical_apes, couplings_from_ejt, ejt_from_couplings
@@ -41,7 +41,6 @@ __all__ = [
     "classical_apes",
     "converge_cutoff",
     "couplings_from_ejt",
-    "delta_splitting",
     "ejt_from_couplings",
     "parse_params",
     "spectrum_report",

@@ -30,7 +30,6 @@ __all__ = [
     "StateOrderingError",
     "TruncationWarning",
     "converge_cutoff",
-    "delta_splitting",
     "spectrum_report",
 ]
 
@@ -95,33 +94,6 @@ def _delta(levels: SectorLevels) -> float:
             "no Eu-type doublet among the computed levels; request more states"
         )
     return float(energies[doublets[0]] - energies[0])
-
-
-def delta_splitting(params: PjtParams, cutoff: int, *, num_states: int = 8) -> float:
-    """Gap between the lowest vibronic level and the Eu-type doublet above it.
-
-    Computes num_states levels at the given cutoff and measures the lowest
-    Eu-type level's distance from the nondegenerate A2u-type ground state.
-    Levels and ties are resolved to SectorLevels.resolution, which scales
-    with the energies, so delta(s * params) is s * delta(params).
-
-    Args:
-        params: Model parameters.
-        cutoff: Fock cutoff (the default elsewhere is 15).
-        num_states: Levels to compute, >= 3.
-
-    Returns:
-        delta in meV (positive in the expected regime).
-
-    Raises:
-        TypeError: a cutoff or num_states that is not an integer.
-        ValueError: invalid request, or matrix elements beyond the float range.
-        ConvergenceError: a residual exceeds the resolution.
-        StateOrderingError: expected level pattern absent.
-    """
-    if as_index(num_states, "num_states") < 3:
-        raise ValueError(f"num_states must be >= 3 to resolve the doublet, got {num_states}")
-    return _delta(lowest_levels(params, cutoff, num_states))
 
 
 @dataclass(eq=False)
@@ -226,7 +198,9 @@ def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> Spec
     that ends inside a pair reports only its first member. Warns with
     TruncationWarning for each level with more than 1% weight in the top
     two Fock shells. Every level's residual is at most
-    SectorLevels.resolution.
+    SectorLevels.resolution, which scales with the energies, as do the
+    ties: the delta of s * params is s times that of params, to the
+    resolution.
 
     Args:
         params: Model parameters.

@@ -12,7 +12,6 @@ from pjtdiag import (
     StateOrderingError,
     TruncationWarning,
     converge_cutoff,
-    delta_splitting,
     spectrum_report,
 )
 from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
@@ -24,13 +23,6 @@ from reference import (
 )
 
 SIV = PRESETS["SiV"].params
-
-FROZEN_DELTA_AT_15 = {
-    "SiV": 6.664543,
-    "GeV": 7.611367,
-    "SnV": 9.404289,
-    "PbV": 10.875775,
-}
 
 
 def symmetry_state(basis, row, phonon):
@@ -156,32 +148,6 @@ def test_classify_levels_without_distortion(siv_solution):
     assert all(np.isnan(level.distortion_r) for level in levels)
 
 
-def test_delta_splitting_matches_frozen_values():
-    for name, preset in PRESETS.items():
-        delta = delta_splitting(preset.params, 15)
-        assert delta == pytest.approx(FROZEN_DELTA_AT_15[name], abs=1e-4)
-        assert delta == pytest.approx(preset.reference_delta, rel=0.10)
-
-
-def test_delta_splitting_stable_against_deeper_cutoff():
-    assert delta_splitting(SIV, 25) == pytest.approx(6.664440, abs=1e-4)
-
-
-def test_delta_splitting_needs_three_states():
-    with pytest.raises(ValueError, match="num_states"):
-        delta_splitting(SIV, 15, num_states=2)
-
-
-def test_delta_splitting_rejects_inverted_ordering():
-    # strong E-channel correlation with weak coupling puts a degenerate
-    # pair at the bottom, which the gap definition cannot accept
-    inverted = PjtParams(
-        hbar_omega=75.0, lambda_corr=0.0, xi_corr=45.0, f_g=10.0, f_u=10.0
-    )
-    with pytest.raises(StateOrderingError):
-        delta_splitting(inverted, 8)
-
-
 @pytest.mark.parametrize(
     "params",
     [
@@ -199,8 +165,6 @@ def test_degenerate_ground_refused_at_every_cutoff(params):
     cutoffs = range(1, 21)
     refusal = r"lowest level is not a nondegenerate A2u-type state \(multiplicity [2-9]"
     for cutoff in cutoffs:
-        with pytest.raises(StateOrderingError, match=refusal):
-            delta_splitting(params, cutoff)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             with pytest.raises(StateOrderingError, match=refusal):

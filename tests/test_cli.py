@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -11,11 +12,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pjtdiag
-from pjtdiag import PRESETS, PjtParams, classical_apes, cli
+from pjtdiag import (
+    PRESETS,
+    PjtParams,
+    StateOrderingError,
+    TruncationWarning,
+    classical_apes,
+    cli,
+    converge_cutoff,
+    spectrum_report,
+)
 from pjtdiag.cli import APES_BYTES_PER_POINT, main
 
 SIV_FILE = (
@@ -25,6 +35,22 @@ SIV_FILE = (
     "f_g_mev=95\n"
     "f_u_mev=103\n"
 )
+
+
+# Parameters around the presets' magnitudes, couplings and correlations
+# down to zero.
+PARAMS = st.builds(
+    PjtParams,
+    hbar_omega=st.floats(20.0, 150.0),
+    lambda_corr=st.floats(0.0, 150.0),
+    xi_corr=st.floats(0.0, 100.0),
+    f_g=st.floats(0.0, 150.0),
+    f_u=st.floats(0.0, 150.0),
+)
+
+# Without coupling and with Lambda = Xi the ground level ties with the Eu
+# pair, so delta is undefined at every cutoff.
+DECOUPLED = PjtParams(hbar_omega=80.0, lambda_corr=10.0, xi_corr=10.0, f_g=0.0, f_u=0.0)
 
 
 def run_cli(capsys, *argv):
@@ -220,14 +246,7 @@ def apes_body(params, xmin, xmax, points):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    params=st.builds(
-        PjtParams,
-        hbar_omega=st.floats(20.0, 150.0),
-        lambda_corr=st.floats(0.0, 150.0),
-        xi_corr=st.floats(0.0, 100.0),
-        f_g=st.floats(0.0, 150.0),
-        f_u=st.floats(0.0, 150.0),
-    ),
+    params=PARAMS,
     xmin=st.floats(-6.0, 6.0),
     width=st.floats(1e-3, 12.0),
     points=st.sampled_from([2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
@@ -241,6 +260,42 @@ def test_apes_prints_negative_zero_as_a_per_row_format_does():
     body, expected = apes_body(PRESETS["SiV"].params, -4e-7, 1.0, BLOCK + 1)
     assert body == expected
     assert body.startswith("-0.000000,")
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=PARAMS, cutoff=st.integers(1, 15), states=st.integers(3, 12))
+@example(params=DECOUPLED, cutoff=4, states=8)
+def test_spectrum_rows_match_a_per_value_format(params, cutoff, states):
+    args = argparse.Namespace(command="spectrum", cutoff=cutoff, states=states, output=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        try:
+            report = spectrum_report(params, cutoff, states)
+        except StateOrderingError:
+            report = None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        if report is None:
+            with pytest.raises(StateOrderingError):
+                cli.cmd_spectrum(args, params, "preset:test")
+            assert out.getvalue() == ""
+            return
+        assert cli.cmd_spectrum(args, params, "preset:test") == 0
+    header = "index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n"
+    body = out.getvalue().split(header, 1)[1]
+    levels = report.levels
+    rows = [
+        [
+            "%d" % k,
+            "%.6f" % levels.energies[k],
+            report.labels[k],
+            *("%.6f" % weight for weight in levels.character[k]),
+            "%.6f" % math.sqrt(levels.r_squared[k]),
+        ]
+        for k in range(states)
+    ]
+    footer = "delta_mev=%.6f\n" % report.delta
+    assert body == "".join(",".join(row) + "\n" for row in rows) + footer
 
 
 def test_converge_table(capsys):
@@ -263,6 +318,35 @@ def test_converge_table(capsys):
     assert all(later < earlier for earlier, later in zip(ground, ground[1:]))
     deltas = {int(row[0]): float(row[-1]) for row in rows}
     assert abs(deltas[15] - deltas[20]) < 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=PARAMS,
+    ladder=st.lists(st.integers(1, 15), min_size=2, max_size=4, unique=True).map(sorted),
+    states=st.integers(3, 14),
+)
+# 13 states do not fit at cutoff 1, and delta is undefined at cutoff 4.
+@example(params=DECOUPLED, ladder=[1, 4], states=13)
+def test_converge_rows_match_a_per_value_format(params, ladder, states):
+    args = argparse.Namespace(
+        command="converge", cutoffs=",".join(map(str, ladder)), states=states, output=None
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.cmd_converge(args, params, "preset:test")
+    study = converge_cutoff(params, ladder, states)
+    header = ",".join(["cutoff", *(f"e{i}_mev" for i in range(states)), "delta_mev"]) + "\n"
+    body = out.getvalue().split(header, 1)[1]
+    rows = [
+        ["%d" % row.cutoff, *("%.6f" % energy for energy in row.energies), "%.6f" % row.delta]
+        for row in study.rows
+        if row.energies is not None
+    ]
+    assert body == "".join(",".join(row) + "\n" for row in rows)
+    failed = [row for row in study.rows if row.error is not None]
+    assert err.getvalue() == "".join(f"cutoff {row.cutoff}: {row.error}\n" for row in failed)
+    assert code == (1 if failed else 0)
 
 
 def test_converge_continues_past_failing_cutoff(capsys):
@@ -635,7 +719,7 @@ import pjtdiag
 for module in pkgutil.iter_modules(pjtdiag.__path__):
     importlib.import_module(f"pjtdiag.{module.name}")
 import pjtdiag.cli
-from pjtdiag import PRESETS, classical_apes, converge_cutoff, delta_splitting
+from pjtdiag import PRESETS, classical_apes, converge_cutoff, spectrum_report
 
 params = PRESETS["SiV"].params
 for argv in (
@@ -645,7 +729,7 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert pjtdiag.cli.main(argv) == 0, argv
-assert delta_splitting(params, 6) > 0
+assert spectrum_report(params, 6, 3).delta > 0
 assert classical_apes(params, [0.0, 1.0], 0.0).energies.shape == (2, 4)
 assert [row.error for row in converge_cutoff(params, (4, 6), 3).rows] == [None, None]
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}

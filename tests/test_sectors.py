@@ -20,7 +20,6 @@ from pjtdiag import (
     StateOrderingError,
     TruncationWarning,
     converge_cutoff,
-    delta_splitting,
     spectrum_report,
 )
 from pjtdiag import sectors
@@ -369,8 +368,6 @@ def test_spectrum_report_carries_the_sector_levels(params, cutoff, data):
         try:
             report = spectrum_report(params, cutoff, num_states)
         except StateOrderingError:
-            with pytest.raises(StateOrderingError):
-                delta_splitting(params, cutoff, num_states=num_states)
             return
         if cutoff == 0:
             with pytest.raises(ValueError, match="--cutoff must be >= 1, got 0"):
@@ -736,10 +733,10 @@ def test_negative_cutoff_or_no_levels_refused(cutoff, num_states, message):
     [
         (lambda: converge_cutoff(SIV, [5.7, 10.2], 3), "cutoffs[0]", 5.7),
         (lambda: converge_cutoff(SIV, [5, 10], 3.0), "num_states", 3.0),
+        (lambda: converge_cutoff(SIV, [5, 10], 1.0), "num_states", 1.0),
         (lambda: lowest_levels(SIV, 5.5, 3), "cutoff", 5.5),
-        (lambda: delta_splitting(SIV, 10, num_states=8.0), "num_states", 8.0),
-        (lambda: delta_splitting(SIV, 15, num_states="3"), "num_states", "3"),
-        (lambda: delta_splitting(SIV, 15, num_states=1.0), "num_states", 1.0),
+        (lambda: lowest_levels(SIV, 10, 8.0), "num_states", 8.0),
+        (lambda: check_cutoff(15, "3"), "num_states", "3"),
         (lambda: spectrum_report(SIV, 15.0), "cutoff", 15.0),
         (lambda: spectrum_report(SIV, 15, "8"), "num_states", "8"),
         (lambda: spectrum_report(SIV, 15, num_states=2.0), "num_states", 2.0),
@@ -763,11 +760,11 @@ def test_numpy_integer_arguments_match_plain_ints():
     assert checked == (3, 1)
     assert [type(value) for value in checked] == [int, int]
     plain = lowest_levels(SIV, 3, 5)
-    plain_delta = delta_splitting(SIV, 60, num_states=8)
+    plain_delta = spectrum_report(SIV, 60, 8).delta
     _blocks.cache_clear()
     for kind in (np.int8, np.int16, np.uint8, np.int64):
         assert_same_levels(lowest_levels(SIV, kind(3), kind(5)), plain, tol=0.0)
-    assert delta_splitting(SIV, np.uint8(60), num_states=np.int16(8)) == plain_delta
+    assert spectrum_report(SIV, np.uint8(60), np.int16(8)).delta == plain_delta
     assert_same_levels(lowest_levels(SIV, 3, 5), plain, tol=0.0)
     study = converge_cutoff(SIV, np.arange(5, 20, 5), np.int8(8))
     assert all(row.error is None for row in study.rows)
@@ -787,11 +784,14 @@ def tied_runs(levels):
     return [sorted(map(tuple, run.tolist())) for run in runs]
 
 
-def delta_or_refusal(params, cutoff, num_states):
-    try:
-        return delta_splitting(params, cutoff, num_states=num_states)
-    except StateOrderingError:
-        return None
+def report_or_refusal(params, cutoff, num_states):
+    """spectrum_report's report, or None where it refuses the level pattern."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        try:
+            return spectrum_report(params, cutoff, num_states)
+        except StateOrderingError:
+            return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -812,11 +812,27 @@ def test_levels_scale_with_the_energies(params, cutoff, exponent):
     gaps = np.diff(levels.energies) / levels.resolution
     assume(not np.any((gaps > 0.25) & (gaps < 4.0)))
     assert tied_runs(big) == tied_runs(levels)
-    delta = delta_or_refusal(params, cutoff, num_states)
-    big_delta = delta_or_refusal(scaled(params, scale), cutoff, num_states)
-    assert (delta is None) == (big_delta is None)
-    if delta is not None:
-        assert abs(big_delta - scale * delta) <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20), exponent=st.floats(-300.0, 300.0))
+@example(params=SIV, cutoff=15, exponent=5.0)
+@example(params=SIV, cutoff=15, exponent=-16.0)
+@example(params=SIV, cutoff=15, exponent=300.0)
+def test_delta_scales_with_the_energies(params, cutoff, exponent):
+    # spectrum_report promises that the delta of s * params is s times that
+    # of params, to the resolution, and that both are refused or neither.
+    scale = 10.0**exponent
+    num_states = min(8, 2 * (cutoff + 1) * (cutoff + 2))
+    levels = lowest_levels(params, cutoff, num_states)
+    # A ground level within a few resolutions of the next may tie with it
+    # on one side only.
+    assume(not 0.25 < (levels.energies[1] - levels.energies[0]) / levels.resolution < 4.0)
+    report = report_or_refusal(params, cutoff, num_states)
+    big = report_or_refusal(scaled(params, scale), cutoff, num_states)
+    assert (report is None) == (big is None)
+    if report is not None:
+        assert abs(big.delta - scale * report.delta) <= big.levels.resolution
 
 
 HUGE = PjtParams(7.59e307, 7.83e307, 4.5e307, 9.5e307, 1.03e308)
@@ -826,7 +842,9 @@ HUGE = PjtParams(7.59e307, 7.83e307, 4.5e307, 9.5e307, 1.03e308)
     "call",
     [
         lambda: lowest_levels(HUGE, 15, 8),
-        lambda: delta_splitting(HUGE, 15),
+        lambda: cmd_spectrum(
+            argparse.Namespace(command="spectrum", cutoff=15, states=8, output=None), HUGE, "test"
+        ),
         lambda: spectrum_report(HUGE, 15),
     ],
 )
