@@ -31,14 +31,14 @@ parity. The lowest k levels need only the blocks that hold one. The even
 half and J = 1 .. (k - 1) // 2, the head, hold at least k levels when the
 even half gives its lowest two and each sector its lowest pair +-J, and
 more sectors join it when they hold fewer; the head is diagonalized padded
-to 2N + 2. The rest, the odd half included, are certified with a Cholesky
-test against the k-th of the head's levels, factored at their own largest
-dimension. When the test fails and the odd half is still out, the odd half
-is certified alone at the same shift: it joins the head alone if it fails,
-and otherwise the next 1, 2, 4, ... sectors join, the odd half staying out
-of later tests. Only the blocks that join are diagonalized, so no block is
-diagonalized twice, and only their eigenvalues and the observables of
-their lowest levels outlive the round that diagonalizes them.
+to 2N + 2. Every other block, the odd half included, is tested once with
+a Cholesky test against the k-th level. A block that passes stays out for
+good, because the k-th level only falls. The blocks that fail join 1, 2,
+4, ... at a time, J ascending and the odd half last, and only the failed
+blocks that have not joined yet are tested again. No block is diagonalized
+twice, and only the eigenvalues of the blocks that join and the
+observables of their lowest levels outlive the round that diagonalizes
+them.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -55,6 +55,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .hamiltonian import PjtParams
 
@@ -68,9 +69,9 @@ __all__ = [
 
 # Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
 # a large cutoff from exhausting memory. At cutoff 60 the tracemalloc peak of
-# lowest_levels was 1.97 times the stack of all N + 3 blocks that
-# check_cutoff bounds for one level and a failed certificate, 1.70 times for
-# 8 levels whose head the odd half joins, and 2.14 times for every level.
+# lowest_levels was 1.97 and 1.70 times the stack of all N + 3 blocks that
+# check_cutoff bounds for 1 and 8 decoupled levels, in two rounds each, and
+# 2.14 times for every level.
 MAX_DENSE_BYTES = 2**28
 
 # Machine epsilon of float64, for the certificate margin and the resolution.
@@ -298,8 +299,7 @@ def _read_only(record) -> None:
 def _blocks(cutoff: int) -> _Layout:
     """Read-only _Layout of the blocks of one cutoff in the order
     lowest_levels takes them: the even half of sector 0, the sectors J = 1
-    .. N + 1 in the order they join its head, then the odd half, which
-    joins alone.
+    .. N + 1, then the odd half.
 
     A fit calls lowest_levels many times at one cutoff, and a cutoff ladder
     at a few, so the four most recent cutoffs are kept. The arrays are
@@ -339,19 +339,28 @@ def _elements(params: PjtParams, layout: _Layout) -> tuple[np.ndarray, float]:
 
 
 def _fill(
-    entries: np.ndarray, ceiling: float, layout: _Layout, first: int, last: int, width: int
+    entries: np.ndarray, ceiling: float, layout: _Layout, blocks: range | list[int], width: int
 ) -> np.ndarray:
-    """Blocks first .. last - 1 of a _Layout, padded to width, at least their
+    """The blocks of a _Layout, ascending, padded to width, at least their
     largest dimension, from the entries and ceiling of _elements.
 
     The ceiling goes onto the whole diagonal and the entries over it. Every
     state has a diagonal entry, so only the padding keeps the ceiling.
     """
-    count = last - first
+    count = len(blocks)
     stack = np.zeros((count, width, width))
     stack.reshape(count, width * width)[:, :: width + 1] = ceiling
-    here = slice(layout.start[first], layout.start[last])
-    stack[layout.block[here] - first, layout.row[here], layout.col[here]] = entries[here]
+    # One slice of the sorted entries per run of consecutive blocks, so that
+    # no index array spans the entries of every block.
+    ends = [count]
+    if blocks[-1] - blocks[0] >= count:
+        ends = [at for at in range(1, count) if blocks[at] != blocks[at - 1] + 1] + ends
+    begin = 0
+    for end in ends:
+        offset = blocks[begin] - begin
+        here = slice(layout.start[blocks[begin]], layout.start[blocks[end - 1] + 1])
+        stack[layout.block[here] - offset, layout.row[here], layout.col[here]] = entries[here]
+        begin = end
     return stack
 
 
@@ -392,9 +401,10 @@ class SectorLevels:
     resolution: float
 
 
-def _all_above(stack: np.ndarray, shift: float) -> bool:
-    """Whether every level of every matrix in a stack of sectors lies above
-    shift.
+@np.errstate(invalid="ignore")
+def _below(stack: np.ndarray, shift: float) -> np.ndarray:
+    """Whether each matrix in a stack of sectors has a level at or below
+    shift, one bool per matrix.
 
     By Sylvester's law of inertia, H - s I has a Cholesky factorization
     exactly when H has no eigenvalue at or below s. lowest_levels certifies
@@ -409,19 +419,16 @@ def _all_above(stack: np.ndarray, shift: float) -> bool:
     size, a sector passes only if its levels, and eigh's values of them,
     lie strictly above U, and skipping it cannot change which levels tie at
     U. A larger margin costs only speed, through more rounds. The stack, a
-    view or not, is left shifted by s: the caller discards it, or certifies
-    some of its matrices again at shift 0.
+    view or not, is left shifted by s, for the caller to discard.
     """
     # Shifted in place, so that no copy of the stack sits beside the factor;
     # indexing reaches the diagonal of any layout, where a reshape of a
     # strided view would shift a copy.
     diagonal = np.arange(stack.shape[-1])
     stack[:, diagonal, diagonal] -= shift
-    try:
-        np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    # The one use of numpy's private _umath_linalg: np.linalg.cholesky's
+    # gufunc fills each matrix it cannot factor with NaN and factors the rest.
+    return np.isnan(_umath_linalg.cholesky_lo(stack, signature="d->d")[:, 0, 0])
 
 
 def _observables(
@@ -474,13 +481,14 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     """Lowest num_states levels, diagonalizing only the sectors that hold one.
 
     The blocks are diagonalized and certified in the rounds the module
-    docstring describes, none of them twice. Every block that is skipped has
-    passed a certificate that it holds no level at or below the
-    num_states-th. Each eigh sees the padded matrices of a diagonalization
-    of every block in the order even half, odd half, J = 1 .. N + 1, then
-    the mirrors -J, so the levels, and the choice among levels tied at the
-    num_states-th, are that diagonalization's. A level is accepted only if
-    its residual is at most SectorLevels.resolution.
+    docstring describes: none is diagonalized twice, or certified again
+    once it passes. Every block that is skipped has passed a certificate
+    that it holds no level at or below the num_states-th. Each eigh sees
+    the padded matrices of a diagonalization of every block in the order
+    even half, odd half, J = 1 .. N + 1, then the mirrors -J, so the levels,
+    and the choice among levels tied at the num_states-th, are that
+    diagonalization's. A level is accepted only if its residual is at most
+    SectorLevels.resolution.
 
     Args:
         params: Model parameters.
@@ -510,22 +518,23 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     # columns, filled as blocks join; nothing else outlives a round.
     values = np.empty((total, size))
     table = np.zeros((total, min(num_states, size), 6))
-    # The certificates' margin above U; see _all_above.
+    # The certificates' margin above U; see _below.
     margin = 8.0 * size * size * _EPS * ceiling
-    # Blocks first .. last - 1 join in a round. Sectors 1 .. head - 1 have
-    # joined, and blocks head .. end - 1 are certified; end drops to odd once
-    # the odd half has joined or passed alone.
-    first, last, end, step, halves = 0, head, total, 1, [0]
-    while True:
-        stack = _fill(entries, ceiling, layout, first, last, size)
-        values[first:last], vectors = np.linalg.eigh(stack)
-        if last == total:
-            halves.append(odd)
+    # The blocks that join in a round, those that have joined, and those
+    # still out that no certificate has passed, each ascending.
+    joining, joined, pending, step = range(head), [], range(head, total), 1
+    while joining:
+        stack = _fill(entries, ceiling, layout, joining, size)
+        # Consecutive blocks, as in the head, are indexed by a slice: no copy.
+        low, high = joining[0], joining[-1] + 1
+        here = slice(low, high) if high - low == len(joining) else joining
+        values[here], vectors = np.linalg.eigh(stack)
+        joined += joining
         # The blocks that have joined, in the order of a diagonalization of
         # every sector: the even half, the odd half once it has joined, J = 1
         # .., then J > 0 again for the mirrors -J. Stable ties keep that order.
-        sectors = list(range(1, min(head, odd)))
-        rows = np.array(halves + sectors + sectors)
+        sectors = joined[1:-1] if joined[-1] == odd else joined[1:]
+        rows = np.array([0, odd][: len(joined) - len(sectors)] + sectors + sectors)
         flat = values[rows].ravel()
         # A copy of the k lowest, so that the whole sort and flat are freed
         # before the observables are formed.
@@ -535,35 +544,25 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         # The columns up to the highest one read now, in any block: a later
         # round, whose U is no higher and which keeps the order of ties at U,
         # reads no other column of these blocks.
-        out = table[first:last, : (order % size).max() + 1]
-        _observables(out, stack, values[first:last], vectors, layout.observed[first:last], ceiling)
+        out = table[here, : (order % size).max() + 1]
+        _observables(out, stack, values[here], vectors, layout.observed[here], ceiling)
+        if here is joining:  # out is then a copy
+            table[here, : out.shape[1]] = out
         # Freed before the next blocks are filled.
         del stack, vectors
-        if head == end:
-            break
-        # The rest at the largest of its dimensions.
-        rest = _fill(entries, ceiling, layout, head, end, layout.dims[head:end].max())
-        if _all_above(rest, energies[-1] + margin):
-            break
-        # The odd half, while it is out, is certified alone, as the last block
-        # of the rest, already shifted: it joins alone if it fails, and stays
-        # out of later certificates if it passes, since U only falls.
-        # Otherwise the next 1, 2, 4, ... sectors join.
-        if end == total and (head == odd or not _all_above(rest[-1:], 0.0)):
-            first, last = odd, total
-        else:
-            first, head = head, min(odd, head + step)
-            last, step = head, 2 * step
-        # Freed before the next blocks are filled.
-        del rest
-        end = odd
+        if pending:
+            # The first or the last is widest: sectors narrow as J grows.
+            width = max(layout.dims[pending[0]], layout.dims[pending[-1]])
+            below = _below(_fill(entries, ceiling, layout, pending, width), energies[-1] + margin)
+            pending = list(itertools.compress(pending, below))
+        joining, pending, step = pending[:step], pending[step:], 2 * step
 
     row, col = np.divmod(order, size)
     block = rows[row]
     table = table[block, col]
     residuals = table[:, 0]
     resolution = 8.0 * size * _EPS * ceiling
-    if not np.all(residuals <= resolution):
+    if not (residuals <= resolution).all():
         raise ConvergenceError(
             f"sector residuals up to {residuals.max():.3e} meV exceed "
             f"the resolution {resolution:.3e} meV",

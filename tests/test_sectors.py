@@ -26,7 +26,7 @@ from pjtdiag import sectors
 from pjtdiag.cli import cmd_spectrum
 from pjtdiag.sectors import (
     _Layout,
-    _all_above,
+    _below,
     _blocks,
     _elements,
     _fill,
@@ -278,13 +278,18 @@ def test_reflection_parity_of_the_j0_labels(params, cutoff):
 @settings(max_examples=100, deadline=None)
 @given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20))
 def test_halves_make_up_sector_zero(params, cutoff):
-    # The even half is the first block and the odd half the last.
+    # The even half is the first block and the odd half the last. Filled as
+    # one list with a gap, as when the odd half joins the head, they are the
+    # ends of a fill of every block.
     layout = _blocks(cutoff)
-    ends = [0, -1]
+    ends = [0, cutoff + 2]
     assert layout.parity[ends].tolist() == [1, -1]
     assert layout.dims[ends].tolist() == [cutoff + 1, cutoff + 1]
-    stack = _fill(*_elements(params, layout), layout, 0, cutoff + 3, 2 * cutoff + 2)
-    halves = stack[ends, : cutoff + 1, : cutoff + 1]
+    entries, ceiling = _elements(params, layout)
+    stack = _fill(entries, ceiling, layout, ends, 2 * cutoff + 2)
+    every = _fill(entries, ceiling, layout, range(cutoff + 3), 2 * cutoff + 2)
+    assert stack.tobytes() == every[ends].tobytes()
+    halves = stack[:, : cutoff + 1, : cutoff + 1]
     _, dims, whole = sector_matrices(params, cutoff, [0])
     assert dims[0] == 2 * cutoff + 2
     union = np.sort(np.linalg.eigvalsh(halves).ravel())
@@ -319,27 +324,38 @@ def test_variational_ladder(params, cutoff, data):
     exponent=st.floats(-300.0, 300.0),
     first=st.integers(0, 32),
     head=st.integers(1, 33),
+    kept=st.lists(st.booleans(), min_size=33, max_size=33),
 )
-@example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4)
-@example(params=SIV, cutoff=15, exponent=300.0, first=0, head=4)
-@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=5)
-@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=18)
-def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head):
+@example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4, kept=[True] * 33)
+@example(params=SIV, cutoff=15, exponent=300.0, first=0, head=4, kept=[True] * 33)
+@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=5, kept=[False, True] * 17)
+@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=18, kept=[True, False] * 17)
+@example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4, kept=[False] * 17 + [True] * 16)
+def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head, kept):
     # The head and the certified blocks, the latter cut to the largest of
     # their dimensions, are the padded stack of the reference fill bit for
     # bit, and the ceiling is its padding diagonal, inf included. A head of
-    # every block leaves nothing to certify.
+    # every block leaves nothing to certify. The blocks that kept picks, a
+    # list with gaps such as failed blocks leave as they join, are those of
+    # the reference too, padded to 2N + 2 or cut to their largest dimension.
     params = scaled(params, 10.0**exponent)
     head = min(head, cutoff + 3)
     first = min(first, head - 1)
     layout = _blocks(cutoff)
     entries, ceiling = _elements(params, layout)
-    width = layout.dims[head:].max(initial=0)
-    stack = _fill(entries, ceiling, layout, first, head, 2 * cutoff + 2)
-    certified = _fill(entries, ceiling, layout, head, cutoff + 3, width)
     reference = fill(params, layout)
+    stack = _fill(entries, ceiling, layout, range(first, head), 2 * cutoff + 2)
     assert stack.tobytes() == reference[first:head].tobytes()
-    assert certified.tobytes() == reference[head:, :width, :width].tobytes()
+    rest = range(head, cutoff + 3)
+    if rest:
+        width = layout.dims[head:].max()
+        certified = _fill(entries, ceiling, layout, rest, width)
+        assert certified.tobytes() == reference[head:, :width, :width].tobytes()
+    picked = [block for block, keep in zip(range(cutoff + 3), kept) if keep]
+    if picked:
+        for width in (2 * cutoff + 2, layout.dims[picked].max()):
+            gapped = _fill(entries, ceiling, layout, picked, width)
+            assert gapped.tobytes() == reference[picked, :width, :width].tobytes(), width
     assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
     # lowest_levels reads the levels off the padded eigenvalues, which holds
     # because every padding eigenvalue lies above every level of the head.
@@ -474,40 +490,68 @@ def test_first_head_is_the_even_half_and_the_lowest_pairs(monkeypatch):
     assert_same_levels(levels, every_sector_levels(SIV, 60, 8))
 
 
+def recorded_certificates(monkeypatch, fail_all=False):
+    """Block counts of every certificate from now on, each of which fails
+    every block if fail_all."""
+    counts = []
+    below = sectors._below
+
+    def recording(stack, shift):
+        counts.append(len(stack))
+        return np.ones(len(stack), dtype=bool) if fail_all else below(stack, shift)
+
+    monkeypatch.setattr(sectors, "_below", recording)
+    return counts
+
+
 def test_failed_certification_adds_the_next_sector(monkeypatch):
-    # A draw whose eighth level lies in sector 4: the first certificate
-    # fails, the odd half passes alone, sector 4 alone joins the head, and
-    # the blocks after it pass without the odd half.
+    # A draw whose eighth level lies in sector 4: of the 14 blocks outside the
+    # head only sector 4 fails the first certificate. It joins alone, and the
+    # 13 blocks that passed are not certified again: 14 block factorizations.
     params = PjtParams(69.8, 77.4, 44.6, 101.0, 117.7)
     stacks = recorded_eigh_stacks(monkeypatch)
-    certified = []
-    cholesky = np.linalg.cholesky
-
-    def recording(stack):
-        certified.append(len(stack))
-        return cholesky(stack)
-
-    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    certified = recorded_certificates(monkeypatch)
     levels = lowest_levels(params, 15, 8)
-    assert [stack.shape for stack in stacks] == [(4, 32, 32), (1, 32, 32)]
-    assert certified == [14, 1, 12]
     monkeypatch.undo()
+    assert [stack.shape for stack in stacks] == [(4, 32, 32), (1, 32, 32)]
+    assert certified == [14]
+    reference = fill(params, _blocks(15))
+    assert np.concatenate(stacks).tobytes() == reference[:5].tobytes()
     assert np.abs(levels.j).max() == 4
     assert_same_levels(levels, every_sector_levels(params, 15, 8))
+
+
+def test_failed_odd_half_joins_alone(monkeypatch):
+    # The spectator case at 12 levels: the head is the even half and sectors
+    # 1 .. 5, and of the 57 blocks outside it only the odd half fails the
+    # first certificate. It joins alone, and the 56 sectors that passed are
+    # not certified again: 57 block factorizations.
+    params = PjtParams(70.0, 0.0, 0.0, 0.0, 300.0)
+    stacks = recorded_eigh_stacks(monkeypatch)
+    certified = recorded_certificates(monkeypatch)
+    levels = lowest_levels(params, 60, 12)
+    monkeypatch.undo()
+    assert [len(stack) for stack in stacks] == [6, 1]
+    assert certified == [57]
+    reference = fill(params, _blocks(60))
+    assert np.concatenate(stacks).tobytes() == reference[[0, 1, 2, 3, 4, 5, -1]].tobytes()
+    assert_same_levels(levels, every_sector_levels(params, 60, 12))
 
 
 @pytest.mark.parametrize("cutoff", [15, 40])
 def test_failed_certification_grows_the_head(monkeypatch, cutoff):
     # In the decoupled limit the Eu levels of shell 1 tie across both halves
-    # of sector 0 and sector 2, so at 8 levels the first certificate fails
-    # on the odd half. It fails alone too and joins the head alone, padded
-    # to 2N + 2, and the sectors from 4 on then pass. The ties resolve as in
-    # the reference.
+    # of sector 0 and sector 2, so at 8 levels the odd half, alone of the
+    # blocks outside the head, fails the first certificate. It joins the head
+    # alone, padded to 2N + 2, and the sectors from 4 on, which passed, are
+    # not certified again. The ties resolve as in the reference.
     params = decoupled(80.0, 10.0)
     stacks = recorded_eigh_stacks(monkeypatch)
+    certified = recorded_certificates(monkeypatch)
     levels = lowest_levels(params, cutoff, 8)
     monkeypatch.undo()
     assert [len(stack) for stack in stacks] == [4, 1]
+    assert certified == [cutoff - 1]
     reference = fill(params, _blocks(cutoff))
     assert np.concatenate(stacks).tobytes() == reference[[0, 1, 2, 3, -1]].tobytes()
     assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
@@ -516,47 +560,62 @@ def test_failed_certification_grows_the_head(monkeypatch, cutoff):
 @pytest.mark.parametrize("params", [SIV, decoupled(80.0, 10.0)], ids=["SiV", "decoupled"])
 @pytest.mark.parametrize("cutoff", [15, 40])
 def test_failing_certificates_diagonalize_every_block_once(monkeypatch, params, cutoff):
-    # With every certificate failing, the odd half joins the first head of
-    # four blocks alone, then the next 1, 2, 4, ... sectors join until none
-    # is left. Each block reaches eigh once, padded to 2N + 2, and the
-    # levels are those of the reference.
-    monkeypatch.setattr(sectors, "_all_above", lambda *args: False)
+    # With every verdict a failure, the blocks outside the first head of four
+    # join 1, 2, 4, ... at a time, J ascending and the odd half last, and
+    # each certificate tests only the blocks that have not joined. Each block
+    # reaches eigh once, padded to 2N + 2, and the levels are those of the
+    # reference.
     stacks = recorded_eigh_stacks(monkeypatch)
+    certified = recorded_certificates(monkeypatch, fail_all=True)
     levels = lowest_levels(params, cutoff, 8)
     monkeypatch.undo()
-    total, rounds = cutoff + 3, [4, 1]
-    while sum(rounds) < total:
-        rounds.append(min(2 ** (len(rounds) - 2), total - sum(rounds)))
+    rounds, left, tested = [4], cutoff - 1, []
+    while left:
+        tested.append(left)
+        rounds.append(min(2 ** (len(rounds) - 1), left))
+        left -= rounds[-1]
     assert [len(stack) for stack in stacks] == rounds
+    assert certified == tested
     reference = fill(params, _blocks(cutoff))
-    order = [0, 1, 2, 3, total - 1, *range(4, total - 1)]
-    assert np.concatenate(stacks).tobytes() == reference[order].tobytes()
+    assert np.concatenate(stacks).tobytes() == reference.tobytes()
     assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     params=PARAMS | DECOUPLED,
-    cutoff=st.integers(1, 20),
-    start=st.integers(1, 22),
-    side=st.sampled_from([-1.0, 1.0]),
+    cutoff=st.integers(0, 30),
+    start=st.integers(1, 32),
+    pick=st.integers(0, 64),
 )
-@example(params=PjtParams(75.9, 10.0, 5.0, 5.0, 8.0), cutoff=15, start=5, side=1.0)
-def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start, side):
-    # _all_above shifts the diagonal in place, which must reach the matrices
-    # of a strided view as well as those of a contiguous copy.
+@example(params=PjtParams(75.9, 10.0, 5.0, 5.0, 8.0), cutoff=15, start=5, pick=3)
+@example(params=decoupled(80.0, 10.0), cutoff=15, start=1, pick=2)
+def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start, pick):
+    # One verdict per block: whether it has a level at or below the shift,
+    # which lies between two consecutive block minima, or below or above all
+    # of them, as pick chooses. This pins numpy's private Cholesky gufunc,
+    # which _below calls.
+    # _below shifts the diagonal in place, which must reach the matrices of a
+    # strided view as well as those of a contiguous copy.
     total = cutoff + 3
-    start = min(start, total - 1)
+    start = min(start, total - 2)
     layout = _blocks(cutoff)
     entries, ceiling = _elements(params, layout)
-    size = 2 * cutoff + 2
-    stack = _fill(entries, ceiling, layout, 0, total, size)
+    stack = _fill(entries, ceiling, layout, range(total), 2 * cutoff + 2)
     width = layout.dims[start:].max()
     view = stack[start:, :width, :width]
     assert not view.flags.c_contiguous
-    shift = np.linalg.eigvalsh(view).min() + side * 1e-6 * ceiling
-    assert _all_above(view.copy(), shift) == (side < 0)
-    assert _all_above(view, shift) == (side < 0)
+    lowest = np.linalg.eigvalsh(view)[:, 0]
+    # Midpoints of the gaps between distinct minima, each at least margin
+    # from every minimum, which is far beyond the rounding of a factorization.
+    margin = 1e-6 * ceiling
+    ends = [lowest.min() - 4 * margin], np.unique(lowest), [lowest.max() + 4 * margin]
+    bounds = np.concatenate(ends)
+    shifts = ((bounds[:-1] + bounds[1:]) / 2)[np.diff(bounds) > 2 * margin]
+    shift = shifts[pick % len(shifts)]
+    expected = (lowest <= shift).tolist()
+    assert _below(view.copy(), shift).tolist() == expected
+    assert _below(view, shift).tolist() == expected
 
 
 def test_cached_layout_is_read_only():
@@ -578,17 +637,19 @@ def test_a_repeated_cutoff_ladder_builds_no_layout():
 
 
 def test_fill_makes_no_second_stack():
-    # A head of six blocks at 2N + 2, and the rest at its own width.
+    # A head of six blocks at 2N + 2, the rest at its own width, and failed
+    # blocks with gaps between them, as they join, at 2N + 2.
     layout = _blocks(80)
     entries, ceiling = _elements(SIV, layout)
-    for first, last, width in [(0, 6, 162), (6, 83, layout.dims[6:].max())]:
+    gapped = [*range(6, 30, 3), *range(40, 60), 82]
+    for blocks, width in [(range(6), 162), (range(6, 83), layout.dims[6:].max()), (gapped, 162)]:
         tracemalloc.start()
         try:
-            stack = _fill(entries, ceiling, layout, first, last, width)
+            stack = _fill(entries, ceiling, layout, blocks, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * stack.nbytes, first
+        assert peak < 1.25 * stack.nbytes, blocks
 
 
 def test_lowest_levels_memory_at_the_fitting_cutoff():
@@ -618,8 +679,8 @@ def warm_peak(params, cutoff, num_states):
 
 
 def test_failed_certification_memory():
-    # The even half alone fails the certificate, the odd half passes alone,
-    # sector 1 joins the head in a second round, and the rest pass.
+    # The head is the even half alone. Of the blocks outside it only sector 1
+    # fails the certificate, and it joins the head in a second round.
     assert warm_peak(decoupled(80.0, 10.0), 60, 1) < 2.5
 
 
@@ -648,8 +709,8 @@ def test_lowest_levels_memory_over_random_requests(params, cutoff, num_states):
 @example(params=decoupled(80.0, 10.0), cutoff=60)
 def test_growing_head_memory(params, cutoff):
     # Decoupled draws tie the eighth level across the halves of sector 0, so
-    # the odd half joins the head alone in a second round, and no round keeps
-    # the stack or the eigenvectors of another.
+    # the odd half fails the certificate and joins the head in a second round,
+    # and no round keeps the stack or the eigenvectors of another.
     assert warm_peak(params, cutoff, 8) < 2.0
 
 
