@@ -4,11 +4,12 @@ All commands emit deterministic CSV (period decimal separator, fixed column
 order, '#' provenance comments, no timestamps) to standard output or to
 --output. Exit status 0 means every requested computation succeeded, each
 level with a residual within the resolution of its sector matrices. Each
-command takes the parsed arguments with the resolved parameters and
-refuses its own bad options before it writes anything. The library
-refuses invalid levels, cutoffs, ladders, sheet ranges and overflowing
-matrices before anything is written, so a command checks only what the
-library accepts or would refuse later.
+command takes the parsed arguments with the resolved parameters, refuses
+its own bad options, and returns its settings, its CSV lines and its
+diagnostics; it writes nothing. The library refuses invalid levels,
+cutoffs, ladders, sheet ranges and overflowing matrices, so a command
+checks only what the library accepts or would refuse later. main alone
+writes: the diagnostics on standard error, then the '#' lines and the CSV.
 Levels with much weight in the top Fock shells are reported as 'warning:'
 lines on standard error; the CSV is the same with or without them.
 
@@ -26,7 +27,7 @@ import math
 import sys
 import warnings
 from contextlib import nullcontext
-from typing import Sequence, TextIO
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +53,9 @@ APES_BYTES_PER_POINT = 296
 # %.6f, so the text is exactly that of a per-row format. Blocks rather than
 # the whole table keep at most one block of Python floats alive at a time.
 _APES_BLOCK_ROWS = 1024
+
+# A command's settings for the third '#' line, CSV lines and diagnostics.
+_Result = tuple[str, Iterable[str], list[str]]
 
 
 class _FloatToken:
@@ -149,54 +153,32 @@ def _open_output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_provenance(out: TextIO, args: argparse.Namespace, source: str, extra: str) -> None:
-    out.write(f"# pjtdiag {__version__} {args.command}\n")
-    out.write(f"# source={source}\n")
-    out.write(f"# {extra}\n")
-
-
-def cmd_spectrum(args: argparse.Namespace, params: PjtParams, source: str) -> int:
-    """Levels, characters, R, and the delta footer as CSV. Returns exit status.
-
-    Each distinct TruncationWarning of the report goes to standard error as
-    one 'warning:' line, on every call; other warnings are shown as usual.
-    """
+def cmd_spectrum(args: argparse.Namespace, params: PjtParams) -> _Result:
+    """Levels, characters, R, and the delta footer as CSV; no diagnostics."""
     if args.cutoff < 1:
         raise ValueError(f"--cutoff must be >= 1, got {args.cutoff}")
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", TruncationWarning)
-            report = spectrum_report(params, args.cutoff, num_states=args.states)
-    finally:
-        # A degenerate multiplet repeats one message; print it once, as the
-        # default warning filter did.
-        printed = set()
-        for w in caught:
-            if not issubclass(w.category, TruncationWarning):
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-            elif str(w.message) not in printed:
-                printed.add(str(w.message))
-                print(f"warning: {w.message}", file=sys.stderr)
-    with _open_output(args.output) as out:
-        _write_provenance(out, args, source, f"cutoff={args.cutoff} states={args.states}")
-        out.write("index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n")
-        levels = report.levels
-        columns = (
-            range(len(report.labels)),
-            levels.energies.tolist(),
-            report.labels,
-            *levels.character.T.tolist(),
-            np.sqrt(levels.r_squared).tolist(),
-        )
-        # One % over the repeated row template, as in cmd_apes.
-        row = "%d,%.6f,%s,%.6f,%.6f,%.6f,%.6f\n"
-        out.write(row * len(report.labels) % tuple(itertools.chain.from_iterable(zip(*columns))))
-        out.write(f"delta_mev={report.delta:.6f}\n")
-    return 0
+    report = spectrum_report(params, args.cutoff, num_states=args.states)
+    levels = report.levels
+    columns = (
+        range(len(report.labels)),
+        levels.energies.tolist(),
+        report.labels,
+        *levels.character.T.tolist(),
+        np.sqrt(levels.r_squared).tolist(),
+    )
+    # One % over the repeated row template, as in cmd_apes.
+    row = "%d,%.6f,%s,%.6f,%.6f,%.6f,%.6f\n"
+    lines = [
+        "index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n",
+        row * len(report.labels) % tuple(itertools.chain.from_iterable(zip(*columns))),
+        f"delta_mev={report.delta:.6f}\n",
+    ]
+    return f"cutoff={args.cutoff} states={args.states}", lines, []
 
 
-def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
-    """Classical sheet scan along X at Y = 0 as CSV. Returns exit status."""
+def cmd_apes(args: argparse.Namespace, params: PjtParams) -> _Result:
+    """Classical sheet scan along X at Y = 0 as CSV; no diagnostics. It
+    refuses and scans on the call; its rows are formatted as they are read."""
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
     needed = args.points * APES_BYTES_PER_POINT
@@ -220,28 +202,24 @@ def cmd_apes(args: argparse.Namespace, params: PjtParams, source: str) -> int:
     table[:, 1:5] = sheets.energies
     table[:, 5:] = sheets.characters[:, 0]
     row = ",".join(["%.6f"] * table.shape[1]) + "\n"
-    with _open_output(args.output) as out:
-        _write_provenance(
-            out,
-            args,
-            source,
-            f"xmin={args.xmin:g} xmax={args.xmax:g} points={args.points} y=0",
-        )
-        out.write("x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n")
-        for start in range(0, len(table), _APES_BLOCK_ROWS):
-            block = table[start : start + _APES_BLOCK_ROWS]
-            out.write((row * len(block)) % tuple(block.ravel().tolist()))
-    return 0
+    blocks = (
+        row * len(block) % tuple(block.ravel().tolist())
+        for start in range(0, len(table), _APES_BLOCK_ROWS)
+        for block in [table[start : start + _APES_BLOCK_ROWS]]
+    )
+    header = "x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n"
+    settings = f"xmin={args.xmin:g} xmax={args.xmax:g} points={args.points} y=0"
+    return settings, itertools.chain([header], blocks), []
 
 
-def cmd_converge(args: argparse.Namespace, params: PjtParams, source: str) -> int:
+def cmd_converge(args: argparse.Namespace, params: PjtParams) -> _Result:
     """Per-cutoff energies and delta as CSV; continues past failed cutoffs.
 
     args.cutoffs is the comma-separated ladder; converge_cutoff refuses one
-    that is not strictly ascending or has fewer than two cutoffs. Failed
-    cutoffs produce a diagnostic on standard error and no CSV row; a cutoff
-    whose level pattern leaves delta undefined gets delta_mev=nan. Either
-    condition makes the exit status nonzero.
+    that is not strictly ascending or has fewer than two cutoffs. A failed
+    cutoff gives a 'cutoff N: ...' diagnostic and no CSV row; a cutoff
+    whose level pattern leaves delta undefined gives a diagnostic and
+    delta_mev=nan.
     """
     # converge_cutoff would report a level count or cutoff that does not
     # fit as one failed row per cutoff, under a header with one column per
@@ -258,22 +236,14 @@ def cmd_converge(args: argparse.Namespace, params: PjtParams, source: str) -> in
         raise ValueError(f"--cutoffs values must be >= 1, got {args.cutoffs!r}")
     check_cutoff(max(cutoffs), args.states)
     study = converge_cutoff(params, cutoffs, args.states)
-    with _open_output(args.output) as out:
-        _write_provenance(
-            out,
-            args,
-            source,
-            f"cutoffs={','.join(map(str, cutoffs))} states={args.states}",
-        )
-        energy_columns = ",".join(f"e{i}_mev" for i in range(args.states))
-        out.write(f"cutoff,{energy_columns},delta_mev\n")
-        for row in study.rows:
-            if row.error is not None:
-                print(f"cutoff {row.cutoff}: {row.error}", file=sys.stderr)
-            if row.energies is not None:
-                energy_text = ",".join(f"{e:.6f}" for e in row.energies)
-                out.write(f"{row.cutoff},{energy_text},{row.delta:.6f}\n")
-    return 0 if all(row.error is None for row in study.rows) else 1
+    energy_columns = ",".join(f"e{i}_mev" for i in range(args.states))
+    lines = [f"cutoff,{energy_columns},delta_mev\n"]
+    for row in study.rows:
+        if row.energies is not None:
+            energy_text = ",".join(f"{e:.6f}" for e in row.energies)
+            lines.append(f"{row.cutoff},{energy_text},{row.delta:.6f}\n")
+    errors = [f"cutoff {row.cutoff}: {row.error}" for row in study.rows if row.error is not None]
+    return f"cutoffs={','.join(map(str, cutoffs))} states={args.states}", lines, errors
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
@@ -308,12 +278,37 @@ def main(argv: Sequence[str] | None = None) -> int:
     for a cutoff-15 spectrum command against 0.039 ms through the top-level
     parser, of about 0.6 ms for the whole command (best of 3000 on a 2-core
     Xeon VM, Python 3.11, numpy 2.4, one BLAS thread).
+
+    The command computes and main writes: a 'warning:' line per distinct
+    TruncationWarning, even when the command fails, then its diagnostics on
+    standard error, then the '#' lines and the CSV. Diagnostics make the status 1.
     """
     args = _parse_args(argv)
     commands = {"spectrum": cmd_spectrum, "apes": cmd_apes, "converge": cmd_converge}
     try:
         params, source = _resolve_params(args)
-        return commands[args.command](args, params, source)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", TruncationWarning)
+                settings, lines, diagnostics = commands[args.command](args, params)
+        finally:
+            # A degenerate multiplet repeats one message; print it once, as the
+            # default warning filter did.
+            printed = set()
+            for w in caught:
+                if not issubclass(w.category, TruncationWarning):
+                    warnings.showwarning(
+                        w.message, w.category, w.filename, w.lineno, w.file, w.line
+                    )
+                elif str(w.message) not in printed:
+                    printed.add(str(w.message))
+                    print(f"warning: {w.message}", file=sys.stderr)
+        for line in diagnostics:
+            print(line, file=sys.stderr)
+        with _open_output(args.output) as out:
+            out.write(f"# pjtdiag {__version__} {args.command}\n# source={source}\n# {settings}\n")
+            out.writelines(lines)
+        return 1 if diagnostics else 0
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 1

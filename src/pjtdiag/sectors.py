@@ -31,14 +31,14 @@ parity. The lowest k levels need only the blocks that hold one. The even
 half and J = 1 .. (k - 1) // 2, the head, hold at least k levels when the
 even half gives its lowest two and each sector its lowest pair +-J, and
 more sectors join it when they hold fewer; the head is diagonalized padded
-to 2N + 2. Every other block, the odd half included, is tested once with
-a Cholesky test against the k-th level. A block that passes stays out for
-good, because the k-th level only falls. The blocks that fail join 1, 2,
-4, ... at a time, J ascending and the odd half last, and only the failed
-blocks that have not joined yet are tested again. No block is diagonalized
-twice, and only the eigenvalues of the blocks that join and the
-observables of their lowest levels outlive the round that diagonalizes
-them.
+to 2N + 2. Every other block, the odd half included, is tested in one
+batch with a Cholesky test against the k-th level. A block that passes
+stays out for good, because the k-th level only falls. The first block
+that fails, in the order J ascending and the odd half last, joins alone,
+and the other failed blocks are tested again together. No block is
+diagonalized twice, and only the eigenvalues of the blocks that join and
+the observables of their lowest levels outlive the round that
+diagonalizes them.
 
 Within a component the states are ordered by n_r, which makes the second
 moment of the truncated position operators, <(PXP)^2 + (PYP)^2>, a
@@ -521,13 +521,12 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     # The certificates' margin above U; see _below.
     margin = 8.0 * size * size * _EPS * ceiling
     # The blocks that join in a round, those that have joined, and those
-    # still out that no certificate has passed, each ascending.
-    joining, joined, pending, step = range(head), [], range(head, total), 1
+    # still out that no certificate has passed, each ascending. A round joins
+    # the head, or one block.
+    joining, joined, pending = range(head), [], range(head, total)
     while joining:
         stack = _fill(entries, ceiling, layout, joining, size)
-        # Consecutive blocks, as in the head, are indexed by a slice: no copy.
-        low, high = joining[0], joining[-1] + 1
-        here = slice(low, high) if high - low == len(joining) else joining
+        here = slice(joining[0], joining[-1] + 1)
         values[here], vectors = np.linalg.eigh(stack)
         joined += joining
         # The blocks that have joined, in the order of a diagonalization of
@@ -546,8 +545,6 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         # reads no other column of these blocks.
         out = table[here, : (order % size).max() + 1]
         _observables(out, stack, values[here], vectors, layout.observed[here], ceiling)
-        if here is joining:  # out is then a copy
-            table[here, : out.shape[1]] = out
         # Freed before the next blocks are filled.
         del stack, vectors
         if pending:
@@ -555,7 +552,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
             width = max(layout.dims[pending[0]], layout.dims[pending[-1]])
             below = _below(_fill(entries, ceiling, layout, pending, width), energies[-1] + margin)
             pending = list(itertools.compress(pending, below))
-        joining, pending, step = pending[:step], pending[step:], 2 * step
+        joining, pending = pending[:1], pending[1:]
 
     row, col = np.divmod(order, size)
     block = rows[row]

@@ -233,10 +233,10 @@ def apes_body(params, xmin, xmax, points):
     args = argparse.Namespace(
         command="apes", xmin=xmin, xmax=xmax, points=points, output=None
     )
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli.cmd_apes(args, params, "preset:test") == 0
+    _, lines, diagnostics = cli.cmd_apes(args, params)
+    assert diagnostics == []
     header = "x,e0_mev,e1_mev,e2_mev,e3_mev,w0_a2u,w0_a1u,w0_eu\n"
-    body = out.getvalue().split(header, 1)[1]
+    body = "".join(lines).split(header, 1)[1]
     xs = np.linspace(xmin, xmax, points)
     sheets = classical_apes(params, xs, 0.0)
     rows = np.column_stack([xs, sheets.energies, sheets.characters[:, 0]]).tolist()
@@ -272,17 +272,13 @@ def test_spectrum_rows_match_a_per_value_format(params, cutoff, states):
         try:
             report = spectrum_report(params, cutoff, states)
         except StateOrderingError:
-            report = None
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        if report is None:
             with pytest.raises(StateOrderingError):
-                cli.cmd_spectrum(args, params, "preset:test")
-            assert out.getvalue() == ""
+                cli.cmd_spectrum(args, params)
             return
-        assert cli.cmd_spectrum(args, params, "preset:test") == 0
+        _, lines, diagnostics = cli.cmd_spectrum(args, params)
+    assert diagnostics == []
     header = "index,energy_mev,label,w_a2u,w_a1u,w_eu,r_dimensionless\n"
-    body = out.getvalue().split(header, 1)[1]
+    body = "".join(lines).split(header, 1)[1]
     levels = report.levels
     rows = [
         [
@@ -332,12 +328,10 @@ def test_converge_rows_match_a_per_value_format(params, ladder, states):
     args = argparse.Namespace(
         command="converge", cutoffs=",".join(map(str, ladder)), states=states, output=None
     )
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.cmd_converge(args, params, "preset:test")
+    _, lines, diagnostics = cli.cmd_converge(args, params)
     study = converge_cutoff(params, ladder, states)
     header = ",".join(["cutoff", *(f"e{i}_mev" for i in range(states)), "delta_mev"]) + "\n"
-    body = out.getvalue().split(header, 1)[1]
+    body = "".join(lines).split(header, 1)[1]
     rows = [
         ["%d" % row.cutoff, *("%.6f" % energy for energy in row.energies), "%.6f" % row.delta]
         for row in study.rows
@@ -345,8 +339,47 @@ def test_converge_rows_match_a_per_value_format(params, ladder, states):
     ]
     assert body == "".join(",".join(row) + "\n" for row in rows)
     failed = [row for row in study.rows if row.error is not None]
-    assert err.getvalue() == "".join(f"cutoff {row.cutoff}: {row.error}\n" for row in failed)
-    assert code == (1 if failed else 0)
+    assert diagnostics == [f"cutoff {row.cutoff}: {row.error}" for row in failed]
+
+
+@pytest.mark.parametrize(
+    "argv, status, refused",
+    [
+        # Warning lines on standard error.
+        (
+            ("spectrum", "--preset", "SiV", "--cutoff", "4", "--states", "3"),
+            0,
+            [("--cutoff", "0", "--cutoff must be >= 1")],
+        ),
+        # Two blocks of rows.
+        (
+            ("apes", "--preset", "SiV", "--points", str(BLOCK + 1)),
+            0,
+            [("--points", "1", "--points must be >= 2"), ("--xmax", "inf", "scan range")],
+        ),
+        # A failed cutoff on standard error.
+        (
+            ("converge", "--preset", "SiV", "--cutoffs", "1,5", "--states", "13"),
+            1,
+            [("--states", "2", "--states must be >= 3")],
+        ),
+    ],
+    ids=["spectrum", "apes", "converge"],
+)
+def test_output_file_holds_the_bytes_printed(tmp_path, capsys, argv, status, refused):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == status
+    assert (err != "") == (argv[0] != "apes")
+    assert out.startswith(f"# pjtdiag {pjtdiag.__version__} {argv[0]}\n")
+    target = tmp_path / "out.csv"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode("utf-8")
+    # A command refuses a bad option when it is called, not when main reads
+    # its lines, so that --output is never opened for it.
+    command = getattr(cli, f"cmd_{argv[0]}")
+    for option, value, message in refused:
+        with pytest.raises(ValueError, match=message):
+            command(cli._parse_args([*argv, option, value]), PRESETS["SiV"].params)
 
 
 def test_converge_continues_past_failing_cutoff(capsys):

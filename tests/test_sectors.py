@@ -1,9 +1,7 @@
 """Conserved-J sectors against the full product-space route."""
 
 import argparse
-import contextlib
 import dataclasses
-import io
 import re
 import tracemalloc
 import warnings
@@ -378,8 +376,7 @@ def test_spectrum_report_carries_the_sector_levels(params, cutoff, data):
     num_states = data.draw(st.integers(3, min(12, 2 * (cutoff + 1) * (cutoff + 2))))
     levels = lowest_levels(params, cutoff, num_states)
     args = argparse.Namespace(command="spectrum", cutoff=cutoff, states=num_states, output=None)
-    out = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         try:
             report = spectrum_report(params, cutoff, num_states)
@@ -387,17 +384,16 @@ def test_spectrum_report_carries_the_sector_levels(params, cutoff, data):
             return
         if cutoff == 0:
             with pytest.raises(ValueError, match="--cutoff must be >= 1, got 0"):
-                cmd_spectrum(args, params, "test")
+                cmd_spectrum(args, params)
         else:
-            cmd_spectrum(args, params, "test")
+            _, lines, _ = cmd_spectrum(args, params)
     assert_same_levels(report.levels, levels, tol=0.0)
     assert np.array_equal(report.levels.residuals, levels.residuals)
     assert len(report.labels) == num_states
     if cutoff == 0:
-        assert out.getvalue() == ""
         return
-    # Three '#' lines and the column header come before the rows, delta after.
-    rows = [line.split(",") for line in out.getvalue().splitlines()[4:-1]]
+    # The column header comes before the rows, delta after.
+    rows = [line.split(",") for line in "".join(lines).splitlines()[1:-1]]
     assert [row[5] for row in rows] == [f"{w:.6f}" for w in levels.character[:, 2]]
 
 
@@ -505,20 +501,29 @@ def recorded_certificates(monkeypatch, fail_all=False):
 
 
 def test_failed_certification_adds_the_next_sector(monkeypatch):
-    # A draw whose eighth level lies in sector 4: of the 14 blocks outside the
-    # head only sector 4 fails the first certificate. It joins alone, and the
-    # 13 blocks that passed are not certified again: 14 block factorizations.
-    params = PjtParams(69.8, 77.4, 44.6, 101.0, 117.7)
-    stacks = recorded_eigh_stacks(monkeypatch)
-    certified = recorded_certificates(monkeypatch)
-    levels = lowest_levels(params, 15, 8)
-    monkeypatch.undo()
-    assert [stack.shape for stack in stacks] == [(4, 32, 32), (1, 32, 32)]
-    assert certified == [14]
-    reference = fill(params, _blocks(15))
-    assert np.concatenate(stacks).tobytes() == reference[:5].tobytes()
-    assert np.abs(levels.j).max() == 4
-    assert_same_levels(levels, every_sector_levels(params, 15, 8))
+    # Draws whose eighth level lies in sector 4, each with the block counts
+    # of its certificates.
+    draws = [
+        # Of the 14 blocks outside the head only sector 4 fails the first
+        # certificate. It joins alone, and the 13 blocks that passed are not
+        # certified again: 14 block factorizations.
+        (PjtParams(69.8, 77.4, 44.6, 101.0, 117.7), [14]),
+        # Sectors 4 and 5 and the odd half fail the first certificate. Sector
+        # 4 joins alone, and the gapped pair of sector 5 and the odd half,
+        # filled into one stack and certified again, passes.
+        (PjtParams(79.7, 23.9, 3.2, 7.8, 307.4), [14, 2]),
+    ]
+    for params, tested in draws:
+        stacks = recorded_eigh_stacks(monkeypatch)
+        certified = recorded_certificates(monkeypatch)
+        levels = lowest_levels(params, 15, 8)
+        monkeypatch.undo()
+        assert [stack.shape for stack in stacks] == [(4, 32, 32), (1, 32, 32)]
+        assert certified == tested
+        reference = fill(params, _blocks(15))
+        assert np.concatenate(stacks).tobytes() == reference[:5].tobytes()
+        assert np.abs(levels.j).max() == 4
+        assert_same_levels(levels, every_sector_levels(params, 15, 8))
 
 
 def test_failed_odd_half_joins_alone(monkeypatch):
@@ -560,22 +565,17 @@ def test_failed_certification_grows_the_head(monkeypatch, cutoff):
 @pytest.mark.parametrize("params", [SIV, decoupled(80.0, 10.0)], ids=["SiV", "decoupled"])
 @pytest.mark.parametrize("cutoff", [15, 40])
 def test_failing_certificates_diagonalize_every_block_once(monkeypatch, params, cutoff):
-    # With every verdict a failure, the blocks outside the first head of four
-    # join 1, 2, 4, ... at a time, J ascending and the odd half last, and
-    # each certificate tests only the blocks that have not joined. Each block
+    # With every verdict a failure, the N - 1 blocks outside the first head
+    # of four join one at a time, J ascending and the odd half last, and each
+    # certificate tests only the blocks that have not joined. Each block
     # reaches eigh once, padded to 2N + 2, and the levels are those of the
     # reference.
     stacks = recorded_eigh_stacks(monkeypatch)
     certified = recorded_certificates(monkeypatch, fail_all=True)
     levels = lowest_levels(params, cutoff, 8)
     monkeypatch.undo()
-    rounds, left, tested = [4], cutoff - 1, []
-    while left:
-        tested.append(left)
-        rounds.append(min(2 ** (len(rounds) - 1), left))
-        left -= rounds[-1]
-    assert [len(stack) for stack in stacks] == rounds
-    assert certified == tested
+    assert [len(stack) for stack in stacks] == [4] + [1] * (cutoff - 1)
+    assert certified == list(range(cutoff - 1, 0, -1))
     reference = fill(params, _blocks(cutoff))
     assert np.concatenate(stacks).tobytes() == reference.tobytes()
     assert_same_levels(levels, every_sector_levels(params, cutoff, 8))
@@ -904,7 +904,7 @@ HUGE = PjtParams(7.59e307, 7.83e307, 4.5e307, 9.5e307, 1.03e308)
     [
         lambda: lowest_levels(HUGE, 15, 8),
         lambda: cmd_spectrum(
-            argparse.Namespace(command="spectrum", cutoff=15, states=8, output=None), HUGE, "test"
+            argparse.Namespace(command="spectrum", cutoff=15, states=8, output=None), HUGE
         ),
         lambda: spectrum_report(HUGE, 15),
     ],
