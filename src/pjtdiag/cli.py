@@ -10,8 +10,8 @@ diagnostics; it writes nothing. The library refuses invalid levels,
 cutoffs, ladders, sheet ranges and overflowing matrices, so a command
 checks only what the library accepts or would refuse later. main alone
 writes: the diagnostics on standard error, then the '#' lines and the CSV.
-Levels with much weight in the top Fock shells are reported as 'warning:'
-lines on standard error; the CSV is the same with or without them.
+spectrum, not converge, reports levels with much weight in the top Fock
+shells as 'warning:' lines on standard error; its CSV is the same either way.
 
 main may be called repeatedly in one process, each call behaving like a
 fresh run; it builds its argument parsers once per process, and parses a

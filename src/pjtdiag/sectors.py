@@ -69,7 +69,7 @@ __all__ = [
 
 # Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
 # a large cutoff from exhausting memory. At cutoff 60 the tracemalloc peak of
-# lowest_levels was 1.97 and 1.70 times the stack of all N + 3 blocks that
+# lowest_levels was 1.96 and 1.69 times the stack of all N + 3 blocks that
 # check_cutoff bounds for 1 and 8 decoupled levels, in two rounds each, and
 # 2.14 times for every level.
 MAX_DENSE_BYTES = 2**28
@@ -160,26 +160,29 @@ class _Layout:
     """Where each basis state and matrix element sits in a stack of blocks.
 
     A block is a whole sector J (parity 0) or a half of sector 0 (parity
-    +1 or -1), padded to 2N + 2 slots. Arrays of shape (blocks, size)
-    describe slots; padding slots have component -1. ``observed``, of
-    shape (blocks, 2 size - 1, 5), holds for each slot what a level's
-    squared amplitude there adds to its weights on A2u, A1u and Eu (E+ and
-    E- pooled), its top-shell weight and its R^2, and then for each slot
-    but the last what the product of its amplitudes there and at the next
-    slot adds to its R^2. ``coupling`` lists (block, row, column, pair,
-    amplitude) with the target slot as row and the source slot as column,
-    one entry per phonon matrix element; the transposed entry is implied.
-    ``levels[b]`` counts the levels of blocks 0 .. b, mirrors -J of J > 0
-    included.
+    +1 or -1), padded to 2N + 2 slots; arrays of shape (blocks, size)
+    describe slots. Each field, with what reads it:
 
-    The rest are the entries of the stack, in the order _elements computes
-    them: each state's diagonal element, hbar_omega * ``quanta`` plus W on
-    its ``state_component``, then each coupling as (row, column) and once
-    more transposed. ``order`` sorts them stably by block, so that block b
-    holds the entries ``start[b]`` .. ``start[b + 1]`` and each row sum
-    keeps the order of its terms: diagonal, then row, then column entries.
-    Each sorted entry sits at (``block``, ``row``, ``col``), and joins the
-    Gershgorin row sum of ``slots``, block * size + row.
+    - ``j_values``, ``parity``, ``dims``: each block's J, parity and number
+      of states; lowest_levels.
+    - ``component``, ``shell``: each slot's electronic component, -1 on the
+      padding, and Fock shell n+ + n-; the reference fill of the tests.
+    - ``quanta``: shell + 1, and 0 on the padding, and ``padding``, the
+      flat indices of the padding slots; _elements.
+    - ``observed``, of shape (blocks, 2 size - 1, 5): what a level's squared
+      amplitude at each slot adds to its weights on A2u, A1u and Eu (E+ and
+      E- pooled), its top-shell weight and its R^2, then what the product of
+      its amplitudes at each slot but the last and at the next adds to its
+      R^2; _observables.
+    - ``coupling``: (block, row, column, pair, amplitude) of each phonon
+      matrix element, target slot as row, sorted stably by block; the
+      transposed element is implied. _elements and _fill.
+    - ``start``: block b holds couplings start[b] .. start[b + 1]; _fill.
+    - ``slots``: block * size + row, and + column, of each coupling;
+      _elements adds to each slot's Gershgorin row sum its diagonal, then
+      the couplings with it as row, then as column, in this order.
+    - ``levels``: levels[b] counts the levels of blocks 0 .. b, mirrors -J
+      of J > 0 included; lowest_levels.
     """
 
     j_values: np.ndarray
@@ -187,17 +190,13 @@ class _Layout:
     dims: np.ndarray
     component: np.ndarray
     shell: np.ndarray
+    quanta: np.ndarray
+    padding: np.ndarray
     observed: np.ndarray
     coupling: tuple[np.ndarray, ...]
-    levels: np.ndarray
-    quanta: np.ndarray
-    state_component: np.ndarray
-    order: np.ndarray
     start: np.ndarray
-    block: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
     slots: np.ndarray
+    levels: np.ndarray
 
 
 def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray) -> _Layout:
@@ -261,29 +260,22 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray) -> _Layout:
             amp = amp[ok] * scale[s_sec[ok]]
             parts.append((s_sec[ok], t_slot, s_slot[ok], np.full(ok.sum(), pair), amp))
     coupling = tuple(np.concatenate(column) for column in zip(*parts))
-
-    block, slot = np.nonzero(component >= 0)
-    c_block, c_row, c_col, _, _ = coupling
-    entry_block = np.concatenate([block, c_block, c_block])
-    order = np.argsort(entry_block, kind="stable")
-    entry_block, entry_row = entry_block[order], np.concatenate([slot, c_row, c_col])[order]
+    order = np.argsort(coupling[0], kind="stable")
+    coupling = tuple(column[order] for column in coupling)
+    block, row, col = coupling[:3]
     return _Layout(
         j_values=j_values,
         parity=parity,
         dims=dims,
         component=component,
         shell=shell,
+        quanta=np.where(component >= 0, shell + 1.0, 0.0),
+        padding=np.flatnonzero(component < 0),
         observed=observed,
         coupling=coupling,
+        start=block.searchsorted(np.arange(len(j_values) + 1)),
+        slots=block * size + np.stack([row, col]),
         levels=np.cumsum(np.where(j_values > 0, 2, 1) * dims),
-        quanta=shell[block, slot] + 1.0,
-        state_component=component[block, slot],
-        order=order,
-        start=np.append(0, np.cumsum(np.bincount(entry_block, minlength=len(j_values)))),
-        block=entry_block,
-        row=entry_row,
-        col=np.concatenate([slot, c_col, c_row])[order],
-        slots=entry_block * size + entry_row,
     )
 
 
@@ -314,9 +306,10 @@ def _blocks(cutoff: int) -> _Layout:
 
 
 @np.errstate(over="ignore")
-def _elements(params: PjtParams, layout: _Layout) -> tuple[np.ndarray, float]:
-    """(entries, ceiling): the sorted entries of a _Layout and the Gershgorin
-    ceiling of every block, which pads every diagonal above every level.
+def _elements(params: PjtParams, layout: _Layout) -> tuple[np.ndarray, np.ndarray, float]:
+    """(diagonal, couplings, ceiling) of a _Layout: the padded diagonal of
+    every block, the value of each coupling, and the Gershgorin ceiling of
+    every block, which the diagonal holds on the padding, above every level.
 
     An element or row sum beyond the float range makes the ceiling inf,
     without a warning.
@@ -324,43 +317,48 @@ def _elements(params: PjtParams, layout: _Layout) -> tuple[np.ndarray, float]:
     f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g
     # 1/2 <target|B-|source> of the _COUPLED pairs.
     elements = np.array([-f_sum, f_diff, -f_sum, -f_diff]) / math.sqrt(2.0)
+    # W of each component, and 0 on the padding, component -1.
     w_diag = np.array(
-        [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr]
+        [-params.lambda_corr, params.lambda_corr, -params.xi_corr, -params.xi_corr, 0.0]
     )
+    diagonal = params.hbar_omega * layout.quanta + w_diag[layout.component]
     _, _, _, pair, amp = layout.coupling
-    values = elements[pair] * amp
-    entries = np.concatenate(
-        [params.hbar_omega * layout.quanta + w_diag[layout.state_component], values, values]
-    ).take(layout.order)
+    couplings = elements[pair] * amp
     # Gershgorin: every eigenvalue is at most the largest absolute row sum.
     # That sum is positive (hbar_omega > 0), so twice it lies strictly above
     # every level and scales with H.
-    return entries, 2.0 * np.bincount(layout.slots, np.abs(entries)).max()
+    sums = np.abs(diagonal).ravel()
+    magnitudes = np.abs(couplings)
+    np.add.at(sums, layout.slots[0], magnitudes)
+    np.add.at(sums, layout.slots[1], magnitudes)
+    ceiling = 2.0 * sums.max()
+    diagonal.reshape(-1)[layout.padding] = ceiling
+    return diagonal, couplings, ceiling
 
 
 def _fill(
-    entries: np.ndarray, ceiling: float, layout: _Layout, blocks: range | list[int], width: int
+    diagonal: np.ndarray, couplings: np.ndarray, layout: _Layout, blocks: range | list, width: int
 ) -> np.ndarray:
     """The blocks of a _Layout, ascending, padded to width, at least their
-    largest dimension, from the entries and ceiling of _elements.
-
-    The ceiling goes onto the whole diagonal and the entries over it. Every
-    state has a diagonal entry, so only the padding keeps the ceiling.
+    largest dimension, from the diagonal and couplings of _elements; the
+    padding keeps the ceiling that _elements put on its diagonal.
     """
     count = len(blocks)
     stack = np.zeros((count, width, width))
-    stack.reshape(count, width * width)[:, :: width + 1] = ceiling
-    # One slice of the sorted entries per run of consecutive blocks, so that
-    # no index array spans the entries of every block.
+    # One slice of the diagonal and of the sorted couplings per run of
+    # consecutive blocks, so that no index array spans every block.
     ends = [count]
     if blocks[-1] - blocks[0] >= count:
         ends = [at for at in range(1, count) if blocks[at] != blocks[at - 1] + 1] + ends
-    begin = 0
-    for end in ends:
-        offset = blocks[begin] - begin
-        here = slice(layout.start[blocks[begin]], layout.start[blocks[end - 1] + 1])
-        stack[layout.block[here] - offset, layout.row[here], layout.col[here]] = entries[here]
-        begin = end
+    block, row, col, _, _ = layout.coupling
+    for begin, end in zip([0, *ends], ends):
+        first, last = blocks[begin], blocks[end - 1] + 1
+        run = stack[begin:end].reshape(end - begin, width * width)
+        run[:, :: width + 1] = diagonal[first:last, :width]
+        here = slice(layout.start[first], layout.start[last])
+        at, rows, cols = block[here] - (first - begin), row[here], col[here]
+        stack[at, rows, cols] = couplings[here]
+        stack[at, cols, rows] = couplings[here]
     return stack
 
 
@@ -506,7 +504,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     cutoff, num_states = check_cutoff(cutoff, num_states)
     size = 2 * cutoff + 2
     layout = _blocks(cutoff)
-    entries, ceiling = _elements(params, layout)
+    diagonal, couplings, ceiling = _elements(params, layout)
     if not math.isfinite(ceiling):
         raise ValueError(f"matrix elements at cutoff {cutoff} are beyond the float range")
     total = len(layout.levels)
@@ -525,7 +523,7 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
     # the head, or one block.
     joining, joined, pending = range(head), [], range(head, total)
     while joining:
-        stack = _fill(entries, ceiling, layout, joining, size)
+        stack = _fill(diagonal, couplings, layout, joining, size)
         here = slice(joining[0], joining[-1] + 1)
         values[here], vectors = np.linalg.eigh(stack)
         joined += joining
@@ -550,8 +548,8 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         if pending:
             # The first or the last is widest: sectors narrow as J grows.
             width = max(layout.dims[pending[0]], layout.dims[pending[-1]])
-            below = _below(_fill(entries, ceiling, layout, pending, width), energies[-1] + margin)
-            pending = list(itertools.compress(pending, below))
+            certified = _fill(diagonal, couplings, layout, pending, width)
+            pending = list(itertools.compress(pending, _below(certified, energies[-1] + margin)))
         joining, pending = pending[:1], pending[1:]
 
     row, col = np.divmod(order, size)

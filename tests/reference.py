@@ -9,9 +9,9 @@ J = L_z + S, a geometric C3 turn and the reflection Y -> -Y. The tests
 compare the sectors against it; every product-space call they make is at a
 cutoff of 15 or less (dimension 544 or less). It also holds the 4x4
 electronic blocks of the product-space matrix, ``fill``, the generic fill
-of a sector layout that the package's fill from the block-sorted entries
-of its cached layout must match bit for bit, and ``sector_matrices``,
-which builds whole sectors of any J with it.
+of a sector layout that the package's fill, from the diagonal and
+block-sorted couplings of its cached layout, must match bit for bit, and
+``sector_matrices``, which builds whole sectors of any J with it.
 ``every_sector_levels`` is the sector route without its pruning: one eigh of
 both halves of sector 0 and of all sectors J = 1 .. N + 1, and a loop over
 them. ``exe_levels`` solves the linear E x e problem in its own sectors of
@@ -68,9 +68,11 @@ def fill(params: PjtParams, layout: _Layout) -> np.ndarray:
     padding diagonal is the Gershgorin ceiling, above every level.
 
     The package fills only the blocks lowest_levels needs, a round at a
-    time, from the sorted entries of the cutoff's cached layout; this is the
-    generic fill it must match bit for bit. An element or row sum beyond the
-    float range makes the padding inf, without a warning.
+    time, from the padded diagonal and the block-sorted couplings that its
+    _elements builds from the cutoff's cached layout; this is the generic
+    fill, over every block at once, that it must match bit for bit. An
+    element or row sum beyond the float range makes the padding inf,
+    without a warning.
     """
     blocks, size = layout.component.shape
     f_sum, f_diff = params.f_u + params.f_g, params.f_u - params.f_g

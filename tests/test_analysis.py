@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pjtdiag import (
     PRESETS,
@@ -211,3 +213,35 @@ def test_spectrum_report_zero_coupling_pattern():
     assert [report.labels[i] for i in partners] == ["A1u"]
     assert levels.character[partners[0], 1] == pytest.approx(1.0, abs=1e-12)
     assert levels.j[partners[0]] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hbar_omega=st.floats(20.0, 150.0),
+    xi=st.floats(0.0, 100.0),
+    gap=st.floats(1e-6, 0.9, exclude_max=True),
+    f_u=st.floats(0.0, 0.1),
+    f_g=st.floats(0.0, 1.0),
+)
+def test_weak_coupling_delta_matches_second_order(hbar_omega, xi, gap, f_u, f_g):
+    # Second-order perturbation theory from A2u |0, 0> and the J = +-1
+    # doublet E+- |0, 0>, which holds while 0 < Lambda - Xi < hbar_omega:
+    # gap is (Lambda - Xi) / hbar_omega, kept far above the resolution, at
+    # which the ground level would tie with the doublet; f_u is a fraction
+    # of the smallest energy denominator d, and f_g a fraction of f_u. The
+    # error is of fourth order in f_s = f_u + f_g; f_u^4 / d^3 alone does
+    # not bound it.
+    lam = xi + gap * hbar_omega
+    d = min(hbar_omega, hbar_omega - (lam - xi), lam - xi)
+    f_u *= d
+    f_g *= f_u
+    report = spectrum_report(PjtParams(hbar_omega, lam, xi, f_g, f_u), 8, 8)
+    f_s, f_d = f_u + f_g, f_u - f_g
+    expected = (
+        (lam - xi)
+        + f_s**2 / (lam - xi + hbar_omega)
+        - f_s**2 / (2.0 * (hbar_omega + xi - lam))
+        - f_d**2 / (2.0 * (hbar_omega + lam + xi))
+    )
+    bound = f_s**4 / d**3 + 2.0 * report.levels.resolution
+    assert abs(report.delta - expected) <= bound

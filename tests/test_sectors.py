@@ -273,6 +273,24 @@ def test_reflection_parity_of_the_j0_labels(params, cutoff):
         assert np.array_equal(np.sort(j[members]), np.sort(np.abs(levels.j[members])))
 
 
+@pytest.mark.parametrize("cutoff", range(21))
+def test_blocks_couple_neighbouring_shells(cutoff):
+    # The shell structure of every block: each coupling joins two states of
+    # neighbouring shells and raises l = J - S by one, and a shell holds at
+    # most two states of a sector J > 0 and one of either half of sector 0.
+    layout = _blocks(cutoff)
+    spin = np.array([0, 0, 1, -1])
+    component, shell = layout.component, layout.shell
+    block, row, col, _, _ = layout.coupling
+    assert (component[block, row] >= 0).all() and (component[block, col] >= 0).all()
+    assert (np.abs(shell[block, row] - shell[block, col]) == 1).all()
+    l_value = layout.j_values[:, None] - spin[component]
+    assert (l_value[block, row] == l_value[block, col] + 1).all()
+    for states, shells, parity in zip(component >= 0, shell, layout.parity):
+        per_shell = np.bincount(shells[states], minlength=cutoff + 1)
+        assert per_shell.max() <= (1 if parity else 2), parity
+
+
 @settings(max_examples=100, deadline=None)
 @given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20))
 def test_halves_make_up_sector_zero(params, cutoff):
@@ -283,9 +301,9 @@ def test_halves_make_up_sector_zero(params, cutoff):
     ends = [0, cutoff + 2]
     assert layout.parity[ends].tolist() == [1, -1]
     assert layout.dims[ends].tolist() == [cutoff + 1, cutoff + 1]
-    entries, ceiling = _elements(params, layout)
-    stack = _fill(entries, ceiling, layout, ends, 2 * cutoff + 2)
-    every = _fill(entries, ceiling, layout, range(cutoff + 3), 2 * cutoff + 2)
+    diagonal, couplings, _ = _elements(params, layout)
+    stack = _fill(diagonal, couplings, layout, ends, 2 * cutoff + 2)
+    every = _fill(diagonal, couplings, layout, range(cutoff + 3), 2 * cutoff + 2)
     assert stack.tobytes() == every[ends].tobytes()
     halves = stack[:, : cutoff + 1, : cutoff + 1]
     _, dims, whole = sector_matrices(params, cutoff, [0])
@@ -340,19 +358,19 @@ def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head, ke
     head = min(head, cutoff + 3)
     first = min(first, head - 1)
     layout = _blocks(cutoff)
-    entries, ceiling = _elements(params, layout)
+    diagonal, couplings, ceiling = _elements(params, layout)
     reference = fill(params, layout)
-    stack = _fill(entries, ceiling, layout, range(first, head), 2 * cutoff + 2)
+    stack = _fill(diagonal, couplings, layout, range(first, head), 2 * cutoff + 2)
     assert stack.tobytes() == reference[first:head].tobytes()
     rest = range(head, cutoff + 3)
     if rest:
         width = layout.dims[head:].max()
-        certified = _fill(entries, ceiling, layout, rest, width)
+        certified = _fill(diagonal, couplings, layout, rest, width)
         assert certified.tobytes() == reference[head:, :width, :width].tobytes()
     picked = [block for block, keep in zip(range(cutoff + 3), kept) if keep]
     if picked:
         for width in (2 * cutoff + 2, layout.dims[picked].max()):
-            gapped = _fill(entries, ceiling, layout, picked, width)
+            gapped = _fill(diagonal, couplings, layout, picked, width)
             assert gapped.tobytes() == reference[picked, :width, :width].tobytes(), width
     assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
     # lowest_levels reads the levels off the padded eigenvalues, which holds
@@ -600,8 +618,8 @@ def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start,
     total = cutoff + 3
     start = min(start, total - 2)
     layout = _blocks(cutoff)
-    entries, ceiling = _elements(params, layout)
-    stack = _fill(entries, ceiling, layout, range(total), 2 * cutoff + 2)
+    diagonal, couplings, ceiling = _elements(params, layout)
+    stack = _fill(diagonal, couplings, layout, range(total), 2 * cutoff + 2)
     width = layout.dims[start:].max()
     view = stack[start:, :width, :width]
     assert not view.flags.c_contiguous
@@ -640,12 +658,12 @@ def test_fill_makes_no_second_stack():
     # A head of six blocks at 2N + 2, the rest at its own width, and failed
     # blocks with gaps between them, as they join, at 2N + 2.
     layout = _blocks(80)
-    entries, ceiling = _elements(SIV, layout)
+    diagonal, couplings, _ = _elements(SIV, layout)
     gapped = [*range(6, 30, 3), *range(40, 60), 82]
     for blocks, width in [(range(6), 162), (range(6, 83), layout.dims[6:].max()), (gapped, 162)]:
         tracemalloc.start()
         try:
-            stack = _fill(entries, ceiling, layout, blocks, width)
+            stack = _fill(diagonal, couplings, layout, blocks, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
