@@ -237,11 +237,11 @@ def cmd_converge(args: argparse.Namespace, params: PjtParams) -> _Result:
     check_cutoff(max(cutoffs), args.states)
     study = converge_cutoff(params, cutoffs, args.states)
     energy_columns = ",".join(f"e{i}_mev" for i in range(args.states))
+    template = "%d" + ",%.6f" * (args.states + 1) + "\n"
     lines = [f"cutoff,{energy_columns},delta_mev\n"]
     for row in study.rows:
         if row.energies is not None:
-            energy_text = ",".join(f"{e:.6f}" for e in row.energies)
-            lines.append(f"{row.cutoff},{energy_text},{row.delta:.6f}\n")
+            lines.append(template % (row.cutoff, *row.energies.tolist(), row.delta))
     errors = [f"cutoff {row.cutoff}: {row.error}" for row in study.rows if row.error is not None]
     return f"cutoffs={','.join(map(str, cutoffs))} states={args.states}", lines, errors
 

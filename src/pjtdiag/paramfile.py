@@ -44,8 +44,9 @@ def parse_params(text: str) -> PjtParams:
 
     Raises:
         ParamFileError: malformed line, unknown, duplicate or missing key,
-            non-numeric or negative value, or both coupling representations
-            present. Messages name the offending key and line.
+            non-numeric or negative value, zero hbar_omega_mev, or both
+            coupling representations present. Messages name the offending
+            key and line.
     """
     values: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -75,6 +76,8 @@ def parse_params(text: str) -> PjtParams:
             raise ParamFileError(
                 f"line {lineno}: negative value for {key!r}: {value}"
             )
+        if value == 0 and key == "hbar_omega_mev":
+            raise ParamFileError(f"line {lineno}: {key!r} must be positive, got {value}")
         values[key] = value
 
     have_couplings = [k for k in _COUPLING_KEYS if k in values]

@@ -340,16 +340,15 @@ def _fill(
     diagonal: np.ndarray, couplings: np.ndarray, layout: _Layout, blocks: range | list, width: int
 ) -> np.ndarray:
     """The blocks of a _Layout, ascending, padded to width, at least their
-    largest dimension, from the diagonal and couplings of _elements; the
-    padding keeps the ceiling that _elements put on its diagonal.
+    largest dimension, from the couplings of _elements and its diagonal,
+    or that diagonal minus a shift s for a certificate; the padding keeps
+    the diagonal's value there, the ceiling, or the ceiling minus s.
     """
     count = len(blocks)
     stack = np.zeros((count, width, width))
     # One slice of the diagonal and of the sorted couplings per run of
     # consecutive blocks, so that no index array spans every block.
-    ends = [count]
-    if blocks[-1] - blocks[0] >= count:
-        ends = [at for at in range(1, count) if blocks[at] != blocks[at - 1] + 1] + ends
+    ends = [at for at in range(1, count) if blocks[at] != blocks[at - 1] + 1] + [count]
     block, row, col, _, _ = layout.coupling
     for begin, end in zip([0, *ends], ends):
         first, last = blocks[begin], blocks[end - 1] + 1
@@ -382,7 +381,7 @@ class SectorLevels:
         resolution: Energies closer than this are equal to rounding, meV:
             8 size eps ||H||, several times the rounding error of an
             eigenvalue from eigh (about size eps ||H||; Golub & Van Loan,
-            Matrix Computations, ch. 8), with ||H|| bounded by _fill's
+            Matrix Computations, ch. 8), with ||H|| bounded by _elements'
             Gershgorin ceiling. It also bounds the residuals: for symmetric
             H, a unit v with ||H v - E v|| <= resolution has an eigenvalue
             within resolution of E. It scales with the five energies, so the
@@ -400,30 +399,27 @@ class SectorLevels:
 
 
 @np.errstate(invalid="ignore")
-def _below(stack: np.ndarray, shift: float) -> np.ndarray:
-    """Whether each matrix in a stack of sectors has a level at or below
-    shift, one bool per matrix.
+def _below(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has an eigenvalue at or below 0, one
+    bool per matrix; the stack is only read. lowest_levels fills it at a
+    shift s, as H - s I, so a verdict says whether H has a level at or
+    below s.
 
     By Sylvester's law of inertia, H - s I has a Cholesky factorization
     exactly when H has no eigenvalue at or below s. lowest_levels certifies
     sectors of cutoff N, padded to a common dimension of at most size = 2N +
-    2, at s = U + 8 size^2 eps ceiling, with ceiling _fill's Gershgorin
-    ceiling, finite and above |every level|. In floating point, a
-    factorization that succeeds is exact for H - s I + E, where ||E|| is
-    typically about n * eps * ||H - s I|| and at most about n**2 * eps *
-    ||H - s I|| for dimension n <= size (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 10); there ||H - s I|| is at most twice the
-    ceiling. So s lies above U by several times that worst case at n =
-    size, a sector passes only if its levels, and eigh's values of them,
-    lie strictly above U, and skipping it cannot change which levels tie at
-    U. A larger margin costs only speed, through more rounds. The stack, a
-    view or not, is left shifted by s, for the caller to discard.
+    2, at s = U + 8 size^2 eps ceiling, with ceiling _elements' Gershgorin
+    ceiling, finite and above |every level|; the padding of H - s I holds
+    the ceiling minus s. In floating point, a factorization that succeeds
+    is exact for H - s I + E, where ||E|| is typically about n * eps * ||H -
+    s I|| and at most about n**2 * eps * ||H - s I|| for dimension n <= size
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10); there
+    ||H - s I|| is at most twice the ceiling. So s lies above U by several
+    times that worst case at n = size, a sector passes only if its levels,
+    and eigh's values of them, lie strictly above U, and skipping it cannot
+    change which levels tie at U. A larger margin costs only speed, through
+    more rounds.
     """
-    # Shifted in place, so that no copy of the stack sits beside the factor;
-    # indexing reaches the diagonal of any layout, where a reshape of a
-    # strided view would shift a copy.
-    diagonal = np.arange(stack.shape[-1])
-    stack[:, diagonal, diagonal] -= shift
     # The one use of numpy's private _umath_linalg: np.linalg.cholesky's
     # gufunc fills each matrix it cannot factor with NaN and factors the rest.
     return np.isnan(_umath_linalg.cholesky_lo(stack, signature="d->d")[:, 0, 0])
@@ -546,10 +542,9 @@ def lowest_levels(params: PjtParams, cutoff: int, num_states: int) -> SectorLeve
         # Freed before the next blocks are filled.
         del stack, vectors
         if pending:
-            # The first or the last is widest: sectors narrow as J grows.
-            width = max(layout.dims[pending[0]], layout.dims[pending[-1]])
-            certified = _fill(diagonal, couplings, layout, pending, width)
-            pending = list(itertools.compress(pending, _below(certified, energies[-1] + margin)))
+            shifted = diagonal - (energies[-1] + margin)
+            certified = _fill(shifted, couplings, layout, pending, layout.dims[pending].max())
+            pending = list(itertools.compress(pending, _below(certified)))
         joining, pending = pending[:1], pending[1:]
 
     row, col = np.divmod(order, size)

@@ -127,6 +127,8 @@ def test_inverted_channel_energies_rejected():
 
 
 def test_zero_quantum_rejected():
-    text = "hbar_omega_mev=0\nlambda_mev=78.3\nxi_mev=45\nf_g_mev=95\nf_u_mev=103\n"
-    with pytest.raises(ParamFileError, match="hbar_omega"):
-        parse_params(text)
+    # In either coupling form, by the line and key of the quantum.
+    base = "hbar_omega_mev=0\nlambda_mev=78.3\nxi_mev=45\n"
+    for couplings in ("f_g_mev=95\nf_u_mev=103\n", "e_jt1_mev=258\ne_jt2_mev=0.47\n"):
+        with pytest.raises(ParamFileError, match=r"line 1.*hbar_omega_mev"):
+            parse_params(base + couplings)

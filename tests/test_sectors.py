@@ -341,25 +341,35 @@ def test_variational_ladder(params, cutoff, data):
     first=st.integers(0, 32),
     head=st.integers(1, 33),
     kept=st.lists(st.booleans(), min_size=33, max_size=33),
+    shift=st.floats(-1e3, 1e3),
 )
-@example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4, kept=[True] * 33)
-@example(params=SIV, cutoff=15, exponent=300.0, first=0, head=4, kept=[True] * 33)
-@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=5, kept=[False, True] * 17)
-@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=18, kept=[True, False] * 17)
-@example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4, kept=[False] * 17 + [True] * 16)
-def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head, kept):
+@example(params=SIV, cutoff=15, exponent=0.0, first=0, head=4, kept=[True] * 33, shift=-1.5)
+@example(params=SIV, cutoff=15, exponent=300.0, first=0, head=4, kept=[True] * 33, shift=-1.5)
+@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=5, kept=[False, True] * 17, shift=0.0)
+@example(params=SIV, cutoff=15, exponent=0.0, first=4, head=18, kept=[True, False] * 17, shift=1.0)
+@example(
+    params=SIV, cutoff=15, exponent=0.0, first=0, head=4, kept=[False] * 17 + [True] * 16, shift=1.0
+)
+def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head, kept, shift):
     # The head and the certified blocks, the latter cut to the largest of
     # their dimensions, are the padded stack of the reference fill bit for
     # bit, and the ceiling is its padding diagonal, inf included. A head of
     # every block leaves nothing to certify. The blocks that kept picks, a
     # list with gaps such as failed blocks leave as they join, are those of
     # the reference too, padded to 2N + 2 or cut to their largest dimension.
+    # Filled from the diagonal minus a shift s, as a certificate is, the
+    # certified and the picked blocks are the reference with s subtracted
+    # on its diagonal, padding included, bit for bit.
     params = scaled(params, 10.0**exponent)
+    s = shift * 10.0**exponent
     head = min(head, cutoff + 3)
     first = min(first, head - 1)
     layout = _blocks(cutoff)
     diagonal, couplings, ceiling = _elements(params, layout)
     reference = fill(params, layout)
+    index = np.arange(2 * cutoff + 2)
+    at_shift = reference.copy()
+    at_shift[:, index, index] -= s
     stack = _fill(diagonal, couplings, layout, range(first, head), 2 * cutoff + 2)
     assert stack.tobytes() == reference[first:head].tobytes()
     rest = range(head, cutoff + 3)
@@ -367,11 +377,15 @@ def test_fill_matches_the_generic_fill(params, cutoff, exponent, first, head, ke
         width = layout.dims[head:].max()
         certified = _fill(diagonal, couplings, layout, rest, width)
         assert certified.tobytes() == reference[head:, :width, :width].tobytes()
+        certified = _fill(diagonal - s, couplings, layout, rest, width)
+        assert certified.tobytes() == at_shift[head:, :width, :width].tobytes()
     picked = [block for block, keep in zip(range(cutoff + 3), kept) if keep]
     if picked:
         for width in (2 * cutoff + 2, layout.dims[picked].max()):
             gapped = _fill(diagonal, couplings, layout, picked, width)
             assert gapped.tobytes() == reference[picked, :width, :width].tobytes(), width
+            gapped = _fill(diagonal - s, couplings, layout, picked, width)
+            assert gapped.tobytes() == at_shift[picked, :width, :width].tobytes(), width
     assert ceiling.tobytes() == reference.diagonal(axis1=1, axis2=2).max().tobytes()
     # lowest_levels reads the levels off the padded eigenvalues, which holds
     # because every padding eigenvalue lies above every level of the head.
@@ -510,9 +524,9 @@ def recorded_certificates(monkeypatch, fail_all=False):
     counts = []
     below = sectors._below
 
-    def recording(stack, shift):
+    def recording(stack):
         counts.append(len(stack))
-        return np.ones(len(stack), dtype=bool) if fail_all else below(stack, shift)
+        return np.ones(len(stack), dtype=bool) if fail_all else below(stack)
 
     monkeypatch.setattr(sectors, "_below", recording)
     return counts
@@ -608,22 +622,18 @@ def test_failing_certificates_diagonalize_every_block_once(monkeypatch, params, 
 )
 @example(params=PjtParams(75.9, 10.0, 5.0, 5.0, 8.0), cutoff=15, start=5, pick=3)
 @example(params=decoupled(80.0, 10.0), cutoff=15, start=1, pick=2)
-def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start, pick):
-    # One verdict per block: whether it has a level at or below the shift,
-    # which lies between two consecutive block minima, or below or above all
-    # of them, as pick chooses. This pins numpy's private Cholesky gufunc,
-    # which _below calls.
-    # _below shifts the diagonal in place, which must reach the matrices of a
-    # strided view as well as those of a contiguous copy.
+def test_certificate_matches_eigvalsh_at_the_shift(params, cutoff, start, pick):
+    # One verdict per block of a stack filled at a shift, as lowest_levels
+    # fills a certificate: whether the block has a level at or below the
+    # shift, which lies between two consecutive block minima, or below or
+    # above all of them, as pick chooses. _below leaves the stack as it is.
+    # This pins numpy's private Cholesky gufunc, which _below calls.
     total = cutoff + 3
-    start = min(start, total - 2)
+    blocks = range(min(start, total - 2), total)
     layout = _blocks(cutoff)
     diagonal, couplings, ceiling = _elements(params, layout)
-    stack = _fill(diagonal, couplings, layout, range(total), 2 * cutoff + 2)
-    width = layout.dims[start:].max()
-    view = stack[start:, :width, :width]
-    assert not view.flags.c_contiguous
-    lowest = np.linalg.eigvalsh(view)[:, 0]
+    width = layout.dims[blocks].max()
+    lowest = np.linalg.eigvalsh(_fill(diagonal, couplings, layout, blocks, width))[:, 0]
     # Midpoints of the gaps between distinct minima, each at least margin
     # from every minimum, which is far beyond the rounding of a factorization.
     margin = 1e-6 * ceiling
@@ -631,9 +641,10 @@ def test_certificate_matches_eigvalsh_on_views_and_copies(params, cutoff, start,
     bounds = np.concatenate(ends)
     shifts = ((bounds[:-1] + bounds[1:]) / 2)[np.diff(bounds) > 2 * margin]
     shift = shifts[pick % len(shifts)]
-    expected = (lowest <= shift).tolist()
-    assert _below(view.copy(), shift).tolist() == expected
-    assert _below(view, shift).tolist() == expected
+    stack = _fill(diagonal - shift, couplings, layout, blocks, width)
+    filled = stack.tobytes()
+    assert _below(stack).tolist() == (lowest <= shift).tolist()
+    assert stack.tobytes() == filled
 
 
 def test_cached_layout_is_read_only():
