@@ -13,8 +13,8 @@ converge_cutoff over a ladder of them. Built-in presets cover the four
 neutral group-IV vacancy centers in diamond.
 
 The package namespace holds the functions and inputs; result types and
-constants (ApesPoint, SpectrumReport, ConvergenceStudy, SYMMETRY_TRANSFORM,
-...) are imported from their submodules.
+constants (ApesPoint, SpectrumReport, ConvergenceStudy, ...) are imported
+from their submodules.
 """
 
 __version__ = "0.1.0"

@@ -309,10 +309,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             out.write(f"# pjtdiag {__version__} {args.command}\n# source={source}\n# {settings}\n")
             out.writelines(lines)
         return 1 if diagnostics else 0
-    except ConvergenceError as exc:
-        print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        return 1
-    except StateOrderingError as exc:
+    except (ConvergenceError, StateOrderingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

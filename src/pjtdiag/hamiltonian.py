@@ -1,22 +1,15 @@
-"""Vibronic Hamiltonian of two degenerate orbitals sharing one degenerate mode.
+"""Parameters and classical adiabatic sheets of the vibronic model.
 
-Electronic space: the four two-hole determinants, ordered
+Two degenerate orbitals, e_g and e_u, each hold one hole. The static
+correlation term W splits their four two-hole states by symmetry: A1u sits
+at +Lambda, A2u at -Lambda and the Eu pair at -Xi. Each orbital couples
+linearly to the (X, Y) components of one doubly degenerate mode with its
+own strength (f_u, f_g), producing sum and difference channels f_u + f_g
+and f_u - f_g along X; ejt_from_couplings and couplings_from_ejt trade the
+couplings for the relaxation energies of the two channels.
 
-    (|e_uy e_gy>, |e_ux e_gy>, |e_uy e_gx>, |e_ux e_gx>).
-
-Symmetry-adapted combinations (A2u, A1u, Eux, Euy), the rows of the
-orthogonal SYMMETRY_TRANSFORM, diagonalize the static correlation term W,
-which places A1u at +Lambda, A2u at -Lambda, and the Eu pair at -Xi. Each
-orbital couples linearly to the (X, Y) components of the mode with its own
-strength (f_u, f_g), producing sum and difference channels f_u + f_g and
-f_u - f_g along X.
-
-W and the coupling blocks B_X, B_Y make up the vibronic Hamiltonian over
-the truncated two-mode Fock space,
-
-    H = hbar_omega * (I4 kron N) + B_X kron X + B_Y kron Y + W kron I_ph,
-
-which ``sectors`` builds and diagonalizes one conserved-J sector at a time.
+``sectors`` builds the vibronic Hamiltonian over the truncated two-mode
+Fock space and diagonalizes it one conserved-J sector at a time.
 classical_apes solves the 4x4 electronic matrix at frozen displacements
 (x, y) instead, one point or a whole grid at once, in closed form: J is
 conserved, so at (rho, 0) the matrix splits into two 2x2 blocks, over
@@ -32,28 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SYMMETRY_TRANSFORM",
     "ApesPoint",
     "PjtParams",
     "classical_apes",
     "couplings_from_ejt",
     "ejt_from_couplings",
 ]
-
-# Maps determinant amplitudes to symmetry amplitudes: rows 0 .. 3 expand
-# A2u, A1u, Eux and Euy over the determinants in the order of the module
-# docstring, so applied to a determinant-basis vector it gives the A2u, A1u,
-# Eux and Euy amplitudes. Orthogonal.
-_S = 1.0 / math.sqrt(2.0)
-SYMMETRY_TRANSFORM = np.array(
-    [
-        [_S, 0.0, 0.0, _S],  # A2u = (|e_ux e_gx> + |e_uy e_gy>) / sqrt(2)
-        [0.0, _S, -_S, 0.0],  # A1u = (|e_ux e_gy> - |e_uy e_gx>) / sqrt(2)
-        [-_S, 0.0, 0.0, _S],  # Eux = (|e_ux e_gx> - |e_uy e_gy>) / sqrt(2)
-        [0.0, _S, _S, 0.0],  # Euy = (|e_ux e_gy> + |e_uy e_gx>) / sqrt(2)
-    ]
-)
-SYMMETRY_TRANSFORM.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -131,14 +108,17 @@ def _unsorted_sheets(params: PjtParams, rho, lift):
         np.subtract(mid, gap, out=energies[..., lower])
         np.add(mid, gap, out=energies[..., upper])
         # The upper sheet carries (1 + h / g) / 2 on A2u or A1u and the rest
-        # on Eu. The minority weight (1 - |h| / g) / 2 comes from ratios of at
-        # most 1, so that it neither overflows nor loses its relative
-        # accuracy when small. Where h is 0 every sheet carries half, also
-        # where g is 0 and the block is degenerate.
+        # on Eu. The minority weight (1 - |h| / g) / 2, written as
+        # (o / g)^2 / (2 + 2 |h| / g), comes from ratios of at most 1, so that
+        # it neither overflows, as g + |h| can where every sheet energy is
+        # finite, nor loses its relative accuracy when small. Where h is 0
+        # every sheet carries half, also where g is 0 and the block is
+        # degenerate.
         if half_gap == 0.0:
             minority = 0.5
         else:
-            minority = 0.5 * (off / gap) * (off / (gap + abs(half_gap)))
+            ratio = off / gap
+            minority = ratio * ratio / (2.0 + 2.0 * abs(half_gap) / gap)
         majority = 1.0 - minority
         lean = (minority, majority) if half_gap > 0.0 else (majority, minority)
         for sheet, (state, eu) in ((lower, lean), (upper, lean[::-1])):
@@ -176,27 +156,16 @@ def classical_apes(params: PjtParams, x, y) -> ApesPoint:
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         lift = 0.5 * params.hbar_omega * (x * x + y * y)
-        # Bounds every absolute row sum of the sheet matrix, so no entry,
-        # block gap or sheet energy exceeds it; while it is finite, the
-        # closed form cannot overflow. Non-finite coordinates make it
-        # non-finite too.
-        bound = (
-            lift
-            + (np.abs(x) + np.abs(y)) * (params.f_g + params.f_u)
-            + params.lambda_corr
-            + params.xi_corr
-        )
-    refused = ~np.isfinite(bound)
-    if refused.any():
-        first = np.unravel_index(np.argmax(refused), refused.shape)
+        energies, characters = _unsorted_sheets(params, np.hypot(x, y), lift)
+    del lift
+    # A non-finite coordinate, and an overflow in x * x, in coupling * rho or
+    # in hypot, makes a sheet energy non-finite.
+    if not np.isfinite(energies).all():
+        first = np.unravel_index(np.argmin(np.isfinite(energies)), energies.shape)[:-1]
         at = (float(x[first]), float(y[first]))
         if not (math.isfinite(at[0]) and math.isfinite(at[1])):
             raise ValueError(f"coordinates must be finite, got {at}")
         raise ValueError(f"sheet energies at {at} are beyond the float range")
-    # Freed before the sort, where the peak memory lies.
-    del bound, refused
-    energies, characters = _unsorted_sheets(params, np.hypot(x, y), lift)
-    del lift
     order = np.argsort(energies, axis=-1, kind="stable")
     # Gather whole rows (sheet k of point i is flat row 4 i + k), several
     # times faster than np.take_along_axis.

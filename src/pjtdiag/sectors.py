@@ -205,12 +205,12 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray) -> _Layout:
     n = cutoff
     size = 2 * n + 2
     chain = n // 2 + 1
-    # Grid (block, component, n_r) of candidate states.
+    # Grid (block, component, n_r) of candidate states; where |l| > N the
+    # floor (N - |l|) // 2 is negative, so no n_r is kept.
     l_val = j_values[:, None] - _SPIN[None, :]
     n_r = np.arange(chain)
     valid = (
         _KEPT[parity][:, :, None]
-        & (np.abs(l_val)[:, :, None] <= n)
         & (n_r[None, None, :] <= (n - np.abs(l_val))[:, :, None] // 2)
     )
     flat_valid = valid.reshape(len(j_values), -1)

@@ -29,6 +29,12 @@ matrix is
 
 with the electronic index varying slowest: entry (e * D_ph + p) of a vector is
 the amplitude on determinant e, phonon state p.
+
+This module owns that determinant basis: DETERMINANTS names its four
+two-hole states, and the orthogonal SYMMETRY_TRANSFORM maps their
+amplitudes to those of SYMMETRY_LABELS, the symmetry states A2u, A1u, Eux
+and Euy in which W is diagonal. The package works from the symmetry states
+alone.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pjtdiag.analysis import _warn_if_truncated
-from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM, PjtParams
+from pjtdiag.hamiltonian import PjtParams
 from pjtdiag.sectors import (
     MAX_DENSE_BYTES,
     SectorLevels,
@@ -60,6 +66,21 @@ DETERMINANTS: tuple[str, str, str, str] = (
 )
 
 SYMMETRY_LABELS: tuple[str, str, str, str] = ("A2u", "A1u", "Eux", "Euy")
+
+# Maps determinant amplitudes to symmetry amplitudes: rows 0 .. 3 expand
+# A2u, A1u, Eux and Euy over DETERMINANTS, so applied to a determinant-basis
+# vector it gives the A2u, A1u, Eux and Euy amplitudes. Orthogonal; its rows
+# diagonalize w_matrix.
+_S = 1.0 / math.sqrt(2.0)
+SYMMETRY_TRANSFORM = np.array(
+    [
+        [_S, 0.0, 0.0, _S],  # A2u = (|e_ux e_gx> + |e_uy e_gy>) / sqrt(2)
+        [0.0, _S, -_S, 0.0],  # A1u = (|e_ux e_gy> - |e_uy e_gx>) / sqrt(2)
+        [-_S, 0.0, 0.0, _S],  # Eux = (|e_ux e_gx> - |e_uy e_gy>) / sqrt(2)
+        [0.0, _S, _S, 0.0],  # Euy = (|e_ux e_gy> + |e_uy e_gx>) / sqrt(2)
+    ]
+)
+SYMMETRY_TRANSFORM.setflags(write=False)
 
 
 @np.errstate(over="ignore")

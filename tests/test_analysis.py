@@ -16,8 +16,8 @@ from pjtdiag import (
     converge_cutoff,
     spectrum_report,
 )
-from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
 from reference import (
+    SYMMETRY_TRANSFORM,
     build_basis,
     classify_levels,
     distortion_expectation,

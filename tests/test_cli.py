@@ -931,5 +931,5 @@ def test_unconverged_levels_exit_1(perturbed_eigh, capsys):
     code, out, err = run_cli(capsys, "spectrum", "--preset", "SiV")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: solver did not converge: sector residuals up to ")
+    assert err.startswith("error: sector residuals up to ")
     assert "exceed the resolution" in err

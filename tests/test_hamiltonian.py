@@ -15,8 +15,14 @@ from pjtdiag import (
     couplings_from_ejt,
     ejt_from_couplings,
 )
-from pjtdiag.hamiltonian import SYMMETRY_TRANSFORM
-from reference import SYMMETRY_LABELS, assemble, build_basis, pjt_coupling_block, w_matrix
+from reference import (
+    SYMMETRY_LABELS,
+    SYMMETRY_TRANSFORM,
+    assemble,
+    build_basis,
+    pjt_coupling_block,
+    w_matrix,
+)
 
 SIV = PRESETS["SiV"].params
 
@@ -194,7 +200,7 @@ def test_classical_apes_origin():
 def test_classical_apes_rejects_nonfinite():
     with pytest.raises(ValueError):
         classical_apes(SIV, float("inf"), 0.0)
-    # Finite coordinates whose sheet energies overflow are refused before eigh.
+    # Finite coordinates whose sheet energies overflow are refused.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"\(1e\+200, 0.0\) are beyond the float range"):
@@ -202,6 +208,21 @@ def test_classical_apes_rejects_nonfinite():
         with pytest.raises(ValueError, match="float range"):
             classical_apes(SIV, [0.0, -1e200], 0.0)
         assert np.isfinite(classical_apes(SIV, 2e153, 0.0).energies).all()
+
+
+def test_classical_apes_keeps_finite_sheets_of_huge_terms():
+    # Refused only where a sheet energy overflows: the row sums of these
+    # matrices exceed the float range, their sheets do not.
+    a = np.hypot(1e8, 1e8) * 1e300
+    point = classical_apes(PjtParams(1.0, 0.0, 0.0, 0.0, 1e300), 1e8, 1e8)
+    assert np.array_equal(point.energies, [-a, -a, a, a])
+    assert np.array_equal(point.characters[0], [0.5, 0.0, 0.5])
+    # Here g + |h| overflows in the (A1u, Euy) block, but not its sheets: the
+    # lower one still carries (1 - |h| / g) / 2 on A1u.
+    point = classical_apes(PjtParams(1.0, 0.8e308, 0.8e308, 0.0, 1e154), 1e154, 0.0)
+    assert np.isfinite(point.energies).all()
+    minority = 0.5 * (1.0 - 0.8 / np.hypot(0.8, 1.0))
+    assert point.characters[1] == pytest.approx([0.0, minority, 1.0 - minority], rel=1e-12)
 
 
 def test_classical_apes_scalar_shapes():
