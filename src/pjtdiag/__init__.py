@@ -9,8 +9,8 @@ alone and reduces the low-lying levels to physical observables: electronic
 characters, the distortion expectation R, and the splitting delta between
 the lowest vibronic level and the doublet above it:
 spectrum_report(params, cutoff).delta at one Fock cutoff, and the rows of
-converge_cutoff over a ladder of them. Built-in presets cover the four
-neutral group-IV vacancy centers in diamond.
+converge_cutoff over a ladder of them. PRESETS maps the names of the four
+neutral group-IV vacancy centers in diamond to their PjtParams.
 
 The package namespace holds the functions and inputs; result types and
 constants (ApesPoint, SpectrumReport, ConvergenceStudy, ...) are imported
@@ -25,9 +25,14 @@ from .analysis import (
     converge_cutoff,
     spectrum_report,
 )
-from .hamiltonian import PjtParams, classical_apes, couplings_from_ejt, ejt_from_couplings
+from .hamiltonian import (
+    PRESETS,
+    PjtParams,
+    classical_apes,
+    couplings_from_ejt,
+    ejt_from_couplings,
+)
 from .paramfile import ParamFileError, parse_params
-from .presets import PRESETS
 from .sectors import ConvergenceError
 
 __all__ = [

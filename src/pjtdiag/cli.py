@@ -33,9 +33,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import StateOrderingError, TruncationWarning, converge_cutoff, spectrum_report
-from .hamiltonian import PjtParams, classical_apes
+from .hamiltonian import PRESETS, PjtParams, classical_apes
 from .paramfile import parse_params
-from .presets import get_preset
 from .sectors import MAX_DENSE_BYTES, ConvergenceError, check_cutoff
 
 __all__ = ["cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
@@ -96,9 +95,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
     def add_source(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument(
-            "--preset", help="built-in defect preset (SiV, GeV, SnV, PbV)"
-        )
+        group.add_argument("--preset", help=f"built-in defect preset ({', '.join(PRESETS)})")
         group.add_argument("--params", help="path to a key=value parameter file")
 
     spectrum = sub.add_parser(
@@ -136,8 +133,13 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
 def _resolve_params(args: argparse.Namespace) -> tuple[PjtParams, str]:
     if args.preset is not None:
-        preset = get_preset(args.preset)
-        return preset.params, f"preset:{preset.name}"
+        key = args.preset.strip().lower()
+        for name, params in PRESETS.items():
+            if name.lower() == key:
+                return params, f"preset:{name}"
+        raise ValueError(
+            f"unknown preset {args.preset!r}; available presets: {', '.join(PRESETS)}"
+        )
     # utf-8-sig drops the byte-order mark some editors write before the first key.
     with open(args.params, "r", encoding="utf-8-sig") as handle:
         text = handle.read()

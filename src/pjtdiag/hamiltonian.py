@@ -6,7 +6,8 @@ at +Lambda, A2u at -Lambda and the Eu pair at -Xi. Each orbital couples
 linearly to the (X, Y) components of one doubly degenerate mode with its
 own strength (f_u, f_g), producing sum and difference channels f_u + f_g
 and f_u - f_g along X; ejt_from_couplings and couplings_from_ejt trade the
-couplings for the relaxation energies of the two channels.
+couplings for the relaxation energies of the two channels. PRESETS holds
+the parameters of the four neutral group-IV vacancy centers in diamond.
 
 ``sectors`` builds the vibronic Hamiltonian over the truncated two-mode
 Fock space and diagonalizes it one conserved-J sector at a time.
@@ -26,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "ApesPoint",
+    "PRESETS",
     "PjtParams",
     "classical_apes",
     "couplings_from_ejt",
@@ -63,6 +65,16 @@ class PjtParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+# The neutral group-IV vacancy centers in diamond, by the name the CLI's
+# --preset takes (case-insensitively).
+PRESETS: dict[str, PjtParams] = {
+    "SiV": PjtParams(hbar_omega=75.9, lambda_corr=78.3, xi_corr=45.0, f_g=95.0, f_u=103.0),
+    "GeV": PjtParams(hbar_omega=78.2, lambda_corr=88.6, xi_corr=40.0, f_g=83.0, f_u=112.0),
+    "SnV": PjtParams(hbar_omega=81.3, lambda_corr=99.5, xi_corr=42.0, f_g=67.0, f_u=120.0),
+    "PbV": PjtParams(hbar_omega=81.4, lambda_corr=119.0, xi_corr=36.0, f_g=52.0, f_u=125.0),
+}
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,7 +48,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def siv_solution():
     """Lowest eight eigenpairs of the SiV preset at cutoff 15, solved once."""
     basis = build_basis(15)
-    hamiltonian = assemble(PRESETS["SiV"].params, basis)
+    hamiltonian = assemble(PRESETS["SiV"], basis)
     result = solve(hamiltonian, 8)
     return basis, result
 

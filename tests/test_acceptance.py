@@ -20,13 +20,15 @@ from pjtdiag.sectors import lowest_levels
 from reference import assemble, build_basis, solve
 
 PRESET_NAMES = ("SiV", "GeV", "SnV", "PbV")
+# The published splittings delta (meV) that criterion 1 reproduces.
+REFERENCE_DELTAS = {"SiV": 6.7, "GeV": 7.6, "SnV": 9.3, "PbV": 10.8}
 
 
 @pytest.fixture(scope="module")
 def reports():
     """Spectrum reports for every preset at the production cutoff."""
     return {
-        name: spectrum_report(PRESETS[name].params, 15, num_states=8)
+        name: spectrum_report(PRESETS[name], 15, num_states=8)
         for name in PRESET_NAMES
     }
 
@@ -36,7 +38,7 @@ def reports():
 )
 def test_c1_delta_reproduction(reports):
     for name in PRESET_NAMES:
-        reference = PRESETS[name].reference_delta
+        reference = REFERENCE_DELTAS[name]
         delta = reports[name].delta
         assert abs(delta - reference) <= 0.10 * reference, (name, delta)
 
@@ -71,7 +73,7 @@ def test_c3_character_mixing(reports):
     num=4, title="channel relaxation energies match the coupling constants"
 )
 def test_c4_channel_energy_consistency():
-    e_jt1, _ = ejt_from_couplings(PRESETS["SiV"].params)
+    e_jt1, _ = ejt_from_couplings(PRESETS["SiV"])
     assert abs(e_jt1 - 258.0) <= 1.0
     f_g, f_u = couplings_from_ejt(258.0, 0.47, 75.9)
     assert abs(f_g - 95.0) <= 2.5
@@ -84,7 +86,7 @@ def test_c4_channel_energy_consistency():
 def test_c5_classical_sheet_anchors():
     grid = np.linspace(-4.0, 4.0, 81)
     for name in PRESET_NAMES:
-        params = PRESETS[name].params
+        params = PRESETS[name]
         origin = classical_apes(params, 0.0, 0.0)
         expected = np.sort(
             [
@@ -105,7 +107,7 @@ def test_c5_classical_sheet_anchors():
 )
 def test_c6_gap_reduction(reports):
     for name in PRESET_NAMES:
-        params = PRESETS[name].params
+        params = PRESETS[name]
         bare_gap = params.lambda_corr - params.xi_corr
         assert reports[name].delta < bare_gap, name
 
@@ -132,7 +134,7 @@ def test_c7_property_suite():
 
     # ground energy descends monotonically as the cutoff grows
     for name in PRESET_NAMES:
-        study = converge_cutoff(PRESETS[name].params, (5, 10, 15, 20, 25), 1)
+        study = converge_cutoff(PRESETS[name], (5, 10, 15, 20, 25), 1)
         ground = [row.energies[0] for row in study.rows]
         assert all(
             later <= earlier + 1e-12 for earlier, later in zip(ground, ground[1:])
@@ -140,9 +142,9 @@ def test_c7_property_suite():
 
     # the J sectors and the dense product-space solve agree on the lowest
     # ten levels
-    h = assemble(PRESETS["SiV"].params, build_basis(15))
+    h = assemble(PRESETS["SiV"], build_basis(15))
     dense = solve(h, 10)
-    sectors = lowest_levels(PRESETS["SiV"].params, 15, 10)
+    sectors = lowest_levels(PRESETS["SiV"], 15, 10)
     assert np.abs(dense.energies - sectors.energies).max() < 1e-8
 
     # with couplings and correlation off, the spectrum is oscillator shells

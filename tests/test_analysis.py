@@ -24,7 +24,7 @@ from reference import (
     electronic_character,
 )
 
-SIV = PRESETS["SiV"].params
+SIV = PRESETS["SiV"]
 
 
 def symmetry_state(basis, row, phonon):
@@ -189,9 +189,9 @@ def test_spectrum_report_siv():
 
 
 def test_spectrum_report_positive_delta_all_presets():
-    for preset in PRESETS.values():
-        report = spectrum_report(preset.params, 15)
-        assert report.delta > 0.0, preset.name
+    for name, params in PRESETS.items():
+        report = spectrum_report(params, 15)
+        assert report.delta > 0.0, name
 
 
 def test_spectrum_report_zero_coupling_pattern():

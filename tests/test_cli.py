@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -51,6 +52,15 @@ PARAMS = st.builds(
 # Without coupling and with Lambda = Xi the ground level ties with the Eu
 # pair, so delta is undefined at every cutoff.
 DECOUPLED = PjtParams(hbar_omega=80.0, lambda_corr=10.0, xi_corr=10.0, f_g=0.0, f_u=0.0)
+
+
+def child_env():
+    """Environment for a child ``python -m pjtdiag`` that imports the package
+    these tests import: pytest's ``pythonpath`` setting does not reach it."""
+    paths = [str(Path(pjtdiag.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
 
 
 def run_cli(capsys, *argv):
@@ -257,7 +267,7 @@ def test_apes_rows_match_a_per_row_format(params, xmin, width, points):
 
 
 def test_apes_prints_negative_zero_as_a_per_row_format_does():
-    body, expected = apes_body(PRESETS["SiV"].params, -4e-7, 1.0, BLOCK + 1)
+    body, expected = apes_body(PRESETS["SiV"], -4e-7, 1.0, BLOCK + 1)
     assert body == expected
     assert body.startswith("-0.000000,")
 
@@ -379,7 +389,7 @@ def test_output_file_holds_the_bytes_printed(tmp_path, capsys, argv, status, ref
     command = getattr(cli, f"cmd_{argv[0]}")
     for option, value, message in refused:
         with pytest.raises(ValueError, match=message):
-            command(cli._parse_args([*argv, option, value]), PRESETS["SiV"].params)
+            command(cli._parse_args([*argv, option, value]), PRESETS["SiV"])
 
 
 def test_converge_continues_past_failing_cutoff(capsys):
@@ -402,10 +412,22 @@ def test_converge_continues_past_failing_cutoff(capsys):
 
 
 def test_unknown_preset_lists_alternatives(capsys):
-    code, out, err = run_cli(capsys, "spectrum", "--preset", "NV")
-    assert code == 2
-    assert "SiV" in err
-    assert "PbV" in err
+    for name in ("NV", ""):
+        code, out, err = run_cli(capsys, "spectrum", "--preset", name)
+        assert code == 2, name
+        assert out == "", name
+        assert err == (
+            f"error: unknown preset {name!r}; available presets: SiV, GeV, SnV, PbV\n"
+        )
+
+
+@pytest.mark.parametrize("spelling, name", [(" siv ", "SiV"), ("PBV", "PbV")])
+def test_preset_names_ignore_case_and_surrounding_space(capsys, spelling, name):
+    argv = ("spectrum", "--cutoff", "4", "--states", "3", "--preset")
+    code, out, _ = run_cli(capsys, *argv, spelling)
+    assert code == 0
+    assert out.splitlines()[1] == f"# source=preset:{name}"
+    assert run_cli(capsys, *argv, name)[:2] == (0, out)
 
 
 def test_params_file_accepted(tmp_path, capsys):
@@ -555,6 +577,7 @@ def test_truncation_lines_do_not_depend_on_warning_filters():
              "--preset", "SiV", "--cutoff", "4", "--states", "3"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert completed.returncode == 0, completed.stderr
         lines = completed.stderr.splitlines()
@@ -754,7 +777,7 @@ for module in pkgutil.iter_modules(pjtdiag.__path__):
 import pjtdiag.cli
 from pjtdiag import PRESETS, classical_apes, converge_cutoff, spectrum_report
 
-params = PRESETS["SiV"].params
+params = PRESETS["SiV"]
 for argv in (
     ["spectrum", "--preset", "SiV", "--cutoff", "6", "--states", "3"],
     ["apes", "--preset", "SiV", "--points", "5"],
@@ -799,6 +822,7 @@ def test_module_entry_point():
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert completed.returncode == 0
     assert "delta_mev=" in completed.stdout

@@ -24,7 +24,7 @@ from reference import (
     w_matrix,
 )
 
-SIV = PRESETS["SiV"].params
+SIV = PRESETS["SiV"]
 
 # The parameter ranges of the acceptance property suite.
 PARAMS = st.builds(
@@ -295,10 +295,10 @@ def test_sheet_scan_even_in_x():
 
 def test_sheet_scan_minimum_reaches_channel_depth():
     grid = np.linspace(-4.0, 4.0, 81)
-    for preset in PRESETS.values():
-        e_jt1, _ = ejt_from_couplings(preset.params)
-        lowest = classical_apes(preset.params, grid, 0.0).energies[:, 0].min()
-        assert lowest <= -e_jt1, preset.name
+    for name, params in PRESETS.items():
+        e_jt1, _ = ejt_from_couplings(params)
+        lowest = classical_apes(params, grid, 0.0).energies[:, 0].min()
+        assert lowest <= -e_jt1, name
 
 
 @pytest.mark.parametrize(

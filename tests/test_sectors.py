@@ -48,7 +48,7 @@ from reference import (
     symmetry_vectors,
 )
 
-SIV = PRESETS["SiV"].params
+SIV = PRESETS["SiV"]
 
 # The parameter ranges of the acceptance property suite.
 PARAMS = st.builds(

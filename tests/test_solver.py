@@ -15,7 +15,7 @@ from pjtdiag import (
 )
 from reference import assemble, build_basis, solve
 
-SIV = PRESETS["SiV"].params
+SIV = PRESETS["SiV"]
 
 
 def siv_delta(cutoff, num_states):
@@ -60,11 +60,11 @@ def test_siv_low_level_structure():
 
 
 def test_doublet_above_ground_for_every_preset():
-    for preset in PRESETS.values():
-        h = assemble(preset.params, build_basis(15))
+    for name, params in PRESETS.items():
+        h = assemble(params, build_basis(15))
         energies = solve(h, 3).energies
-        assert energies[1] - energies[0] > 1.0, preset.name
-        assert energies[2] - energies[1] < 1e-6, preset.name
+        assert energies[1] - energies[0] > 1.0, name
+        assert energies[2] - energies[1] < 1e-6, name
 
 
 def test_result_invariants():
