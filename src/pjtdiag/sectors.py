@@ -165,10 +165,10 @@ class _Layout:
 
     - ``j_values``, ``parity``, ``dims``: each block's J, parity and number
       of states; lowest_levels.
-    - ``component``, ``shell``: each slot's electronic component, -1 on the
-      padding, and Fock shell n+ + n-; the reference fill of the tests.
-    - ``quanta``: shell + 1, and 0 on the padding, and ``padding``, the
-      flat indices of the padding slots; _elements.
+    - ``component``: each slot's electronic component, -1 on the padding;
+      _elements, where it also marks the padding.
+    - ``quanta``: each slot's Fock shell n+ + n- plus 1, and 0 on the
+      padding; _elements.
     - ``observed``, of shape (blocks, 2 size - 1, 5): what a level's squared
       amplitude at each slot adds to its weights on A2u, A1u and Eu (E+ and
       E- pooled), its top-shell weight and its R^2, then what the product of
@@ -189,9 +189,7 @@ class _Layout:
     parity: np.ndarray
     dims: np.ndarray
     component: np.ndarray
-    shell: np.ndarray
     quanta: np.ndarray
-    padding: np.ndarray
     observed: np.ndarray
     coupling: tuple[np.ndarray, ...]
     start: np.ndarray
@@ -227,8 +225,8 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray) -> _Layout:
 
     component = np.full((len(j_values), size), -1)
     component[sec, slot] = comp
-    shell = np.zeros((len(j_values), size), dtype=int)
-    shell[sec, slot] = shell_slot
+    quanta = np.zeros((len(j_values), size))
+    quanta[sec, slot] = shell_slot + 1.0
     observed = np.zeros((len(j_values), 2 * size - 1, 5))
     observed[sec, slot, np.minimum(comp, 2)] = 1.0
     observed[sec, slot, 3] = shell_slot >= n - 1
@@ -268,9 +266,7 @@ def _layout(cutoff: int, j_values: np.ndarray, parity: np.ndarray) -> _Layout:
         parity=parity,
         dims=dims,
         component=component,
-        shell=shell,
-        quanta=np.where(component >= 0, shell + 1.0, 0.0),
-        padding=np.flatnonzero(component < 0),
+        quanta=quanta,
         observed=observed,
         coupling=coupling,
         start=block.searchsorted(np.arange(len(j_values) + 1)),
@@ -332,7 +328,7 @@ def _elements(params: PjtParams, layout: _Layout) -> tuple[np.ndarray, np.ndarra
     np.add.at(sums, layout.slots[0], magnitudes)
     np.add.at(sums, layout.slots[1], magnitudes)
     ceiling = 2.0 * sums.max()
-    diagonal.reshape(-1)[layout.padding] = ceiling
+    diagonal[layout.component < 0] = ceiling
     return diagonal, couplings, ceiling
 
 
@@ -442,22 +438,21 @@ def _observables(
     that they neither overflow nor underflow.
     """
     size, width = stack.shape[1], out.shape[1]
-    # Columns per pass, counted over blocks, so that each temporary of the
-    # size of cols holds at most 1/32 of the stack of all N + 3 = size / 2 +
-    # 2 blocks that check_cutoff bounds, or a single column: whole blocks
-    # while one block's columns fit, else part of one block's columns.
-    budget = max(1, (size // 2 + 2) * size // 32)
-    step, span = max(1, budget // width), min(width, budget)
-    for low, left in itertools.product(range(0, len(stack), step), range(0, width, span)):
-        here, wanted = slice(low, low + step), slice(left, min(left + span, width))
-        cols = vectors[here, :, wanted]
+    # Blocks per pass, so that each temporary of the size of cols holds at
+    # most 1/32 of the stack of all N + 3 = size / 2 + 2 blocks that
+    # check_cutoff bounds, or a single block's columns. One block's columns
+    # exceed that budget only below cutoff 29, where the stack is under 1 MiB.
+    step = max(1, (size // 2 + 2) * size // (32 * width))
+    for low in range(0, len(stack), step):
+        here = slice(low, low + step)
+        cols = vectors[here, :, :width]
         # v E first and H v - v E written over it, so that no ufunc buffer
         # sits beside the two as one would beside an in-place H v -= v E.
-        residual = cols * values[here, None, wanted]
+        residual = cols * values[here, None, :width]
         np.subtract(stack[here] @ cols, residual, out=residual)
         residual /= ceiling
         residual *= residual
-        out[here, wanted, 0] = ceiling * np.sqrt(residual.sum(axis=1))
+        out[here, :, 0] = ceiling * np.sqrt(residual.sum(axis=1))
         # Each temporary is freed before the next is formed, so that at most
         # two arrays of the size of cols are live beside the stack and its
         # eigenvectors.
@@ -467,7 +462,7 @@ def _observables(
         products = np.empty((cols.shape[0], 2 * size - 1, cols.shape[2]))
         np.multiply(cols, cols, out=products[:, :size])
         np.multiply(cols[:, :-1], cols[:, 1:], out=products[:, size:])
-        out[here, wanted, 1:] = np.matmul(products.transpose(0, 2, 1), observed[here])
+        out[here, :, 1:] = np.matmul(products.transpose(0, 2, 1), observed[here])
         del products
 
 

@@ -11,7 +11,8 @@ cutoff of 15 or less (dimension 544 or less). It also holds the 4x4
 electronic blocks of the product-space matrix, ``fill``, the generic fill
 of a sector layout that the package's fill, from the diagonal and
 block-sorted couplings of its cached layout, must match bit for bit, and
-``sector_matrices``, which builds whole sectors of any J with it.
+``sector_matrices``, which builds whole sectors of any J with it, and
+``sector_floor``, a closed-form lower bound on the levels of each sector.
 ``every_sector_levels`` is the sector route without its pruning: one eigh of
 both halves of sector 0 and of all sectors J = 1 .. N + 1, and a loop over
 them. ``exe_levels`` solves the linear E x e problem in its own sectors of
@@ -110,7 +111,7 @@ def fill(params: PjtParams, layout: _Layout) -> np.ndarray:
     real = layout.component >= 0
     diagonal = np.where(
         real,
-        params.hbar_omega * (layout.shell + 1.0) + w_diag[layout.component],
+        params.hbar_omega * layout.quanta + w_diag[layout.component],
         0.0,
     )
     # Gershgorin: every eigenvalue is at most the largest absolute row sum.
@@ -204,6 +205,25 @@ def sector_matrices(
     js = np.arange(cutoff + 2) if j_values is None else np.asarray(j_values, dtype=int)
     layout = _layout(cutoff, js, np.zeros(len(js), dtype=int))
     return layout.j_values, layout.dims, fill(params, layout)
+
+
+def sector_floor(params: PjtParams, j_values) -> np.ndarray:
+    """Closed-form lower bound L_J on every level of each sector J, at every
+    cutoff.
+
+    Split hbar_omega (n+ + n- + 1) into (1 - t) of itself, at least (1 - t)
+    a_J on sector J with a_J = hbar_omega (max(|J| - 1, 0) + 1), and t
+    hbar_omega (X^2 + P_X^2 + Y^2 + P_Y^2) / 2. Without P^2, the second
+    part plus W + B_X X + B_Y Y is at least w - c / t, with w = min(-Lambda,
+    -Xi) the lowest W and c = (f_u + f_g)^2 / (2 hbar_omega). The best t in
+    (0, 1] gives a_J - 2 sqrt(a_J c) + w when c < a_J, else w - c. A
+    truncated sector is a compression of the untruncated one, so the bound
+    holds at every cutoff.
+    """
+    a = params.hbar_omega * (np.maximum(np.abs(np.asarray(j_values)) - 1, 0) + 1.0)
+    c = (params.f_u + params.f_g) ** 2 / (2.0 * params.hbar_omega)
+    w = min(-params.lambda_corr, -params.xi_corr)
+    return np.where(c < a, a - 2.0 * np.sqrt(a * c) + w, w - c)
 
 
 @dataclass(frozen=True)
@@ -629,7 +649,7 @@ def every_sector_levels(params: PjtParams, cutoff: int, num_states: int) -> Sect
         component = layout.component[block]
         residuals[i] = np.linalg.norm(stack[block] @ part - part * energy)
         by_component[i] = weight @ (component[:, None] == np.arange(4))
-        shell = layout.shell[block]
+        shell = layout.quanta[block] - 1
         top[i] = weight @ ((shell >= cutoff - 1) & (component >= 0))
         moment = np.where(shell < cutoff, shell + 1.0, 0.5 * cutoff) * (component >= 0)
         # Twice the coupling of each slot to the next in R^2.

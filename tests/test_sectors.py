@@ -43,6 +43,7 @@ from reference import (
     multiplets,
     reflection,
     rotation_generator,
+    sector_floor,
     sector_matrices,
     solve,
     symmetry_vectors,
@@ -280,7 +281,7 @@ def test_blocks_couple_neighbouring_shells(cutoff):
     # most two states of a sector J > 0 and one of either half of sector 0.
     layout = _blocks(cutoff)
     spin = np.array([0, 0, 1, -1])
-    component, shell = layout.component, layout.shell
+    component, shell = layout.component, (layout.quanta - 1).astype(int)
     block, row, col, _, _ = layout.coupling
     assert (component[block, row] >= 0).all() and (component[block, col] >= 0).all()
     assert (np.abs(shell[block, row] - shell[block, col]) == 1).all()
@@ -331,6 +332,22 @@ def test_variational_ladder(params, cutoff, data):
     coarse_values = np.linalg.eigvalsh(coarse_stack)
     for j, dim in zip(js, dims):
         assert np.all(fine_values[j, :dim] <= coarse_values[j, :dim] + resolution), j
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 30))
+def test_sector_floor_lies_below_every_block(params, cutoff):
+    # The closed-form floor of sector J lies at or below the lowest level of
+    # its block, and that of J = 0 below both halves of sector 0. In the
+    # decoupled limit the lowest level of sector 0 sits on the floor, so the
+    # comparison allows for rounding.
+    layout = _blocks(cutoff)
+    diagonal, couplings, ceiling = _elements(params, layout)
+    size = 2 * cutoff + 2
+    stack = _fill(diagonal, couplings, layout, range(cutoff + 3), size)
+    resolution = 8 * size * np.finfo(float).eps * ceiling
+    lowest = np.linalg.eigvalsh(stack)[:, 0]
+    assert (lowest >= sector_floor(params, layout.j_values) - resolution).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -430,9 +447,18 @@ def test_spectrum_report_carries_the_sector_levels(params, cutoff, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(params=PARAMS | DECOUPLED, cutoff=st.integers(0, 20), data=st.data())
-def test_pruned_sectors_match_every_sector(params, cutoff, data):
-    num_states = data.draw(st.integers(1, 2 * (cutoff + 1) * (cutoff + 2)), label="num_states")
+@given(
+    params=PARAMS | DECOUPLED,
+    cutoff=st.integers(0, 20),
+    num_states=st.integers(1, 2 * 21 * 22),
+)
+# Every level at the fitting cutoff: _observables takes the 32 columns of a
+# block in one pass, beyond its budget of 18.
+@example(params=SIV, cutoff=15, num_states=2 * 16 * 17)
+def test_pruned_sectors_match_every_sector(params, cutoff, num_states):
+    # A request beyond the dimension wraps round, so that every count from
+    # one level to every level is drawn at every cutoff.
+    num_states = 1 + (num_states - 1) % (2 * (cutoff + 1) * (cutoff + 2))
     levels = lowest_levels(params, cutoff, num_states)
     assert_same_levels(levels, every_sector_levels(params, cutoff, num_states))
 
