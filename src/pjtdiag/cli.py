@@ -11,7 +11,8 @@ cutoffs, ladders, sheet ranges and overflowing matrices, so a command
 checks only what the library accepts or would refuse later. main alone
 writes: the diagnostics on standard error, then the '#' lines and the CSV.
 spectrum, not converge, reports levels with much weight in the top Fock
-shells as 'warning:' lines on standard error; its CSV is the same either way.
+shells as 'warning:' lines on standard error, which main's showwarning hook
+prints as they are raised; its CSV is the same either way.
 
 main may be called repeatedly in one process, each call behaving like a
 fresh run; it builds its argument parsers once per process, and parses a
@@ -155,6 +156,14 @@ def _open_output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _show_warning(show, message, category, *where) -> None:
+    """main's hook: a TruncationWarning as a 'warning:' line, others to show."""
+    if issubclass(category, TruncationWarning):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        show(message, category, *where)
+
+
 def cmd_spectrum(args: argparse.Namespace, params: PjtParams) -> _Result:
     """Levels, characters, R, and the delta footer as CSV; no diagnostics."""
     if args.cutoff < 1:
@@ -281,30 +290,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser, of about 0.6 ms for the whole command (best of 3000 on a 2-core
     Xeon VM, Python 3.11, numpy 2.4, one BLAS thread).
 
-    The command computes and main writes: a 'warning:' line per distinct
-    TruncationWarning, even when the command fails, then its diagnostics on
-    standard error, then the '#' lines and the CSV. Diagnostics make the status 1.
+    A showwarning hook prints each distinct TruncationWarning of the call as
+    a 'warning:' line as it is raised, even if the command fails; main then
+    writes the diagnostics, the '#' lines and the CSV. Diagnostics make the status 1.
     """
     args = _parse_args(argv)
     commands = {"spectrum": cmd_spectrum, "apes": cmd_apes, "converge": cmd_converge}
     try:
         params, source = _resolve_params(args)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", TruncationWarning)
-                settings, lines, diagnostics = commands[args.command](args, params)
-        finally:
-            # A degenerate multiplet repeats one message; print it once, as the
-            # default warning filter did.
-            printed = set()
-            for w in caught:
-                if not issubclass(w.category, TruncationWarning):
-                    warnings.showwarning(
-                        w.message, w.category, w.filename, w.lineno, w.file, w.line
-                    )
-                elif str(w.message) not in printed:
-                    printed.add(str(w.message))
-                    print(f"warning: {w.message}", file=sys.stderr)
+        with warnings.catch_warnings():
+            # The default action shows a degenerate multiplet's one message
+            # once; entering catch_warnings forgets those of earlier calls.
+            warnings.simplefilter("default", TruncationWarning)
+            warnings.showwarning = functools.partial(_show_warning, warnings.showwarning)
+            settings, lines, diagnostics = commands[args.command](args, params)
         for line in diagnostics:
             print(line, file=sys.stderr)
         with _open_output(args.output) as out:

@@ -69,7 +69,7 @@ __all__ = [
 
 # Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
 # a large cutoff from exhausting memory. At cutoff 60 the tracemalloc peak of
-# lowest_levels was 1.96 and 1.69 times the stack of all N + 3 blocks that
+# lowest_levels was 1.03 and 0.90 times the stack of all N + 3 blocks that
 # check_cutoff bounds for 1 and 8 decoupled levels, in two rounds each, and
 # 2.14 times for every level.
 MAX_DENSE_BYTES = 2**28
@@ -397,9 +397,10 @@ class SectorLevels:
 @np.errstate(invalid="ignore")
 def _below(stack: np.ndarray) -> np.ndarray:
     """Whether each matrix of a stack has an eigenvalue at or below 0, one
-    bool per matrix; the stack is only read. lowest_levels fills it at a
-    shift s, as H - s I, so a verdict says whether H has a level at or
-    below s.
+    bool per matrix. The stack is factored in place: each matrix that passes
+    is left holding its lower Cholesky factor, and each that fails holds NaN.
+    lowest_levels fills it at a shift s, as H - s I, so a verdict says
+    whether H has a level at or below s.
 
     By Sylvester's law of inertia, H - s I has a Cholesky factorization
     exactly when H has no eigenvalue at or below s. lowest_levels certifies
@@ -418,7 +419,8 @@ def _below(stack: np.ndarray) -> np.ndarray:
     """
     # The one use of numpy's private _umath_linalg: np.linalg.cholesky's
     # gufunc fills each matrix it cannot factor with NaN and factors the rest.
-    return np.isnan(_umath_linalg.cholesky_lo(stack, signature="d->d")[:, 0, 0])
+    # Written over its input, it makes no second stack.
+    return np.isnan(_umath_linalg.cholesky_lo(stack, signature="d->d", out=stack)[:, 0, 0])
 
 
 def _observables(

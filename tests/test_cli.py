@@ -584,6 +584,27 @@ def test_truncation_lines_do_not_depend_on_warning_filters():
         assert [line[:15] for line in lines] == ["warning: 22.1% ", "warning: 27.2% "]
 
 
+def test_main_leaves_the_warnings_module_as_it_found_it(tmp_path, capsys):
+    # A report that warns, then one that fails after warning.
+    path = tmp_path / "inverted.txt"
+    path.write_text(
+        "hbar_omega_mev=75\nlambda_mev=0\nxi_mev=45\nf_g_mev=10\nf_u_mev=10\n",
+        encoding="utf-8",
+    )
+    filters, show = list(warnings.filters), warnings.showwarning
+    for argv, status in [
+        (("spectrum", "--preset", "SiV", "--cutoff", "4", "--states", "3"), 0),
+        (("spectrum", "--params", str(path), "--cutoff", "2", "--states", "3"), 1),
+    ]:
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err.startswith("warning: ")) == (status, True)
+        assert warnings.filters == filters
+        assert warnings.showwarning is show
+    # The library's warning still meets the suite's error filter.
+    with pytest.raises(TruncationWarning):
+        spectrum_report(PRESETS["SiV"], 4, 3)
+
+
 def test_spectrum_shows_other_warnings_as_usual(monkeypatch, capsys):
     report = cli.spectrum_report
 
@@ -922,6 +943,15 @@ def test_refusals_exit_before_output(tmp_path, capsys, argv, message):
         code, out, err
     )
     assert not target.exists()
+
+
+def test_points_above_906876_refused(capsys):
+    # The scan ceiling the README states beside the cutoff ceiling.
+    limit = pjtdiag.sectors.MAX_DENSE_BYTES
+    assert 906876 * APES_BYTES_PER_POINT <= limit < 906877 * APES_BYTES_PER_POINT
+    code, out, err = run_cli(capsys, "apes", "--preset", "SiV", "--points", "906877")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --points 906877 needs ")
 
 
 @pytest.mark.parametrize("command", ["spectrum", "converge"])

@@ -652,7 +652,7 @@ def test_certificate_matches_eigvalsh_at_the_shift(params, cutoff, start, pick):
     # One verdict per block of a stack filled at a shift, as lowest_levels
     # fills a certificate: whether the block has a level at or below the
     # shift, which lies between two consecutive block minima, or below or
-    # above all of them, as pick chooses. _below leaves the stack as it is.
+    # above all of them, as pick chooses. _below factors the stack in place.
     # This pins numpy's private Cholesky gufunc, which _below calls.
     total = cutoff + 3
     blocks = range(min(start, total - 2), total)
@@ -668,9 +668,18 @@ def test_certificate_matches_eigvalsh_at_the_shift(params, cutoff, start, pick):
     shifts = ((bounds[:-1] + bounds[1:]) / 2)[np.diff(bounds) > 2 * margin]
     shift = shifts[pick % len(shifts)]
     stack = _fill(diagonal - shift, couplings, layout, blocks, width)
-    filled = stack.tobytes()
-    assert _below(stack).tolist() == (lowest <= shift).tolist()
-    assert stack.tobytes() == filled
+    filled = stack.copy()
+    below = _below(stack)
+    assert below.tolist() == (lowest <= shift).tolist()
+    # A block that fails is NaN. One that passes holds its lower factor L,
+    # and L L^T is the filled block to the rounding of a factorization: each
+    # entry of |L| |L^T| is at most the block's largest diagonal entry.
+    assert np.isnan(stack[below]).all()
+    factors, passing = stack[~below], filled[~below]
+    assert (np.triu(factors, 1) == 0).all()
+    error = np.abs(factors @ factors.transpose(0, 2, 1) - passing)
+    scale = np.abs(passing).max(axis=(1, 2), keepdims=True)
+    assert (error <= 2 * (width + 1) * np.finfo(float).eps * scale).all()
 
 
 def test_cached_layout_is_read_only():
@@ -769,6 +778,16 @@ def test_growing_head_memory(params, cutoff):
     assert warm_peak(params, cutoff, 8) < 2.0
 
 
+@pytest.mark.parametrize(
+    "params", [*PRESETS.values(), decoupled(80.0, 10.0)], ids=[*PRESETS, "decoupled"]
+)
+def test_few_levels_memory(params):
+    # _below factors each certificate in place, so a request for a few
+    # levels holds no copy of the certificate stack beside it.
+    for num_states in range(1, 9):
+        assert warm_peak(params, 60, num_states) < 1.1, num_states
+
+
 def test_siv_levels_carry_j_and_labels():
     levels = lowest_levels(SIV, 15, 24)
     assert np.abs(levels.j).tolist() == [
@@ -842,6 +861,22 @@ def test_too_many_states_refused():
 def test_negative_cutoff_or_no_levels_refused(cutoff, num_states, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         lowest_levels(SIV, cutoff, num_states)
+
+
+def test_cutoffs_above_201_refused_before_allocating():
+    # The ceiling the README states: 256 MiB of sector matrices.
+    assert check_cutoff(201, 8) == (201, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as refused:
+            check_cutoff(202, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == (
+        "cutoff 202 needs 258 MiB of sector matrices, beyond the 256 MiB limit"
+    )
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize(
