@@ -36,7 +36,7 @@ from . import __version__
 from .analysis import StateOrderingError, TruncationWarning, converge_cutoff, spectrum_report
 from .hamiltonian import PRESETS, PjtParams, classical_apes
 from .paramfile import parse_params
-from .sectors import MAX_DENSE_BYTES, ConvergenceError, check_cutoff
+from .sectors import ConvergenceError, check_bytes, check_cutoff
 
 __all__ = ["cmd_apes", "cmd_converge", "cmd_spectrum", "main"]
 
@@ -192,12 +192,7 @@ def cmd_apes(args: argparse.Namespace, params: PjtParams) -> _Result:
     refuses and scans on the call; its rows are formatted as they are read."""
     if args.points < 2:
         raise ValueError(f"--points must be >= 2, got {args.points}")
-    needed = args.points * APES_BYTES_PER_POINT
-    if needed > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"--points {args.points} needs {needed / 2**20:.0f} MiB of scan "
-            f"points, beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
-        )
+    check_bytes(args.points * APES_BYTES_PER_POINT, f"--points {args.points}", "scan points")
     # np.linspace warns on ends or a width beyond the float range before
     # the library sees the coordinates.
     if not math.isfinite(args.xmax - args.xmin):
@@ -318,7 +313,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         # an unwritable --output, schema violations, and option validation.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

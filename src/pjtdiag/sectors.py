@@ -67,11 +67,11 @@ __all__ = [
     "lowest_levels",
 ]
 
-# Largest dense array a route may allocate, in bytes. Refusing beyond it keeps
-# a large cutoff from exhausting memory. At cutoff 60 the tracemalloc peak of
-# lowest_levels was 1.03 and 0.90 times the stack of all N + 3 blocks that
-# check_cutoff bounds for 1 and 8 decoupled levels, in two rounds each, and
-# 2.14 times for every level.
+# Largest dense array a route may allocate, and most an apes scan may hold
+# before its first row, in bytes; check_bytes refuses beyond it. At cutoff 60
+# the tracemalloc peak of lowest_levels was 1.03 and 0.90 times the stack of
+# all N + 3 blocks that check_cutoff bounds for 1 and 8 decoupled levels, in
+# two rounds each, and 2.14 times for every level.
 MAX_DENSE_BYTES = 2**28
 
 # Machine epsilon of float64, for the certificate margin and the resolution.
@@ -118,6 +118,16 @@ def as_index(value, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
+def check_bytes(needed: int, request: str, contents: str) -> None:
+    """Refuse a request needing more than MAX_DENSE_BYTES; the MiB it names
+    are rounded up, so a refused request never reads as within the limit."""
+    if needed > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"{request} needs {-(-needed // 2**20)} MiB of {contents}, "
+            f"beyond the {MAX_DENSE_BYTES // 2**20} MiB limit"
+        )
+
+
 def check_cutoff(cutoff: int, num_states: int) -> tuple[int, int]:
     """Reject a cutoff, or a level count, before anything is allocated.
 
@@ -132,8 +142,8 @@ def check_cutoff(cutoff: int, num_states: int) -> tuple[int, int]:
 
     Raises:
         TypeError: a cutoff or level count that is not an integer.
-        ValueError: negative cutoff, sector matrices larger than
-            MAX_DENSE_BYTES, or more levels than states.
+        ValueError: negative cutoff, sector matrices that check_bytes
+            refuses, or more levels than states.
     """
     cutoff = as_index(cutoff, "cutoff")
     if cutoff < 0:
@@ -141,11 +151,7 @@ def check_cutoff(cutoff: int, num_states: int) -> tuple[int, int]:
     # The two halves of sector 0 and the sectors J = 1 .. N + 1, each
     # padded to 2N + 2 states.
     needed = (cutoff + 3) * (2 * cutoff + 2) ** 2 * 8
-    if needed > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"cutoff {cutoff} needs {needed / 2**20:.0f} MiB of sector matrices, "
-            f"beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
-        )
+    check_bytes(needed, f"cutoff {cutoff}", "sector matrices")
     num_states = as_index(num_states, "num_states")
     if num_states < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")

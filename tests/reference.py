@@ -48,10 +48,10 @@ import numpy as np
 from pjtdiag.analysis import _warn_if_truncated
 from pjtdiag.hamiltonian import PjtParams
 from pjtdiag.sectors import (
-    MAX_DENSE_BYTES,
     SectorLevels,
     _Layout,
     _layout,
+    check_bytes,
     check_cutoff,
 )
 
@@ -341,12 +341,7 @@ def assemble(params: PjtParams, basis: FockBasis) -> VibronicHamiltonian:
             (checked before anything is allocated).
     """
     dimension = 4 * basis.size
-    needed = dimension * dimension * 8
-    if needed > MAX_DENSE_BYTES:
-        raise ValueError(
-            f"cutoff {basis.cutoff} needs {needed / 2**20:.0f} MiB for the dense "
-            f"product-space matrix, beyond the {MAX_DENSE_BYTES / 2**20:.0f} MiB limit"
-        )
+    check_bytes(dimension * dimension * 8, f"cutoff {basis.cutoff}", "dense product-space matrix")
     terms = (
         (params.hbar_omega * np.eye(4), number_operator(basis)),
         (pjt_coupling_block(params, "X"), position_operator(basis, "X")),

@@ -28,6 +28,7 @@ from pjtdiag.sectors import (
     _blocks,
     _elements,
     _fill,
+    check_bytes,
     check_cutoff,
     lowest_levels,
 )
@@ -877,6 +878,14 @@ def test_cutoffs_above_201_refused_before_allocating():
         "cutoff 202 needs 258 MiB of sector matrices, beyond the 256 MiB limit"
     )
     assert peak < 2**16
+
+
+def test_refusal_rounds_the_mib_up():
+    # One byte beyond the limit reads as beyond it, not as 256 MiB.
+    check_bytes(sectors.MAX_DENSE_BYTES, "request", "bytes")
+    with pytest.raises(ValueError) as refused:
+        check_bytes(sectors.MAX_DENSE_BYTES + 1, "request", "bytes")
+    assert str(refused.value) == "request needs 257 MiB of bytes, beyond the 256 MiB limit"
 
 
 @pytest.mark.parametrize(
