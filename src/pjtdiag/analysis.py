@@ -52,16 +52,6 @@ class StateOrderingError(RuntimeError):
     below an Eu-type doublet."""
 
 
-def _warn_if_truncated(top_weight: float, stacklevel: int) -> None:
-    if top_weight > _TOP_SHELL_LIMIT:
-        warnings.warn(
-            f"{top_weight:.1%} of the state sits in the top two Fock shells; "
-            "R is truncation-contaminated, increase the cutoff",
-            TruncationWarning,
-            stacklevel=stacklevel,
-        )
-
-
 def _label(j: int, parity: int) -> str:
     """Vibronic label of a level of J and, at J = 0, reflection parity."""
     if j == 0:
@@ -224,7 +214,13 @@ def spectrum_report(params: PjtParams, cutoff: int, num_states: int = 8) -> Spec
     levels = lowest_levels(params, cutoff, num_states)
     # Python scalars, which format and compare faster than numpy's.
     for top_weight in levels.top_shell_weight.tolist():
-        _warn_if_truncated(top_weight, stacklevel=3)
+        if top_weight > _TOP_SHELL_LIMIT:
+            warnings.warn(
+                f"{top_weight:.1%} of the state sits in the top two Fock shells; "
+                "R is truncation-contaminated, increase the cutoff",
+                TruncationWarning,
+                stacklevel=2,
+            )
     delta = _delta(levels)
     labels = tuple(map(_label, levels.j.tolist(), levels.parity.tolist()))
     return SpectrumReport(levels=levels, labels=labels, delta=delta)

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pjtdiag.analysis import _warn_if_truncated
 from pjtdiag.hamiltonian import PjtParams
 from pjtdiag.sectors import (
     SectorLevels,
@@ -427,9 +426,7 @@ def distortion_expectation(state_vector, basis: FockBasis) -> float:
     """RMS displacement R = sqrt(<X^2 + Y^2>) of a vibronic state.
 
     Evaluated with the truncated position matrices. The vibrational vacuum
-    gives R = 1 (two zero-point halves). Warns when more than 1% of the
-    probability sits in the top two Fock shells, where truncation biases
-    the second moments.
+    gives R = 1 (two zero-point halves).
 
     Args:
         state_vector: Normalized coefficient vector, electronic index slowest.
@@ -439,8 +436,6 @@ def distortion_expectation(state_vector, basis: FockBasis) -> float:
         Dimensionless R >= 0.
     """
     blocks = _reshape_blocks(state_vector, basis)
-    shells = np.array([n + m for (n, m) in basis.states])
-    _warn_if_truncated((blocks[:, shells >= basis.cutoff - 1] ** 2).sum(), stacklevel=3)
     x_op = position_operator(basis, "X")
     y_op = position_operator(basis, "Y")
     second_moment = 0.0
@@ -585,8 +580,8 @@ def classify_levels(
         energies: Ascending energies, meV.
         vectors: Matching eigenvector columns.
         basis: Phonon basis.
-        compute_r: Also evaluate R per level (skipping it avoids truncation
-            warnings when only energies and labels are needed).
+        compute_r: Also evaluate R per level (skipping it saves the
+            position products when only energies and labels are needed).
 
     Returns:
         ClassifiedLevels in the order of symmetry_vectors.

@@ -77,22 +77,6 @@ def test_vacuum_distortion_is_unity():
     assert distortion_expectation(vector, basis) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_distortion_warns_when_weight_piles_at_the_cutoff():
-    basis = build_basis(4)
-    vector = symmetry_state(basis, 0, (4, 0))
-    with pytest.warns(TruncationWarning):
-        distortion_expectation(vector, basis)
-
-
-def test_distortion_quiet_for_converged_state(siv_solution):
-    import warnings
-
-    basis, result = siv_solution
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationWarning)
-        distortion_expectation(result.vectors[:, 0], basis)
-
-
 def test_siv_ground_character_window(siv_solution):
     basis, result = siv_solution
     weights = electronic_character(result.vectors[:, 0], basis)
